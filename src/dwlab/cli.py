@@ -25,7 +25,7 @@ from .classify import (classify_regime, eigenvalues_homogeneous,
 from .continuation import (BvpConfig, build_bvp, continue_branch,
                            newton_solve, solve_regime)
 from .energy import htilde_quadratic
-from .errors import ConfigError, DwlabError
+from .errors import ConfigError, CurvePole, DwlabError
 from .freezing import initial_wall, run_selection
 from .melnikov import (determinant_identity_check, melnikov_integrals_closed,
                        splitting_matrix)
@@ -100,6 +100,15 @@ def _material(cfg) -> MaterialParams:
         raise ConfigError(f"invalid material parameters: {exc}") from exc
 
 
+def _wall_material(cfg) -> MaterialParams:
+    """Material of a command that computes walls, which exist only on an
+    easy axis (mu < 0)."""
+    mp = _material(cfg)
+    if not mp.mu < 0:
+        raise ConfigError(f"walls require mu < 0, got mu = {mp.mu}")
+    return mp
+
+
 def _bvp_config(cfg) -> BvpConfig:
     kw = {}
     if "L" in cfg:
@@ -124,13 +133,19 @@ def _cplx(z):
 # ---------------------------------------------------------------------------
 
 def cmd_classify(cfg, out: Path, threads: int, seed_profile):
-    mp = _material(cfg)
+    mp = _wall_material(cfg)
     ref = reflect_parameters(mp.replace(c_cp=0.0))
     regime = classify_regime(ref.mp, reflected=ref.reflected)
     eigs = eigenvalues_homogeneous(mp.alpha, mp.beta, mp.mu,
                                    ref.mp.h if not ref.reflected
                                    else 2 * mp.beta / mp.alpha - mp.h)
-    verdict = stability_verdict(mp)
+    try:
+        verdict = stability_verdict(mp)
+        stability = {"plus_e3": verdict.plus_e3,
+                     "minus_e3": verdict.minus_e3, "region": verdict.region}
+    except CurvePole:
+        # as stability-map labels it
+        stability = {"plus_e3": None, "minus_e3": None, "region": "pole"}
     h_lo, h_hi = thresholds(mp.alpha, mp.beta, mp.mu)
     doc = {
         "regime": regime.kind,
@@ -143,9 +158,7 @@ def cmd_classify(cfg, out: Path, threads: int, seed_profile):
             "zero_chart": [_cplx(eigs[0]), _cplx(eigs[1]), _cplx(eigs[2])],
             "pi_chart": [_cplx(eigs[3]), _cplx(eigs[4]), _cplx(eigs[5])],
         },
-        "stability": {"plus_e3": verdict.plus_e3,
-                      "minus_e3": verdict.minus_e3,
-                      "region": verdict.region},
+        "stability": stability,
     }
     return [("classify.json", write_json(out / "classify.json", doc))]
 
@@ -177,7 +190,7 @@ def cmd_stability_map(cfg, out: Path, threads: int, seed_profile):
 
 
 def cmd_melnikov(cfg, out: Path, threads: int, seed_profile):
-    mp = _material({**cfg, "c_cp": 0.0})
+    mp = _wall_material({**cfg, "c_cp": 0.0})
     sm = splitting_matrix(mp)
     regime = classify_regime(mp)
     r = math.sqrt(-mp.mu)
@@ -229,10 +242,10 @@ def cmd_center(cfg, out: Path, threads: int, seed_profile):
     values = [float(v) for v in cfg["values"]]
     if not values:
         raise ConfigError("values must be non-empty")
-    alpha, beta, mu = (float(cfg["alpha"]), float(cfg["beta"]),
-                       float(cfg["mu"]))
+    mp0 = _wall_material(cfg)
+    alpha, beta, mu = mp0.alpha, mp0.beta, mp0.mu
     _, h_star = thresholds(alpha, beta, mu)
-    mp = MaterialParams(alpha=alpha, beta=beta, mu=mu, h=h_star, c_cp=0.0)
+    mp = mp0.replace(h=h_star)
     cfgb = _bvp_config(cfg)
     step0 = float(cfg.get("step0", 0.01))
     tasks = [(mp, sweep, v, cfgb, step0) for v in values]
@@ -252,7 +265,7 @@ def cmd_center(cfg, out: Path, threads: int, seed_profile):
 
 
 def cmd_shoot(cfg, out: Path, threads: int, seed_profile):
-    mp = _material(cfg)
+    mp = _wall_material(cfg)
     if "s" in cfg and "omega" in cfg:
         wf = WaveFrame(s=float(cfg["s"]), omega=float(cfg["omega"]))
     elif "s" in cfg or "omega" in cfg:
@@ -278,7 +291,7 @@ def cmd_shoot(cfg, out: Path, threads: int, seed_profile):
 
 
 def cmd_continue(cfg, out: Path, threads: int, seed_profile):
-    mp = _material(cfg)
+    mp = _wall_material(cfg)
     cont = cfg["cont"]
     if cont not in ("c_cp", "s", "omega", "h"):
         raise ConfigError("cont must be one of c_cp, s, omega, h")
@@ -320,7 +333,7 @@ def cmd_continue(cfg, out: Path, threads: int, seed_profile):
 
 
 def cmd_freeze(cfg, out: Path, threads: int, seed_profile):
-    mp = _material(cfg)
+    mp = _wall_material(cfg)
     init = initial_wall(mp, Lx=float(cfg.get("Lx", 100.0)),
                         n_nodes=int(cfg.get("n_nodes", 2048)))
     series = run_selection(mp, init=init, T=float(cfg.get("T", 20.0)),

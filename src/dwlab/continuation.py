@@ -19,12 +19,21 @@ regime:
 
 Solving uses damped Newton iteration on an analytically assembled sparse
 Jacobian; branches in any of (c_cp, s, Omega, h) are traced by
-pseudo-arclength continuation with a secant predictor.
+pseudo-arclength continuation with a secant predictor, whose last step ends
+exactly on the target.
+
+The Newton matrix is the almost block-diagonal collocation block (one block
+per mesh interval) bordered by the scalar columns and the boundary, phase
+and continuation rows.  Its CSC structure is built once per bordering, with
+every border entry kept even where its value is zero, so each iteration only
+writes values.  It is factored by sparse LU ordered by minimum degree on the
+pattern of J^T + J, which keeps the fill near nnz(J).
 """
 
 from __future__ import annotations
 
 import math
+import warnings as _warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,6 +44,7 @@ from scipy.sparse.linalg import lsmr, splu
 from .charts import PI, ZERO, chart_equilibria
 from .classify import CENTER, CODIM0, CODIM2, Regime
 from .energy import center_frequency, hamiltonian, hamiltonian_gradient
+from .errors import CenterConditionViolated as _CCV
 from .errors import NoConvergence, RegimeError, SingularJacobian
 from .model import (MaterialParams, WaveFrame, rhs_jacobian_raw,
                     rhs_param_derivatives_raw, rhs_raw)
@@ -50,10 +60,6 @@ __all__ = [
     "continue_branch",
     "termination_boundary",
 ]
-
-import warnings as _warnings
-
-from .errors import CenterConditionViolated as _CCV
 
 #: pseudo-arclength step bounds and adaptation factors
 STEP_MIN = 1e-5
@@ -307,7 +313,8 @@ class HeteroclinicBVP:
     # -- Jacobian -----------------------------------------------------------
 
     def _build_pattern(self):
-        """Static sparsity pattern (rows/cols) of the collocation block."""
+        """Static sparsity pattern (rows/cols) of the collocation block and
+        of the state entries of the boundary rows."""
         N, m = self.N, self.m
         # rows: (N, m, 3) row index 3*(i*m+g)+a, broadcast over (j, b)
         ig = (np.arange(N)[:, None] * m + np.arange(m)[None, :])  # (N, m)
@@ -320,6 +327,49 @@ class HeteroclinicBVP:
         self._cols_coll = np.broadcast_to(
             col, (N, m, 3, m + 1, 3)).ravel()
         self._eye_D = np.einsum("gj,ab->gjab", self.D, np.eye(3)) / self.h_mesh
+        last = 3 * (self.n_nodes - 1)
+        state_cols = {"p_left": (1,), "q_left": (2,), "p_right": (last + 1,),
+                      "q_right": (last + 2,),
+                      "energy_gap": (last + 1, last + 2)}
+        self._rows_bc = np.array([self.n_colloc + i
+                                  for i, bc in enumerate(self._bc_names)
+                                  for _ in state_cols[bc]])
+        self._cols_bc = np.array([c for bc in self._bc_names
+                                  for c in state_cols[bc]])
+        self._patterns = {}
+
+    def _newton_pattern(self, n_scal: int, with_row: bool):
+        """CSC structure of the Newton matrix with ``n_scal`` scalar columns
+        and, when ``with_row``, a dense last row; built once per structure.
+
+        Returns (order, indices, indptr, shape), where ``order`` takes the
+        concatenated value blocks of ``jacobian`` (collocation block, scalar
+        columns, boundary state entries, boundary scalar entries, phase row,
+        extra row) to CSC data order.  Every entry of the boundary rows is
+        kept, also where its value is zero, so the structure never changes
+        between Newton iterations."""
+        key = (n_scal, with_row)
+        if key in self._patterns:
+            return self._patterns[key]
+        nc, nb, nU = self.n_colloc, self.n_bc, self.nU
+        n_x = nU + n_scal
+        scal_cols = nU + np.arange(n_scal)
+        rows = [self._rows_coll, np.tile(np.arange(nc), n_scal),
+                self._rows_bc, np.repeat(nc + np.arange(nb), n_scal),
+                np.full(nU, nc + nb)]
+        cols = [self._cols_coll, np.repeat(scal_cols, nc),
+                self._cols_bc, np.tile(scal_cols, nb), np.arange(nU)]
+        if with_row:
+            rows.append(np.full(n_x, nc + nb + 1))
+            cols.append(np.arange(n_x))
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        order = np.lexsort((rows, cols))
+        indptr = np.zeros(n_x + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=n_x), out=indptr[1:])
+        pattern = (order, rows[order].astype(np.int32), indptr,
+                   (nc + nb + 1 + int(with_row), n_x))
+        self._patterns[key] = pattern
+        return pattern
 
     def _scalar_chain(self, name, par):
         """Names and weights of the raw-parameter derivatives behind one
@@ -335,67 +385,43 @@ class HeteroclinicBVP:
                 chain.append(("omega", dod))
         return chain
 
-    def _bc_jacobian_rows(self, u, par, scal_names):
-        """Rows (dense over a few entries) of the boundary conditions."""
-        rows = []
-        node_last = self.n_nodes - 1
-        eps = 1e-6
-
-        def bc_vals(par_mod):
-            return self._bc_residual(u, par_mod)
-
-        base_val = bc_vals(par)
+    def _bc_jacobian(self, u, par, scal_names):
+        """Values of the boundary rows: the state entries (in the order of
+        the pattern's boundary columns) and the dense (n_bc, n_scal) block of
+        scalar derivatives."""
         # derivative w.r.t. scalar values by central differences on the
         # boundary targets (the state contribution is handled analytically)
-        dscal = {}
-        for name in scal_names:
+        eps = 1e-6
+        fixed = {k: par[k] for k in self.SCALAR_NAMES if k in par}
+        dscal = np.zeros((self.n_bc, len(scal_names)))
+        for k, name in enumerate(scal_names):
             if name == "htilde":
-                v = np.zeros(self.n_bc)
                 for i, bc in enumerate(self._bc_names):
                     if bc == "energy_gap":
-                        v[i] = -1.0
-                dscal[name] = v
+                        dscal[i, k] = -1.0
                 continue
-            par_p = self.params_from({**{k: par[k] for k in
-                                         self.SCALAR_NAMES if k in par},
-                                      name: par[name] + eps})
-            par_m = self.params_from({**{k: par[k] for k in
-                                         self.SCALAR_NAMES if k in par},
-                                      name: par[name] - eps})
-            dscal[name] = (bc_vals(par_p) - bc_vals(par_m)) / (2 * eps)
+            par_p = self.params_from({**fixed, name: par[name] + eps})
+            par_m = self.params_from({**fixed, name: par[name] - eps})
+            dscal[:, k] = (self._bc_residual(u, par_p)
+                           - self._bc_residual(u, par_m)) / (2 * eps)
+        state = []
+        for bc in self._bc_names:
+            if bc == "energy_gap":
+                state += hamiltonian_gradient(PI, u[-1, 1], u[-1, 2],
+                                              self._mp(par), self._wf(par))
+            else:
+                state.append(1.0)
+        return np.array(state, dtype=float), dscal
 
-        for i, bc in enumerate(self._bc_names):
-            cols, vals = [], []
-            if bc == "p_left":
-                cols.append(1); vals.append(1.0)
-            elif bc == "q_left":
-                cols.append(2); vals.append(1.0)
-            elif bc == "p_right":
-                cols.append(3 * node_last + 1); vals.append(1.0)
-            elif bc == "q_right":
-                cols.append(3 * node_last + 2); vals.append(1.0)
-            elif bc == "energy_gap":
-                mp, wf = self._mp(par), self._wf(par)
-                gp, gq = hamiltonian_gradient(PI, u[-1, 1], u[-1, 2], mp, wf)
-                cols += [3 * node_last + 1, 3 * node_last + 2]
-                vals += [gp, gq]
-            for k, name in enumerate(scal_names):
-                d = dscal[name][i]
-                if d != 0.0:
-                    cols.append(self.nU + k)
-                    vals.append(d)
-            rows.append((cols, vals))
-        return rows, base_val
-
-    def jacobian(self, x, cont_name=None):
-        """Sparse Jacobian of ``residual`` (including the continuation
-        column when ``cont_name`` is given; the arclength row is appended by
-        the continuation driver)."""
+    def jacobian(self, x, cont_name=None, extra_grad=None):
+        """Sparse (CSC) Jacobian of ``residual``, including the continuation
+        column when ``cont_name`` is given and, when ``extra_grad`` is given,
+        that gradient as a dense last row (the continuation driver's
+        arclength or target row).  Each call computes values only; the
+        structure is fixed per (number of scalars, extra row)."""
         u, scalars = self.unpack(x, cont_name)
         par = self.params_from(scalars)
         scal_names = list(self.free_scalars) + ([cont_name] if cont_name else [])
-        n_scal = len(scal_names)
-        n_x = self.nU + n_scal
         N, m = self.N, self.m
 
         u_loc = u[self.loc_idx]
@@ -413,43 +439,28 @@ class HeteroclinicBVP:
         diff_part = self._eye_D.transpose(0, 2, 1, 3)  # (m, 3, m+1, 3)
         data = np.broadcast_to(diff_part[None], (N, m, 3, m + 1, 3)).copy()
         data -= self.W[None, :, None, :, None] * Jf_arr[:, :, :, None, :]
-        rows = [self._rows_coll]
-        cols = [self._cols_coll]
-        vals = [data.ravel()]
+        blocks = [data.ravel()]
 
         # scalar columns of the collocation rows
-        if n_scal:
+        if scal_names:
             pder = rhs_param_derivatives_raw(*args)
-            row_scal = np.repeat(np.arange(self.n_colloc), 1)
+            colv = np.zeros((len(scal_names), N, m, 3))
             for k, name in enumerate(scal_names):
-                colv = np.zeros((N, m, 3))
                 for raw, wgt in self._scalar_chain(name, par):
                     d = pder[raw]
                     for a in range(3):
-                        colv[..., a] -= wgt * np.broadcast_to(d[a], (N, m))
-                rows.append(row_scal)
-                cols.append(np.full(self.n_colloc, self.nU + k))
-                vals.append(colv.ravel())
+                        colv[k, ..., a] -= wgt * np.broadcast_to(d[a], (N, m))
+            blocks.append(colv.ravel())
 
-        # boundary rows
-        bc_rows, _ = self._bc_jacobian_rows(u, par, scal_names)
-        for i, (c, v) in enumerate(bc_rows):
-            rows.append(np.full(len(c), self.n_colloc + i))
-            cols.append(np.array(c))
-            vals.append(np.array(v, dtype=float))
-
-        # phase row
-        ph_row = self.n_colloc + self.n_bc
-        ph_vals = (self.phase_w[:, None] * self.uhat_prime).ravel()
-        rows.append(np.full(self.nU, ph_row))
-        cols.append(np.arange(self.nU))
-        vals.append(ph_vals)
-
-        n_rows = self.n_colloc + self.n_bc + 1
-        J = csc_matrix((np.concatenate(vals),
-                        (np.concatenate(rows), np.concatenate(cols))),
-                       shape=(n_rows, n_x))
-        return J
+        bc_state, bc_scal = self._bc_jacobian(u, par, scal_names)
+        blocks += [bc_state, bc_scal.ravel(),
+                   (self.phase_w[:, None] * self.uhat_prime).ravel()]
+        if extra_grad is not None:
+            blocks.append(extra_grad)
+        order, indices, indptr, shape = self._newton_pattern(
+            len(scal_names), extra_grad is not None)
+        return csc_matrix((np.concatenate(blocks)[order], indices, indptr),
+                          shape=shape)
 
     # -- profile plumbing ---------------------------------------------------
 
@@ -492,6 +503,18 @@ def initial_profile(bvp: HeteroclinicBVP, mu: float) -> np.ndarray:
     return u
 
 
+def _factorize(J):
+    """Sparse LU of the Newton matrix, ordered by minimum degree on the
+    pattern of J^T + J.
+
+    Apart from its border (boundary, phase and extra rows, scalar columns),
+    the matrix is almost block diagonal, one block per mesh interval, and a
+    symmetric ordering keeps its fill near its own nonzero count.  COLAMD,
+    which orders by the columns alone, spreads fill from the dense border
+    rows across the whole factor (about 20 times more nonzeros)."""
+    return splu(J, permc_spec="MMD_AT_PLUS_A")
+
+
 def newton_solve(bvp: HeteroclinicBVP, states: np.ndarray, scalars: dict,
                  cont_name=None, extra_row=None, return_iters: bool = False):
     """Damped Newton iteration on the discretized system.
@@ -516,11 +539,8 @@ def newton_solve(bvp: HeteroclinicBVP, states: np.ndarray, scalars: dict,
             return (u, sc, it) if return_iters else (u, sc)
         if it == bvp.cfg.max_newton:
             break
-        J = bvp.jacobian(x, cont_name)
-        if extra_row is not None:
-            from scipy.sparse import vstack as sp_vstack
-            g = csc_matrix(extra_row[1](x)[None, :])
-            J = csc_matrix(sp_vstack([J, g]))
+        J = bvp.jacobian(x, cont_name,
+                         None if extra_row is None else extra_row[1](x))
         # direct sparse LU first; fall back to a regularized least-squares
         # step when the factorization fails or the LU direction cannot be
         # damped into a residual decrease (the codim-0 truncation is
@@ -528,8 +548,7 @@ def newton_solve(bvp: HeteroclinicBVP, states: np.ndarray, scalars: dict,
         # left-chart modes, and needs the minimal-norm direction)
         candidates = []
         try:
-            lu = splu(J.tocsc())
-            dx = lu.solve(-r)
+            dx = _factorize(J).solve(-r)
             if np.all(np.isfinite(dx)):
                 candidates.append(dx)
         except RuntimeError:
@@ -634,10 +653,11 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
     n_x = bvp.n_unknowns(with_cont=True)
     tangent = np.zeros(n_x)
     tangent[-1] = direction
+    e_last = np.zeros(n_x)
+    e_last[-1] = 1.0
     step = min(step0, STEP_MAX)
     successes = 0
     fold_seen = False
-    x_prev = x.copy()
 
     while True:
         lam = x[-1]
@@ -645,26 +665,27 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
         if remaining <= 1e-14:
             term = "reached_target"
             break
-        # clamp the predictor so lambda cannot overshoot the target
-        t_lam = tangent[-1]
-        ds = step
-        if t_lam * direction > 1e-12:
-            ds = min(ds, remaining / (t_lam * direction))
+        # the step that would pass the target is shortened to end on it, and
+        # its corrector pins lambda = target in place of the arclength row,
+        # which could carry lambda past the target
+        t_lam = tangent[-1] * direction
+        clamped = t_lam > 1e-12 and remaining / t_lam <= step
+        ds = remaining / t_lam if clamped else step
         x_pred = x + ds * tangent
-
-        def arc_val(z, x_pred=x_pred, t=tangent):
-            return _weighted_dot(bvp, z - x_pred, t)
-
-        def arc_grad(z, t=tangent):
-            g = t.copy()
-            g[: bvp.nU] /= bvp.n_nodes
-            return g
+        if clamped:
+            x_pred[-1] = target
+            row = (lambda z: z[-1] - target, lambda z: e_last)
+        else:
+            arc_grad = tangent.copy()
+            arc_grad[: bvp.nU] /= bvp.n_nodes
+            row = (lambda z: _weighted_dot(bvp, z - x_pred, tangent),
+                   lambda z: arc_grad)
 
         u_pred, sc_pred = bvp.unpack(x_pred, cont_name)
         try:
             u_new, sc_new, iters = newton_solve(
                 bvp, u_pred, sc_pred, cont_name=cont_name,
-                extra_row=(arc_val, arc_grad), return_iters=True)
+                extra_row=row, return_iters=True)
             ok = True
         except (NoConvergence, SingularJacobian):
             ok = False
@@ -693,8 +714,6 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
             step = min(step * STEP_GROW, STEP_MAX)
             successes = 0
 
-    if term == "reached_target" and fold_seen:
-        pass  # folds are recorded per-point; target still reached
     # attach the final full profile
     u_end, sc_end = bvp.unpack(x, cont_name)
     extra = {}

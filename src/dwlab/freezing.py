@@ -220,7 +220,8 @@ def initial_wall(mp: MaterialParams, Lx: float = 100.0, n_nodes: int = 2048,
     if perturbation is not None:
         m = m + perturbation
         m /= np.linalg.norm(m, axis=1)[:, None]
-    wf0 = homogeneous_speed_frequency(mp)
+    # frame estimate of the homogeneous wall, whose shape depends on mu only
+    wf0 = homogeneous_speed_frequency(mp.replace(c_cp=0.0))
     return LineState(grid=grid, m=m, t=0.0, s_est=wf0.s, omega_est=wf0.omega)
 
 

@@ -154,6 +154,36 @@ class TestCliClassify:
         assert code == 2
 
 
+    def test_pole_is_labelled_like_the_map(self, tmp_path):
+        """At h = -mu the stability curves have a pole; classify reports it
+        as stability-map does instead of failing."""
+        code, out = run_cli(tmp_path, "classify", dict(BASE, h=1.0))
+        assert code == 0
+        doc = json.loads((out / "classify.json").read_text())
+        assert doc["stability"] == {"plus_e3": None, "minus_e3": None,
+                                    "region": "pole"}
+        assert doc["regime"] == "codim2"
+
+
+#: one config per command that computes walls, all on an easy plane
+EASY_PLANE = [
+    ("classify", dict(BASE, mu=0.5, h=0.5)),
+    ("melnikov", dict(BASE, mu=0.5, h=0.5)),
+    ("shoot", dict(BASE, mu=0.5, h=0.5)),
+    ("continue", dict(BASE, mu=0.5, h=0.5, cont="c_cp", target=0.1)),
+    ("freeze", dict(BASE, mu=0.5, h=0.5, T=0.01)),
+    ("center", {"alpha": 0.5, "beta": 0.1, "mu": 0.5, "sweep": "h",
+                "values": [1.0]}),
+    ("classify", dict(BASE, mu=0.0)),
+]
+
+
+@pytest.mark.parametrize("command, cfg", EASY_PLANE)
+def test_mu_not_negative_is_config_error(tmp_path, command, cfg):
+    code, _ = run_cli(tmp_path, command, cfg)
+    assert code == 2
+
+
 class TestCliMelnikov:
     def test_kernel_emitted(self, tmp_path):
         code, out = run_cli(tmp_path, "melnikov", dict(BASE, h=0.5))
@@ -226,6 +256,15 @@ class TestCliShootAndFreeze:
         assert code == 0
         doc = json.loads((out / "shoot.json").read_text())
         assert doc["tail"] == "flat"
+
+    def test_freeze_polarized(self, tmp_path):
+        """The initial frame estimate comes from the unpolarized wall, so a
+        run at c_cp != 0 starts."""
+        cfg = dict(BASE, h=0.5, c_cp=0.5, T=0.01)
+        code, out = run_cli(tmp_path, "freeze", cfg)
+        assert code == 0
+        doc = json.loads((out / "freeze.json").read_text())
+        assert math.isfinite(doc["asymptotic_s"])
 
     def test_freeze_short(self, tmp_path):
         cfg = dict(BASE, h=0.5, T=0.05, dt=1e-3, n_nodes=256, Lx=20.0)

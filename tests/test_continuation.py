@@ -12,6 +12,7 @@ from dwlab import (BvpConfig, MaterialParams, NoConvergence, WaveFrame,
                    build_bvp, classify_regime, continue_branch,
                    homogeneous_speed_frequency, initial_profile, newton_solve,
                    solve_regime, termination_boundary)
+from dwlab.continuation import _factorize
 
 ALPHA, BETA, MU = 0.5, 0.1, -1.0
 CFG = BvpConfig(L=30.0, n_mesh=120, collocation_order=4)
@@ -52,23 +53,57 @@ class TestStructure:
         assert setup(50.0)[0].n_bc == 2
 
     def test_jacobian_matches_finite_differences(self):
-        bvp, mp, wf = setup(0.5, BvpConfig(L=10.0, n_mesh=50,
-                                           collocation_order=3))
+        """Every regime, plain and bordered: with the c_cp continuation
+        column (at c_cp = 0.1, where the slaved frequency depends on it) and
+        a dense extra row, as in a continuation corrector."""
+        for h in (0.5, 10.2, 50.0):
+            for bordered in (False, True):
+                self._check_jacobian(h, bordered)
+
+    @staticmethod
+    def _check_jacobian(h, bordered):
+        bvp, mp, wf = setup(h, BvpConfig(L=10.0, n_mesh=50,
+                                         collocation_order=3))
         u = initial_profile(bvp, mp.mu)
         u[:, 1] += 0.01 * np.cos(bvp.mesh)  # move off the exact solution
         sc = {n: bvp.base[n] for n in bvp.free_scalars}
         bvp.set_reference(u, sc)
-        x = bvp.pack(u, sc)
-        J = bvp.jacobian(x).toarray()
         rng = np.random.default_rng(0)
+        if bordered:
+            x = bvp.pack(u, dict(sc, c_cp=0.1), "c_cp")
+            g = rng.normal(size=len(x))
+            J = bvp.jacobian(x, "c_cp", g).toarray()
+
+            def res(z):
+                return np.append(bvp.residual(z, "c_cp"), g @ (z - x))
+        else:
+            x = bvp.pack(u, sc)
+            J = bvp.jacobian(x).toarray()
+            res = bvp.residual
+        assert J.shape == (len(x), len(x))
         eps = 1e-7
-        for _ in range(20):
-            k = int(rng.integers(0, len(x)))
+        ks = np.concatenate([rng.integers(0, bvp.nU, 20),
+                             np.arange(bvp.nU, len(x))])
+        for k in ks:
             xp, xm = x.copy(), x.copy()
             xp[k] += eps
             xm[k] -= eps
-            col = (bvp.residual(xp) - bvp.residual(xm)) / (2 * eps)
-            assert np.max(np.abs(J[:, k] - col)) < 1e-5
+            col = (res(xp) - res(xm)) / (2 * eps)
+            assert np.max(np.abs(J[:, k] - col)) < 1e-5, (h, bordered, k)
+
+    def test_factorization_fill_stays_near_the_matrix(self):
+        """Apart from its dense border the Newton matrix is almost block
+        diagonal, and its LU keeps nnz(L + U) within 3 nnz(J) (a column-only
+        ordering gives about 20 nnz(J) here)."""
+        bvp, mp, wf = setup(0.5, BvpConfig())
+        u = initial_profile(bvp, mp.mu)
+        sc = {n: bvp.base[n] for n in bvp.free_scalars}
+        bvp.set_reference(u, sc)
+        J = bvp.jacobian(bvp.pack(u, sc))
+        lu = _factorize(J)
+        assert lu.L.nnz + lu.U.nnz <= 3 * J.nnz
+        b = np.random.default_rng(0).normal(size=J.shape[0])
+        assert np.max(np.abs(J @ lu.solve(b) - b)) < 1e-10
 
 
 class TestNewton:
@@ -138,6 +173,20 @@ class TestContinuation:
         # quadratic remainder budget: |branch(ccp) - kernel*ccp| = O(ccp^2)
         assert ds == pytest.approx(ds_pred * ccp, abs=5e-6)
         assert dom == pytest.approx(dom_pred * ccp, abs=2e-6)
+
+    @pytest.mark.parametrize("h, target", [(0.5, 0.5), (10.1, -0.5)])
+    def test_branch_ends_on_the_target(self, h, target):
+        """The corrector of the last step pins the parameter, so the branch
+        ends exactly on the target, never past it (an arclength corrector
+        can carry it past, as at h = 10.1)."""
+        bvp, mp, wf = setup(h)
+        u, sc = solve_regime(bvp)
+        br = continue_branch(bvp, u, sc, "c_cp", target)
+        assert br.terminated == "reached_target"
+        assert br.end.param == target
+        assert br.end.profile.mp.c_cp == target
+        params = np.array([pt.param for pt in br.points])
+        assert np.all(np.diff(params) * np.sign(target) > 0)
 
     def test_branch_bookkeeping(self):
         bvp, mp, wf = setup(0.5)
