@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 
 from .charts import (PI, ZERO, ChartCoefficients, ChartEquilibrium, ChartId,
                      chart_coefficients, chart_equilibria, chart_flow,
-                     homogeneous_profile, homogeneous_profile_arrays,
-                     homogeneous_speed_frequency)
+                     homogeneous_profile, homogeneous_speed_frequency)
 from .classify import (Regime, ReflectedParams, StabilityVerdict,
                        classify_regime, eigenvalues_homogeneous,
                        reflect_frame, reflect_parameters,
@@ -21,8 +20,8 @@ from .classify import (Regime, ReflectedParams, StabilityVerdict,
                        stability_verdict, standing_wall_condition,
                        thresholds)
 from .continuation import (Branch, BranchPoint, BvpConfig, Profile,
-                           build_bvp, continue_branch, initial_profile,
-                           newton_solve, solve_regime, termination_boundary)
+                           build_bvp, continue_branch, newton_solve,
+                           solve_regime, termination_boundary)
 from .energy import (CenterDeviation, QuadraticForm2, center_frequency,
                      hamiltonian, hamiltonian_gradient, htilde_measured,
                      htilde_quadratic, periodic_neighborhood,

@@ -250,24 +250,15 @@ def homogeneous_speed_frequency(mp: MaterialParams) -> WaveFrame:
     return WaveFrame(s=s0, omega=omega0)
 
 
-def homogeneous_profile(xi: float, mu: float, sigma: int = +1) -> ChartState:
-    """Explicit homogeneous domain wall
-    (theta, p, q) = (2 arctan(e^{sigma sqrt(-mu) xi}), sigma sqrt(-mu), 0)."""
-    if not (mu < 0):
-        raise ValueError("mu must be negative")
-    r = math.sqrt(-mu)
-    arg = sigma * r * xi
-    theta = math.pi if arg > 700.0 else 2.0 * math.atan(math.exp(arg))
-    return ChartState(theta=theta, p=sigma * r, q=0.0)
-
-
-def homogeneous_profile_arrays(xi, mu: float, sigma: int = +1):
-    """Vectorized homogeneous profile: returns arrays (theta, p, q)."""
+def homogeneous_profile(xi, mu: float, sigma: int = +1) -> np.ndarray:
+    """Explicit homogeneous domain wall on the nodes ``xi``: the (n, 3) array
+    of (theta, p, q) = (2 arctan(e^{sigma sqrt(-mu) xi}), sigma sqrt(-mu), 0).
+    Where the exponential overflows, theta is exactly pi."""
     if not (mu < 0):
         raise ValueError("mu must be negative")
     r = math.sqrt(-mu)
     xi = np.asarray(xi, dtype=float)
-    theta = 2.0 * np.arctan(np.exp(sigma * r * xi))
-    p = np.full_like(theta, sigma * r)
-    q = np.zeros_like(theta)
-    return theta, p, q
+    with np.errstate(over="ignore"):
+        theta = 2.0 * np.arctan(np.exp(sigma * r * xi))
+    return np.stack([theta, np.full_like(theta, sigma * r),
+                     np.zeros_like(theta)], axis=1)

@@ -13,7 +13,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -47,8 +46,7 @@ _SCHEMAS = {
     "shoot": {"alpha", "beta", "mu", "h", "c_cp", "s", "omega", "epsilon",
               "tol"},
     "continue": {"alpha", "beta", "mu", "h", "c_cp", "cont", "target",
-                 "step0", "L", "n_mesh", "collocation_order",
-                 "flat_constrained"},
+                 "step0", "L", "n_mesh", "collocation_order"},
     "freeze": {"alpha", "beta", "mu", "h", "c_cp", "T", "dt", "n_nodes",
                "Lx"},
 }
@@ -129,10 +127,11 @@ def _cplx(z):
 
 
 # ---------------------------------------------------------------------------
-# Commands: each returns a list of (filename, bytes) entries
+# Commands: each takes (cfg, out) and returns a list of (filename, bytes)
+# entries; continue also takes an optional seed profile
 # ---------------------------------------------------------------------------
 
-def cmd_classify(cfg, out: Path, threads: int, seed_profile):
+def cmd_classify(cfg, out: Path):
     mp = _wall_material(cfg)
     ref = reflect_parameters(mp.replace(c_cp=0.0))
     regime = classify_regime(ref.mp, reflected=ref.reflected)
@@ -163,33 +162,32 @@ def cmd_classify(cfg, out: Path, threads: int, seed_profile):
     return [("classify.json", write_json(out / "classify.json", doc))]
 
 
-def cmd_stability_map(cfg, out: Path, threads: int, seed_profile):
-    mp0 = _material({**cfg, "h": 0.0})
-    h_vals = np.linspace(float(cfg.get("h_min", -2.0)),
-                         float(cfg.get("h_max", 12.0)),
-                         int(cfg.get("n_h", 57)))
-    c_vals = np.linspace(float(cfg.get("ccp_min", -0.95)),
-                         float(cfg.get("ccp_max", 0.95)),
-                         int(cfg.get("n_ccp", 39)))
-    points = [(float(h), float(c)) for h in h_vals for c in c_vals]
-
-    def region(pt):
-        h, c = pt
-        try:
-            v = stability_verdict(mp0.replace(h=h, c_cp=c))
-            return v.region
-        except DwlabError:
-            return "pole"
-
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as ex:
-        regions = list(ex.map(region, points))
-    rows = [(h, c, r) for (h, c), r in sorted(
-        zip(points, regions), key=lambda x: x[0])]
+def cmd_stability_map(cfg, out: Path):
+    h_min = float(cfg.get("h_min", -2.0))
+    h_max = float(cfg.get("h_max", 12.0))
+    c_min = float(cfg.get("ccp_min", -0.95))
+    c_max = float(cfg.get("ccp_max", 0.95))
+    n_h, n_c = int(cfg.get("n_h", 57)), int(cfg.get("n_ccp", 39))
+    if n_h < 1 or n_c < 1:
+        raise ConfigError("n_h and n_ccp must be at least 1")
+    # both corners are valid materials exactly when every grid point is
+    _material({**cfg, "h": h_min, "c_cp": c_min})
+    mp0 = _material({**cfg, "h": h_max, "c_cp": c_max})
+    # rows ascend in (h, c_cp), also when a bound pair is given high to low
+    rows = []
+    for h in np.sort(np.linspace(h_min, h_max, n_h)):
+        for c in np.sort(np.linspace(c_min, c_max, n_c)):
+            try:
+                region = stability_verdict(
+                    mp0.replace(h=float(h), c_cp=float(c))).region
+            except DwlabError:
+                region = "pole"
+            rows.append((float(h), float(c), region))
     return [("stability_map.csv", write_csv(
         out / "stability_map.csv", ["h", "c_cp", "region"], rows))]
 
 
-def cmd_melnikov(cfg, out: Path, threads: int, seed_profile):
+def cmd_melnikov(cfg, out: Path):
     mp = _wall_material({**cfg, "c_cp": 0.0})
     sm = splitting_matrix(mp)
     regime = classify_regime(mp)
@@ -214,8 +212,7 @@ def cmd_melnikov(cfg, out: Path, threads: int, seed_profile):
     return [("melnikov.json", write_json(out / "melnikov.json", doc))]
 
 
-def _center_point(args):
-    mp, sweep, value, cfgb, step0 = args
+def _center_point(mp, sweep, value, cfgb, step0):
     regime = classify_regime(mp)
     wf = WaveFrame(s=regime.s0, omega=regime.omega0)
     qf = htilde_quadratic(mp.alpha, mp.beta, mp.mu)
@@ -225,17 +222,14 @@ def _center_point(args):
         pred = qf.value(value - regime.s0, 0.0)
     else:
         pred = qf.value(0.0, value - mp.h)
-    base = {"c_cp": mp.c_cp, "s": regime.s0, "h": mp.h}[sweep]
     bvp = build_bvp(regime, mp, wf, cfgb)
     u, sc = solve_regime(bvp)
-    if value == base:
-        return (value, float(sc.get("htilde", 0.0)), pred, "reached_target")
     br = continue_branch(bvp, u, sc, sweep, value, step0=step0)
     return (value, float(br.end.scalars.get("htilde", 0.0)), pred,
             br.terminated)
 
 
-def cmd_center(cfg, out: Path, threads: int, seed_profile):
+def cmd_center(cfg, out: Path):
     sweep = cfg["sweep"]
     if sweep not in ("c_cp", "s", "h"):
         raise ConfigError("sweep must be one of c_cp, s, h")
@@ -248,10 +242,8 @@ def cmd_center(cfg, out: Path, threads: int, seed_profile):
     mp = mp0.replace(h=h_star)
     cfgb = _bvp_config(cfg)
     step0 = float(cfg.get("step0", 0.01))
-    tasks = [(mp, sweep, v, cfgb, step0) for v in values]
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as ex:
-        results = list(ex.map(_center_point, tasks))
-    results.sort(key=lambda r: r[0])
+    results = sorted((_center_point(mp, sweep, v, cfgb, step0)
+                      for v in values), key=lambda r: r[0])
     rows = [(v, meas, pred) for v, meas, pred, _ in results]
     files = [("center_sweep.csv", write_csv(
         out / "center_sweep.csv",
@@ -264,7 +256,7 @@ def cmd_center(cfg, out: Path, threads: int, seed_profile):
     return files
 
 
-def cmd_shoot(cfg, out: Path, threads: int, seed_profile):
+def cmd_shoot(cfg, out: Path):
     mp = _wall_material(cfg)
     if "s" in cfg and "omega" in cfg:
         wf = WaveFrame(s=float(cfg["s"]), omega=float(cfg["omega"]))
@@ -290,31 +282,36 @@ def cmd_shoot(cfg, out: Path, threads: int, seed_profile):
     return files
 
 
-def cmd_continue(cfg, out: Path, threads: int, seed_profile):
+def cmd_continue(cfg, out: Path, seed_profile=None):
     mp = _wall_material(cfg)
     cont = cfg["cont"]
     if cont not in ("c_cp", "s", "omega", "h"):
         raise ConfigError("cont must be one of c_cp, s, omega, h")
     target = float(cfg["target"])
     cfgb = _bvp_config(cfg)
-    flat = bool(cfg.get("flat_constrained", False))
+    seed = None
     if seed_profile is not None:
-        with open(seed_profile) as fh:
-            prof = profile_from_dict(json.load(fh))
-        mp = prof.mp
-        wf = prof.wf
-        regime = classify_regime(mp.replace(c_cp=0.0))
-        bvp = build_bvp(regime, mp, wf, cfgb, flat_constrained=flat)
-        scalars = (prof.diagnostics.get("free_scalars")
+        try:
+            with open(seed_profile) as fh:
+                seed = profile_from_dict(json.load(fh))
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read seed profile: {exc}") from exc
+        mp = seed.mp
+    regime = classify_regime(mp.replace(c_cp=0.0))
+    wf = (WaveFrame(s=regime.s0, omega=regime.omega0) if seed is None
+          else seed.wf)
+    bvp = build_bvp(regime, mp, wf, cfgb)
+    if bvp.frees_or_slaves(cont):
+        raise ConfigError(f"the {regime.kind} regime already determines "
+                          f"{cont}; it cannot be continued")
+    if seed is None:
+        u, sc = solve_regime(bvp)
+    else:
+        scalars = (seed.diagnostics.get("free_scalars")
                    or {n: bvp.base[n] for n in bvp.free_scalars})
         scalars = {n: float(scalars[n]) for n in bvp.free_scalars}
-        bvp.set_reference(prof.states, scalars)
-        u, sc = newton_solve(bvp, prof.states, scalars)
-    else:
-        regime = classify_regime(mp.replace(c_cp=0.0))
-        wf = WaveFrame(s=regime.s0, omega=regime.omega0)
-        bvp = build_bvp(regime, mp, wf, cfgb, flat_constrained=flat)
-        u, sc = solve_regime(bvp)
+        bvp.set_reference(seed.states, scalars)
+        u, sc = newton_solve(bvp, seed.states, scalars)
     br = continue_branch(bvp, u, sc, cont, target,
                          step0=float(cfg.get("step0", 0.01)))
     files = [("branch.json", write_json(out / "branch.json",
@@ -332,7 +329,7 @@ def cmd_continue(cfg, out: Path, threads: int, seed_profile):
     return files
 
 
-def cmd_freeze(cfg, out: Path, threads: int, seed_profile):
+def cmd_freeze(cfg, out: Path):
     mp = _wall_material(cfg)
     init = initial_wall(mp, Lx=float(cfg.get("Lx", 100.0)),
                         n_nodes=int(cfg.get("n_nodes", 2048)))
@@ -382,18 +379,24 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="path to the JSON run config")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sweep commands")
+                        help="ignored: every command runs serially; kept so "
+                             "that existing invocations still parse")
     parser.add_argument("--seed-profile",
-                        help="profile JSON seeding the continue command")
+                        help="profile JSON seeding the continue command "
+                             "(continue only)")
     args = parser.parse_args(argv)
 
     out = Path(args.out)
     t0 = time.monotonic()
     try:
+        if args.seed_profile is not None and args.command != "continue":
+            raise ConfigError("--seed-profile applies to continue only")
         cfg = _load_config(args.command, args.config)
         out.mkdir(parents=True, exist_ok=True)
-        files = _COMMANDS[args.command](cfg, out, args.threads,
-                                        args.seed_profile)
+        if args.command == "continue":
+            files = cmd_continue(cfg, out, seed_profile=args.seed_profile)
+        else:
+            files = _COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -13,8 +13,6 @@ regime:
     through the energy-gap equation H(p, q at +L) - H(Z^pi_-) = htilde with
     the gap htilde itself the free scalar (a measurement, since the far
     state is generically a periodic orbit rather than the equilibrium).
-    A flat-constrained variant (gap forced to zero, right end pinned, s and
-    h freed) is available and is expected not to converge away from c_cp=0.
   * codim-0: p pinned at both ends; nothing free.
 
 Solving uses damped Newton iteration on an analytically assembled sparse
@@ -41,7 +39,7 @@ from numpy.polynomial import legendre
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import lsmr, splu
 
-from .charts import PI, ZERO, chart_equilibria
+from .charts import PI, ZERO, chart_equilibria, homogeneous_profile
 from .classify import CENTER, CODIM0, CODIM2, Regime
 from .energy import center_frequency, hamiltonian, hamiltonian_gradient
 from .errors import CenterConditionViolated as _CCV
@@ -55,7 +53,6 @@ __all__ = [
     "Branch",
     "BranchPoint",
     "build_bvp",
-    "initial_profile",
     "newton_solve",
     "continue_branch",
     "termination_boundary",
@@ -156,29 +153,22 @@ class HeteroclinicBVP:
     """Discretized nonlinear system for one regime on a fixed mesh.
 
     Unknowns are the nodal states plus the regime's free scalars; any of
-    (c_cp, s, omega, h, htilde) may additionally act as the continuation
-    parameter.  ``base`` holds the fixed parameter values; unknown scalars
-    override them.
+    (c_cp, s, omega, h, htilde) that the regime neither frees nor slaves may
+    additionally act as the continuation parameter.  ``base`` holds the
+    fixed parameter values; unknown scalars override them.
     """
 
     SCALAR_NAMES = ("c_cp", "s", "omega", "h", "htilde")
 
     def __init__(self, mode: str, mp: MaterialParams, wf: WaveFrame,
-                 cfg: BvpConfig, free_scalars=None, slave_omega=None,
-                 flat_constrained: bool = False):
+                 cfg: BvpConfig, free_scalars=None, slave_omega=None):
         if mode not in (CODIM2, CENTER, CODIM0):
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
         self.cfg = cfg
-        self.flat_constrained = flat_constrained
         if free_scalars is None:
-            if mode == CODIM2:
-                free_scalars = ("s", "omega")
-            elif mode == CENTER:
-                free_scalars = (("s", "h") if flat_constrained
-                                else ("htilde",))
-            else:
-                free_scalars = ()
+            free_scalars = {CODIM2: ("s", "omega"),
+                            CENTER: ("htilde",)}.get(mode, ())
         self.free_scalars = tuple(free_scalars)
         # Omega is slaved to the center condition in center mode
         self.slave_omega = (mode == CENTER) if slave_omega is None else slave_omega
@@ -216,10 +206,15 @@ class HeteroclinicBVP:
         if self.mode == CODIM2:
             return ("p_left", "q_left", "p_right", "q_right")
         if self.mode == CENTER:
-            if self.flat_constrained:
-                return ("p_left", "q_left", "p_right", "q_right")
             return ("p_left", "q_left", "energy_gap")
         return ("p_left", "p_right")
+
+    def frees_or_slaves(self, name: str) -> bool:
+        """Whether the regime already determines the scalar ``name``, as a
+        free unknown or as the slaved frequency; such a scalar cannot be a
+        continuation parameter."""
+        return name in self.free_scalars or (name == "omega"
+                                             and self.slave_omega)
 
     def n_unknowns(self, with_cont: bool = False) -> int:
         return self.nU + len(self.free_scalars) + (1 if with_cont else 0)
@@ -481,8 +476,8 @@ class HeteroclinicBVP:
 # ---------------------------------------------------------------------------
 
 def build_bvp(regime: Regime, mp: MaterialParams, wf: WaveFrame,
-              cfg: BvpConfig = BvpConfig(), free_scalars=None,
-              flat_constrained: bool = False) -> HeteroclinicBVP:
+              cfg: BvpConfig = BvpConfig(),
+              free_scalars=None) -> HeteroclinicBVP:
     """Discretized heteroclinic system for the given regime.
 
     Raises ``RegimeError`` when the regime kind is inconsistent with the
@@ -490,17 +485,7 @@ def build_bvp(regime: Regime, mp: MaterialParams, wf: WaveFrame,
     if regime.kind not in (CODIM2, CENTER, CODIM0):
         raise RegimeError(f"unsupported regime {regime.kind!r}")
     return HeteroclinicBVP(regime.kind, mp, wf, cfg,
-                           free_scalars=free_scalars,
-                           flat_constrained=flat_constrained)
-
-
-def initial_profile(bvp: HeteroclinicBVP, mu: float) -> np.ndarray:
-    """Homogeneous-wall initial guess on the fine mesh."""
-    r = math.sqrt(-mu)
-    xi = bvp.mesh
-    theta = 2.0 * np.arctan(np.exp(r * xi))
-    u = np.stack([theta, np.full_like(xi, r), np.zeros_like(xi)], axis=1)
-    return u
+                           free_scalars=free_scalars)
 
 
 def _factorize(J):
@@ -591,9 +576,10 @@ def newton_solve(bvp: HeteroclinicBVP, states: np.ndarray, scalars: dict,
 
 
 def solve_regime(bvp: HeteroclinicBVP, guess_states=None, scalars=None):
-    """Convenience: set the phase reference to the guess and Newton-solve."""
+    """Convenience: set the phase reference to the guess (by default the
+    homogeneous wall) and Newton-solve."""
     if guess_states is None:
-        guess_states = initial_profile(bvp, bvp.base["mu"])
+        guess_states = homogeneous_profile(bvp.mesh, bvp.base["mu"])
     if scalars is None:
         scalars = {n: bvp.base[n] for n in bvp.free_scalars}
     bvp.set_reference(guess_states, scalars)
@@ -621,7 +607,12 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
     consecutive successes.  Every accepted point is recorded; termination is
     reported in the Branch (never raised) as one of reached_target /
     newton_failure / step_underflow, with folds flagged in diagnostics.
+    Raises ``ValueError`` when the regime already frees or slaves
+    ``cont_name``.
     """
+    if bvp.frees_or_slaves(cont_name):
+        raise ValueError(f"the {bvp.mode} regime already determines "
+                         f"{cont_name}; it cannot be continued")
     if record_htilde is None:
         record_htilde = "htilde" in bvp.free_scalars
     lam0 = bvp.base[cont_name]
@@ -646,9 +637,6 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
     points = []
     u0, sc0 = bvp.unpack(x, cont_name)
     record(u0, sc0, {"step": 0.0})
-    if lam0 == target:
-        return Branch(points=points, terminated="reached_target",
-                      cont_name=cont_name)
 
     n_x = bvp.n_unknowns(with_cont=True)
     tangent = np.zeros(n_x)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .charts import homogeneous_profile_arrays, homogeneous_speed_frequency
+from .charts import homogeneous_profile, homogeneous_speed_frequency
 from .errors import PhaseDegeneracy
 from .model import MaterialParams
 
@@ -209,7 +209,7 @@ def initial_wall(mp: MaterialParams, Lx: float = 100.0, n_nodes: int = 2048,
     """Blow-down of the homogeneous wall onto the grid (azimuth zero),
     optionally perturbed (the perturbation is renormalized away in norm)."""
     grid = np.linspace(-Lx, Lx, n_nodes)
-    theta, _, _ = homogeneous_profile_arrays(grid, mp.mu)
+    theta = homogeneous_profile(grid, mp.mu)[:, 0]
     m = np.stack([np.sin(theta), np.zeros_like(theta), np.cos(theta)], axis=1)
     # snap the far tails to the exact poles: the uniform far states can be
     # convectively unstable, and seeding them with rounding-level noise

@@ -24,8 +24,8 @@ from dwlab import (PI, ZERO, BvpConfig, ChartState, MaterialParams, WaveFrame,
                    build_bvp, chart_coefficients, chart_equilibria,
                    classify_regime, continue_branch, desingularized_rhs,
                    determinant_identity_check, freeze_step, hamiltonian,
-                   homogeneous_profile_arrays, homogeneous_speed_frequency,
-                   htilde_quadratic, initial_profile, initial_wall, integrate,
+                   homogeneous_profile, homogeneous_speed_frequency,
+                   htilde_quadratic, initial_wall, integrate,
                    melnikov_integrals_closed,
                    melnikov_integrals_closed_corrected,
                    melnikov_integrals_quadrature, run_selection,
@@ -232,8 +232,8 @@ def _alignment_error(traj):
     states = traj.at(xs)
     i = int(np.argmin(np.abs(states[:, 0] - math.pi / 2)))
     xi_star = xs[i] - math.log(math.tan(states[i, 0] / 2.0))
-    th, p, q = homogeneous_profile_arrays(xs - xi_star, -1.0)
-    return float(np.max(np.abs(states - np.stack([th, p, q], axis=1))))
+    return float(np.max(np.abs(states - homogeneous_profile(xs - xi_star,
+                                                            -1.0))))
 
 
 def test_criterion_07_solvers_reproduce_the_family():
@@ -248,8 +248,8 @@ def test_criterion_07_solvers_reproduce_the_family():
         bvp = build_bvp(reg, mp, WaveFrame(s=reg.s0, omega=reg.omega0),
                         BvpConfig())
         u, _ = solve_regime(bvp)
-        worst_bvp = max(worst_bvp, np.max(np.abs(u - initial_profile(bvp,
-                                                                     mp.mu))))
+        worst_bvp = max(worst_bvp, np.max(np.abs(
+            u - homogeneous_profile(bvp.mesh, mp.mu))))
     ok1 = check("criterion 7a", worst_shoot < 1e-6,
                 f"shooting sup-norm over 10 h-values: {worst_shoot:.2e} "
                 "(tol 1e-6)")
@@ -302,8 +302,8 @@ def _center_sweep(sweep, values):
     mp = mk(10.2)
     out = {}
     for v in values:
-        val, meas, pred, term = _center_point((mp, sweep, v, BvpConfig(),
-                                               0.01))
+        val, meas, pred, term = _center_point(mp, sweep, v, BvpConfig(),
+                                              0.01)
         out[v] = (meas, pred, term)
     return out
 

@@ -4,6 +4,7 @@ integration), the explicit tangent flow, and the homogeneous family."""
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from dwlab import (PI, ZERO, ChartId, ChartState, EquilibriumInput,
                    MaterialParams, PoleCrossing, WaveFrame,
                    chart_coefficients, chart_equilibria, chart_flow,
                    desingularized_rhs, homogeneous_profile,
-                   homogeneous_profile_arrays, homogeneous_speed_frequency)
+                   homogeneous_speed_frequency)
 
 MP = MaterialParams(alpha=0.5, beta=0.1, mu=-1.0, h=5.0, c_cp=0.3)
 WF = WaveFrame(s=1.2, omega=3.4)
@@ -150,21 +151,25 @@ class TestHomogeneousFamily:
         assert abs(d[1]) < 1e-12 and abs(d[2]) < 1e-12
 
     def test_profile_is_ode_solution(self):
-        """The arctan profile satisfies theta' = sin(theta) * sqrt(-mu)."""
-        mu = -1.0
+        """The arctan profile satisfies theta' = sin(theta) * sqrt(-mu), with
+        p = sqrt(-mu) and q = 0 at every node."""
         xi = np.linspace(-5, 5, 2001)
-        theta, p, q = homogeneous_profile_arrays(xi, mu)
-        dtheta = np.gradient(theta, xi)
-        residual = dtheta - np.sin(theta) * math.sqrt(-mu)
-        assert np.max(np.abs(residual[5:-5])) < 1e-3  # FD-limited
+        for mu in (-1.0, -2.0):
+            theta, p, q = homogeneous_profile(xi, mu).T
+            dtheta = np.gradient(theta, xi)
+            residual = dtheta - np.sin(theta) * math.sqrt(-mu)
+            assert np.max(np.abs(residual[5:-5])) < 1e-3  # FD-limited
+            assert np.all(p == math.sqrt(-mu)) and np.all(q == 0.0)
 
-    def test_scalar_and_array_profiles_agree(self):
-        mu = -2.0
-        for xi in (-3.0, 0.0, 2.5):
-            s = homogeneous_profile(xi, mu)
-            th, p, q = homogeneous_profile_arrays(np.array([xi]), mu)
-            assert s.theta == pytest.approx(float(th[0]), abs=1e-14)
-            assert s.p == pytest.approx(float(p[0])) and s.q == float(q[0])
+    def test_profile_far_tails_are_exact(self):
+        """Where e^{sqrt(-mu) xi} overflows, theta is exactly pi, without
+        an overflow warning; far left it underflows to exactly 0."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = homogeneous_profile([-1000.0, 1000.0], -1.0)
+        assert u[0, 0] == 0.0 and u[1, 0] == math.pi
+        left = homogeneous_profile([-3.0, 3.0], -1.0, sigma=-1)
+        assert left[0, 1] == -1.0 and left[0, 0] > math.pi / 2 > left[1, 0]
 
     def test_requires_unpolarized(self):
         with pytest.raises(ValueError):

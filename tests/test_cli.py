@@ -249,6 +249,64 @@ class TestCliContinue:
         prof = json.loads((out2 / "profile.json").read_text())
         assert prof["material"]["c_cp"] == pytest.approx(0.2)
 
+    def test_start_on_the_target(self, tmp_path):
+        code, out = run_cli(tmp_path, "continue", dict(self.CFG, target=0.0))
+        assert code == 0
+        branch = json.loads((out / "branch.json").read_text())
+        assert branch["terminated"] == "reached_target"
+        assert len(branch["points"]) == 1
+        prof = json.loads((out / "profile.json").read_text())
+        assert prof["material"]["c_cp"] == 0.0
+
+    @pytest.mark.parametrize("h, cont, target", [(10.2, "omega", 8.3),
+                                                 (0.5, "s", 0.2)])
+    def test_parameter_the_regime_determines_is_config_error(
+            self, tmp_path, h, cont, target):
+        """The center regime slaves omega; codim-2 frees s."""
+        cfg = dict(self.CFG, h=h, cont=cont, target=target)
+        code, _ = run_cli(tmp_path, "continue", cfg)
+        assert code == 2
+
+    def test_flat_constrained_is_unknown_key(self, tmp_path):
+        cfg = dict(self.CFG, h=10.2, flat_constrained=True)
+        code, _ = run_cli(tmp_path, "continue", cfg)
+        assert code == 2
+
+
+@pytest.mark.parametrize("command, cfg", [("classify", BASE),
+                                          ("continue", TestCliContinue.CFG)])
+def test_seed_profile_is_config_error(tmp_path, command, cfg):
+    """The flag belongs to continue only, and continue needs a readable
+    profile."""
+    code, _ = run_cli(tmp_path, command, cfg,
+                      extra=["--seed-profile", str(tmp_path / "none.json")])
+    assert code == 2
+
+
+class TestCliStabilityMap:
+    CFG = {"alpha": 0.5, "beta": 0.1, "mu": -1.0, "h_min": -2.0,
+           "h_max": 12.0, "n_h": 15, "ccp_min": -0.9, "ccp_max": 0.9,
+           "n_ccp": 7}
+
+    def test_same_file_for_every_thread_count(self, tmp_path):
+        """--threads is accepted and changes nothing."""
+        data = []
+        for i, extra in enumerate(([], ["--threads", "1"],
+                                   ["--threads", "2"])):
+            code, out = run_cli(tmp_path / str(i), "stability-map", self.CFG,
+                                extra=extra)
+            assert code == 0
+            data.append((out / "stability_map.csv").read_bytes())
+        assert data[0] == data[1] == data[2]
+        assert len(data[0].decode().splitlines()) == 1 + 15 * 7
+
+    @pytest.mark.parametrize("change", [{"ccp_max": 1.0}, {"ccp_min": -1.0},
+                                        {"h_max": float("inf")},
+                                        {"n_h": 0}, {"n_ccp": 0}])
+    def test_invalid_grid_is_config_error(self, tmp_path, change):
+        code, _ = run_cli(tmp_path, "stability-map", {**self.CFG, **change})
+        assert code == 2
+
 
 class TestCliShootAndFreeze:
     def test_shoot(self, tmp_path):

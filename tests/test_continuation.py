@@ -10,8 +10,8 @@ import pytest
 
 from dwlab import (BvpConfig, MaterialParams, NoConvergence, WaveFrame,
                    build_bvp, classify_regime, continue_branch,
-                   homogeneous_speed_frequency, initial_profile, newton_solve,
-                   solve_regime, termination_boundary)
+                   homogeneous_profile, homogeneous_speed_frequency,
+                   newton_solve, solve_regime, termination_boundary)
 from dwlab.continuation import _factorize
 
 ALPHA, BETA, MU = 0.5, 0.1, -1.0
@@ -64,7 +64,7 @@ class TestStructure:
     def _check_jacobian(h, bordered):
         bvp, mp, wf = setup(h, BvpConfig(L=10.0, n_mesh=50,
                                          collocation_order=3))
-        u = initial_profile(bvp, mp.mu)
+        u = homogeneous_profile(bvp.mesh, mp.mu)
         u[:, 1] += 0.01 * np.cos(bvp.mesh)  # move off the exact solution
         sc = {n: bvp.base[n] for n in bvp.free_scalars}
         bvp.set_reference(u, sc)
@@ -96,7 +96,7 @@ class TestStructure:
         diagonal, and its LU keeps nnz(L + U) within 3 nnz(J) (a column-only
         ordering gives about 20 nnz(J) here)."""
         bvp, mp, wf = setup(0.5, BvpConfig())
-        u = initial_profile(bvp, mp.mu)
+        u = homogeneous_profile(bvp.mesh, mp.mu)
         sc = {n: bvp.base[n] for n in bvp.free_scalars}
         bvp.set_reference(u, sc)
         J = bvp.jacobian(bvp.pack(u, sc))
@@ -111,7 +111,7 @@ class TestNewton:
     def test_recovers_analytic_family(self, h):
         bvp, mp, wf = setup(h, CFG_FINE)
         u, sc = solve_regime(bvp)
-        ref = initial_profile(bvp, mp.mu)
+        ref = homogeneous_profile(bvp.mesh, mp.mu)
         assert np.max(np.abs(u - ref)) < 1e-6
         par = bvp.params_from(sc)
         assert par["s"] == pytest.approx(wf.s, abs=1e-8)
@@ -119,7 +119,7 @@ class TestNewton:
 
     def test_exact_guess_converges_immediately(self):
         bvp, mp, wf = setup(0.5)
-        u = initial_profile(bvp, mp.mu)
+        u = homogeneous_profile(bvp.mesh, mp.mu)
         sc = {n: bvp.base[n] for n in bvp.free_scalars}
         bvp.set_reference(u, sc)
         _, _, iters = newton_solve(bvp, u, sc, return_iters=True)
@@ -127,7 +127,7 @@ class TestNewton:
 
     def test_perturbed_speed_converges_back(self):
         bvp, mp, wf = setup(0.5)
-        u = initial_profile(bvp, mp.mu)
+        u = homogeneous_profile(bvp.mesh, mp.mu)
         sc = {"s": wf.s + 1e-3, "omega": wf.omega}
         bvp.set_reference(u, sc)
         u2, sc2 = newton_solve(bvp, u, sc)
@@ -137,7 +137,7 @@ class TestNewton:
     def test_noise_guess_fails(self):
         bvp, mp, wf = setup(0.5)
         rng = np.random.default_rng(1)
-        u = initial_profile(bvp, mp.mu)
+        u = homogeneous_profile(bvp.mesh, mp.mu)
         u[:, 1:] += rng.normal(0.0, 1.0, size=(bvp.n_nodes, 2))
         u[:, 0] = np.clip(u[:, 0] + rng.normal(0.0, 1.0, bvp.n_nodes),
                           0.0, math.pi)
@@ -187,6 +187,26 @@ class TestContinuation:
         assert br.end.profile.mp.c_cp == target
         params = np.array([pt.param for pt in br.points])
         assert np.all(np.diff(params) * np.sign(target) > 0)
+
+    def test_start_on_the_target(self):
+        """A branch whose start is its target is one point that carries the
+        profile."""
+        bvp, mp, wf = setup(0.5)
+        u, sc = solve_regime(bvp)
+        br = continue_branch(bvp, u, sc, "c_cp", 0.0)
+        assert br.terminated == "reached_target"
+        assert len(br.points) == 1 and br.end.param == 0.0
+        assert br.end.profile is not None
+
+    @pytest.mark.parametrize("h, name", [(0.5, "s"), (0.5, "omega"),
+                                         (10.2, "omega"), (10.2, "htilde")])
+    def test_rejects_a_parameter_the_regime_determines(self, h, name):
+        """codim-2 frees (s, Omega); the center regime frees the gap and
+        slaves Omega."""
+        bvp, mp, wf = setup(h)
+        assert bvp.frees_or_slaves(name)
+        with pytest.raises(ValueError):
+            continue_branch(bvp, None, {}, name, 1.0)
 
     def test_branch_bookkeeping(self):
         bvp, mp, wf = setup(0.5)

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from dwlab import (PI, ZERO, CenterConditionViolated, ChartMiss, ChartState,
                    InvariantLine, MaterialParams, WaveFrame, center_frequency,
-                   hamiltonian, hamiltonian_gradient, htilde_measured,
-                   htilde_quadratic, integrate, periodic_neighborhood,
-                   tail_oscillation_coefficients)
-from dwlab.continuation import BvpConfig, build_bvp, initial_profile
+                   hamiltonian, hamiltonian_gradient, homogeneous_profile,
+                   htilde_measured, htilde_quadratic, integrate,
+                   periodic_neighborhood, tail_oscillation_coefficients)
+from dwlab.continuation import BvpConfig, build_bvp
 from dwlab.classify import classify_regime
 
 MP_C = MaterialParams(alpha=0.5, beta=0.1, mu=-1.0, h=10.2, c_cp=0.0)
@@ -149,7 +149,7 @@ class TestHtildeMeasured:
         cfg = BvpConfig(L=30.0, n_mesh=60, collocation_order=3)
         reg = classify_regime(MP_C)
         bvp = build_bvp(reg, MP_C, WF_C, cfg)
-        u = initial_profile(bvp, MP_C.mu)
+        u = homogeneous_profile(bvp.mesh, MP_C.mu)
 
         class P:
             mesh = bvp.mesh

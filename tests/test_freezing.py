@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dwlab import (FreezeSeries, LineState, MaterialParams, PhaseDegeneracy,
-                   dt_max, freeze_step, homogeneous_profile_arrays,
+                   dt_max, freeze_step, homogeneous_profile,
                    homogeneous_speed_frequency, initial_wall, pde_rhs,
                    run_selection)
 
@@ -82,7 +82,7 @@ class TestInitialWall:
 
     def test_matches_profile_in_the_core(self):
         st = initial_wall(MP, Lx=20.0, n_nodes=801)
-        theta, _, _ = homogeneous_profile_arrays(st.grid, MP.mu)
+        theta = homogeneous_profile(st.grid, MP.mu)[:, 0]
         assert np.max(np.abs(st.m[:, 2] - np.cos(theta))) < 1e-12
 
     def test_perturbation_applied_and_renormalized(self):

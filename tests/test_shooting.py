@@ -10,7 +10,7 @@ import pytest
 from dwlab import (PI, ZERO, BlowUp, ChartState, MaterialParams, NoConnection,
                    SpectralMismatch, Trajectory, WaveFrame, chart_coefficients,
                    chart_equilibria, chart_flow, classify_tail,
-                   homogeneous_profile_arrays, homogeneous_speed_frequency,
+                   homogeneous_profile, homogeneous_speed_frequency,
                    integrate, shoot_to_pi_chart, unstable_seed)
 
 MP = MaterialParams(alpha=0.5, beta=0.1, mu=-1.0, h=5.0, c_cp=0.0)
@@ -136,8 +136,7 @@ class TestShootToPiChart:
         # refine the alignment shift by inverting the analytic profile
         th_mid = states[i_mid, 0]
         xi_star = xs[i_mid] - math.log(math.tan(th_mid / 2.0))
-        th_ref, p_ref, q_ref = homogeneous_profile_arrays(xs - xi_star, -1.0)
-        ref = np.stack([th_ref, p_ref, q_ref], axis=1)
+        ref = homogeneous_profile(xs - xi_star, -1.0)
         return float(np.max(np.abs(states - ref)))
 
     def test_codim2_reproduces_family(self):
