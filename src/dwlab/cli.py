@@ -18,112 +18,173 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .charts import PI, ZERO, chart_equilibria, homogeneous_speed_frequency
+from .charts import homogeneous_speed_frequency
 from .classify import (classify_regime, eigenvalues_homogeneous,
                        reflect_parameters, stability_verdict, thresholds)
-from .continuation import (BvpConfig, build_bvp, continue_branch,
-                           newton_solve, solve_regime)
+from .continuation import (BvpConfig, build_bvp, check_step0,
+                           continue_branch, newton_solve, solve_regime)
 from .energy import htilde_quadratic
 from .errors import ConfigError, CurvePole, DwlabError
-from .freezing import initial_wall, run_selection
+from .freezing import (check_schedule, grid_spacing, initial_wall,
+                       run_selection)
 from .melnikov import (determinant_identity_check, melnikov_integrals_closed,
                        splitting_matrix)
 from .model import MaterialParams, WaveFrame, local_wavenumber
 from .runio import (branch_to_dict, manifest_entry, profile_from_dict,
                     profile_rows, profile_to_dict, write_csv, write_json)
-from .shooting import shoot_to_pi_chart
+from .shooting import (DEFAULT_EPSILON, DEFAULT_TOL, EPSILON_MAX, TOL_MAX,
+                       TOL_MIN, shoot_to_pi_chart)
 
 __all__ = ["main"]
 
-#: allowed configuration keys per command
-_SCHEMAS = {
-    "classify": {"alpha", "beta", "mu", "h", "c_cp"},
-    "stability-map": {"alpha", "beta", "mu", "h_min", "h_max", "n_h",
-                      "ccp_min", "ccp_max", "n_ccp"},
-    "melnikov": {"alpha", "beta", "mu", "h"},
-    "center": {"alpha", "beta", "mu", "sweep", "values", "L", "n_mesh",
-               "collocation_order", "step0"},
-    "shoot": {"alpha", "beta", "mu", "h", "c_cp", "s", "omega", "epsilon",
-              "tol"},
-    "continue": {"alpha", "beta", "mu", "h", "c_cp", "cont", "target",
-                 "step0", "L", "n_mesh", "collocation_order"},
-    "freeze": {"alpha", "beta", "mu", "h", "c_cp", "T", "dt", "n_nodes",
-               "Lx"},
+#: the default of a key that must be given, and the value kinds; a tuple of
+#: strings is a choice among them
+REQUIRED = object()
+NUMBER, INTEGER = "a finite number", "an integral finite number"
+NUMBERS = "a non-empty list of finite numbers"
+
+
+def _material(cfg, wall=True) -> MaterialParams:
+    """The material of a typed config, at h = c_cp = 0 where the command has
+    no such key.  Walls exist only on an easy axis (mu < 0)."""
+    mp = MaterialParams(**{k: cfg.get(k, 0.0)
+                           for k in ("alpha", "beta", "mu", "h", "c_cp")})
+    if wall and not mp.mu < 0:
+        raise ValueError(f"walls require mu < 0, got mu = {mp.mu}")
+    return mp
+
+
+def _bvp(cfg) -> BvpConfig:
+    return BvpConfig(L=cfg["L"], n_mesh=cfg["n_mesh"],
+                     collocation_order=cfg["collocation_order"])
+
+
+def _swept(cfg):
+    # every value swept or continued to gives a valid material
+    for value in cfg.get("values", [cfg.get("target")]):
+        _material({**cfg, cfg.get("sweep", cfg.get("cont")): value})
+
+
+def _map_grid(cfg):
+    # both corners are valid materials exactly when every grid point is
+    for end in ("min", "max"):
+        _material({**cfg, "h": cfg["h_" + end], "c_cp": cfg["ccp_" + end]},
+                  wall=False)
+    if not (cfg["n_h"] >= 1 and cfg["n_ccp"] >= 1
+            and math.isfinite(cfg["h_max"] - cfg["h_min"])):
+        raise ValueError("n_h and n_ccp must be at least 1, and "
+                         "h_max - h_min finite")
+
+
+def _shot(cfg):
+    if (cfg["s"] is None) != (cfg["omega"] is None):
+        raise ValueError("provide both s and omega, or neither")
+    if not 0 < cfg["epsilon"] <= EPSILON_MAX:
+        raise ValueError(f"epsilon must lie in (0, {EPSILON_MAX}]")
+    if not TOL_MIN <= cfg["tol"] <= TOL_MAX:
+        raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}]")
+
+
+def _schedule(cfg):
+    check_schedule(cfg["dt"], grid_spacing(cfg["Lx"], cfg["n_nodes"]),
+                   cfg["alpha"], cfg["T"])
+
+
+def _keys(kind, bound, **defaults):
+    return {key: (kind, default, bound) for key, default in defaults.items()}
+
+
+#: the material fragment: alpha, beta and mu, which _WALL extends by h, c_cp
+_MATERIAL = dict(alpha=REQUIRED, beta=REQUIRED, mu=REQUIRED)
+_WALL = _keys(NUMBER, _material, **_MATERIAL, h=REQUIRED, c_cp=0.0)
+_CONTINUATION = {
+    **_keys(NUMBER, _bvp, L=BvpConfig.L),
+    **_keys(INTEGER, _bvp, n_mesh=BvpConfig.n_mesh,
+            collocation_order=BvpConfig.collocation_order),
+    "step0": (NUMBER, 0.01, lambda cfg: check_step0(cfg["step0"]))}
+
+#: per command: key -> (kind, default or REQUIRED, bound).  A bound takes the
+#: typed config and raises ValueError; one that several keys share runs once.
+_TABLES = {
+    "classify": _WALL,
+    "stability-map": {
+        **_keys(NUMBER, _map_grid, **_MATERIAL, h_min=-2.0, h_max=12.0,
+                ccp_min=-0.95, ccp_max=0.95),
+        **_keys(INTEGER, _map_grid, n_h=57, n_ccp=39)},
+    "melnikov": _keys(NUMBER, _material, **_MATERIAL, h=REQUIRED),
+    "center": {
+        **_keys(NUMBER, _material, **_MATERIAL),
+        "sweep": (("c_cp", "s", "h"), REQUIRED, None),
+        "values": (NUMBERS, REQUIRED, _swept), **_CONTINUATION},
+    "shoot": {
+        **_WALL, **_keys(NUMBER, _shot, s=None, omega=None,
+                         epsilon=DEFAULT_EPSILON, tol=DEFAULT_TOL)},
+    "continue": {
+        **_WALL, "cont": (("c_cp", "s", "omega", "h"), REQUIRED, None),
+        "target": (NUMBER, REQUIRED, _swept), **_CONTINUATION},
+    "freeze": {
+        **_WALL, **_keys(NUMBER, _schedule, T=20.0, dt=1e-3, Lx=100.0),
+        **_keys(INTEGER, _schedule, n_nodes=2048)},
 }
 
-_REQUIRED = {
-    "classify": {"alpha", "beta", "mu", "h"},
-    "stability-map": {"alpha", "beta", "mu"},
-    "melnikov": {"alpha", "beta", "mu", "h"},
-    "center": {"alpha", "beta", "mu", "sweep", "values"},
-    "shoot": {"alpha", "beta", "mu", "h"},
-    "continue": {"alpha", "beta", "mu", "h", "cont", "target"},
-    "freeze": {"alpha", "beta", "mu", "h"},
-}
+
+def _typed(key, kind, value):
+    if kind == NUMBERS and isinstance(value, list) and value:
+        return [_typed(key, NUMBER, v) for v in value]
+    if isinstance(kind, tuple) and value in kind:
+        return value
+    # bool is not a number here, and a huge int does not fit a float
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        if kind == NUMBER:
+            return float(value)
+        if kind == INTEGER and value == int(value):
+            return int(value)
+    expected = kind if isinstance(kind, str) else "one of " + ", ".join(kind)
+    raise ConfigError(f"{key} must be {expected}, got {json.dumps(value)}")
 
 
-def _load_config(command: str, path) -> dict:
+def _load_config(command: str, path):
+    """The config object as read, and its typed form with the defaults
+    filled in.  Raises ConfigError for an unreadable config, or for a key
+    that is unknown, missing, of the wrong kind or out of its bound."""
     if path is None:
         raise ConfigError("--config is required")
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"config is not valid JSON (line {exc.lineno}): {exc.msg}"
-        ) from exc
-    if not isinstance(cfg, dict):
+    if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    allowed = _SCHEMAS[command]
-    unknown = sorted(set(cfg) - allowed)
+    table = _TABLES[command]
+    unknown = sorted(set(raw) - set(table))
     if unknown:
         raise ConfigError(
             f"unknown config key(s) for {command}: {', '.join(unknown)}; "
-            f"allowed: {', '.join(sorted(allowed))}")
-    missing = sorted(_REQUIRED[command] - set(cfg))
+            f"allowed: {', '.join(sorted(table))}")
+    missing = sorted(k for k, (_, default, _) in table.items()
+                     if default is REQUIRED and k not in raw)
     if missing:
         raise ConfigError(f"missing config key(s): {', '.join(missing)}")
-    return cfg
+    cfg = {k: _typed(k, kind, raw[k]) if k in raw else default
+           for k, (kind, default, _) in table.items()}
+    for bound in dict.fromkeys(b for _, _, b in table.values() if b):
+        try:
+            bound(cfg)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    return raw, cfg
 
 
-def _material(cfg) -> MaterialParams:
-    try:
-        return MaterialParams(alpha=float(cfg["alpha"]),
-                              beta=float(cfg["beta"]), mu=float(cfg["mu"]),
-                              h=float(cfg.get("h", 0.0)),
-                              c_cp=float(cfg.get("c_cp", 0.0)))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid material parameters: {exc}") from exc
+#: columns of a profile or trajectory CSV
+_PROFILE = ["xi", "theta", "p", "q", "m1", "m2", "m3"]
 
 
-def _wall_material(cfg) -> MaterialParams:
-    """Material of a command that computes walls, which exist only on an
-    easy axis (mu < 0)."""
-    mp = _material(cfg)
-    if not mp.mu < 0:
-        raise ConfigError(f"walls require mu < 0, got mu = {mp.mu}")
-    return mp
-
-
-def _bvp_config(cfg) -> BvpConfig:
-    kw = {}
-    if "L" in cfg:
-        kw["L"] = float(cfg["L"])
-    if "n_mesh" in cfg:
-        kw["n_mesh"] = int(cfg["n_mesh"])
-    if "collocation_order" in cfg:
-        kw["collocation_order"] = int(cfg["collocation_order"])
-    try:
-        return BvpConfig(**kw)
-    except ValueError as exc:
-        raise ConfigError(f"invalid solver config: {exc}") from exc
-
-
-def _cplx(z):
-    z = complex(z)
-    return {"re": z.real, "im": z.imag}
+def _write(out: Path, name: str, *content):
+    """Write a JSON document or CSV (header, rows) into ``out``; returns the
+    (filename, bytes) entry."""
+    write = write_json if name.endswith(".json") else write_csv
+    return name, write(out / name, *content)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +193,7 @@ def _cplx(z):
 # ---------------------------------------------------------------------------
 
 def cmd_classify(cfg, out: Path):
-    mp = _wall_material(cfg)
+    mp = _material(cfg)
     ref = reflect_parameters(mp.replace(c_cp=0.0))
     regime = classify_regime(ref.mp, reflected=ref.reflected)
     eigs = eigenvalues_homogeneous(mp.alpha, mp.beta, mp.mu,
@@ -146,70 +207,49 @@ def cmd_classify(cfg, out: Path):
         # as stability-map labels it
         stability = {"plus_e3": None, "minus_e3": None, "region": "pole"}
     h_lo, h_hi = thresholds(mp.alpha, mp.beta, mp.mu)
-    doc = {
-        "regime": regime.kind,
-        "s0": regime.s0,
-        "omega0": regime.omega0,
-        "h_star_low": h_lo,
-        "h_star_high": h_hi,
-        "reflected": ref.reflected,
-        "eigenvalues": {
-            "zero_chart": [_cplx(eigs[0]), _cplx(eigs[1]), _cplx(eigs[2])],
-            "pi_chart": [_cplx(eigs[3]), _cplx(eigs[4]), _cplx(eigs[5])],
-        },
-        "stability": stability,
-    }
-    return [("classify.json", write_json(out / "classify.json", doc))]
+    doc = {"regime": regime.kind, "s0": regime.s0, "omega0": regime.omega0,
+           "h_star_low": h_lo, "h_star_high": h_hi,
+           "reflected": ref.reflected,
+           "eigenvalues": {"zero_chart": [complex(e) for e in eigs[:3]],
+                           "pi_chart": [complex(e) for e in eigs[3:]]},
+           "stability": stability}
+    return [_write(out, "classify.json", doc)]
 
 
 def cmd_stability_map(cfg, out: Path):
-    h_min = float(cfg.get("h_min", -2.0))
-    h_max = float(cfg.get("h_max", 12.0))
-    c_min = float(cfg.get("ccp_min", -0.95))
-    c_max = float(cfg.get("ccp_max", 0.95))
-    n_h, n_c = int(cfg.get("n_h", 57)), int(cfg.get("n_ccp", 39))
-    if n_h < 1 or n_c < 1:
-        raise ConfigError("n_h and n_ccp must be at least 1")
-    # both corners are valid materials exactly when every grid point is
-    _material({**cfg, "h": h_min, "c_cp": c_min})
-    mp0 = _material({**cfg, "h": h_max, "c_cp": c_max})
+    mp0 = _material(cfg, wall=False)
     # rows ascend in (h, c_cp), also when a bound pair is given high to low
     rows = []
-    for h in np.sort(np.linspace(h_min, h_max, n_h)):
-        for c in np.sort(np.linspace(c_min, c_max, n_c)):
+    for h in np.sort(np.linspace(cfg["h_min"], cfg["h_max"], cfg["n_h"])):
+        for c in np.sort(np.linspace(cfg["ccp_min"], cfg["ccp_max"],
+                                     cfg["n_ccp"])):
             try:
                 region = stability_verdict(
                     mp0.replace(h=float(h), c_cp=float(c))).region
             except DwlabError:
                 region = "pole"
             rows.append((float(h), float(c), region))
-    return [("stability_map.csv", write_csv(
-        out / "stability_map.csv", ["h", "c_cp", "region"], rows))]
+    return [_write(out, "stability_map.csv", ["h", "c_cp", "region"], rows)]
 
 
 def cmd_melnikov(cfg, out: Path):
-    mp = _wall_material({**cfg, "c_cp": 0.0})
+    mp = _material(cfg)
     sm = splitting_matrix(mp)
     regime = classify_regime(mp)
-    r = math.sqrt(-mp.mu)
     ints = melnikov_integrals_closed(mp.alpha, mp.mu, regime.s0)
     # the identity is stated for s0 > 0 only; null at the zero-speed edge
     identity = None
     if regime.s0 > 0.0:
         lhs, rhs = determinant_identity_check(mp.alpha, mp.mu, regime.s0)
         identity = {"lhs": lhs, "rhs": rhs}
-    doc = {
-        "matrix": sm.m,
-        "kernel": sm.kernel,
-        "kernel_per_unit_ccp": sm.kernel_per_unit_ccp,
-        "integrals": {"i_c": ints.i_c, "i_s": ints.i_s,
-                      "i_cc": ints.i_cc, "i_cs": ints.i_cs},
-        "s0": regime.s0,
-        "omega0": regime.omega0,
-        "sqrt_minus_mu": r,
-        "determinant_identity": identity,
-    }
-    return [("melnikov.json", write_json(out / "melnikov.json", doc))]
+    doc = {"matrix": sm.m, "kernel": sm.kernel,
+           "kernel_per_unit_ccp": sm.kernel_per_unit_ccp,
+           "integrals": {"i_c": ints.i_c, "i_s": ints.i_s,
+                         "i_cc": ints.i_cc, "i_cs": ints.i_cs},
+           "s0": regime.s0, "omega0": regime.omega0,
+           "sqrt_minus_mu": math.sqrt(-mp.mu),
+           "determinant_identity": identity}
+    return [_write(out, "melnikov.json", doc)]
 
 
 def _center_point(mp, sweep, value, cfgb, step0):
@@ -231,64 +271,41 @@ def _center_point(mp, sweep, value, cfgb, step0):
 
 def cmd_center(cfg, out: Path):
     sweep = cfg["sweep"]
-    if sweep not in ("c_cp", "s", "h"):
-        raise ConfigError("sweep must be one of c_cp, s, h")
-    values = [float(v) for v in cfg["values"]]
-    if not values:
-        raise ConfigError("values must be non-empty")
-    mp0 = _wall_material(cfg)
-    alpha, beta, mu = mp0.alpha, mp0.beta, mp0.mu
+    alpha, beta, mu = cfg["alpha"], cfg["beta"], cfg["mu"]
     _, h_star = thresholds(alpha, beta, mu)
-    mp = mp0.replace(h=h_star)
-    cfgb = _bvp_config(cfg)
-    step0 = float(cfg.get("step0", 0.01))
-    results = sorted((_center_point(mp, sweep, v, cfgb, step0)
-                      for v in values), key=lambda r: r[0])
+    mp = _material(cfg).replace(h=h_star)
+    results = sorted((_center_point(mp, sweep, v, _bvp(cfg), cfg["step0"])
+                      for v in cfg["values"]), key=lambda r: r[0])
     rows = [(v, meas, pred) for v, meas, pred, _ in results]
-    files = [("center_sweep.csv", write_csv(
-        out / "center_sweep.csv",
-        ["parameter", "measured", "quadratic_prediction"], rows))]
     qf = htilde_quadratic(alpha, beta, mu)
     doc = {"sweep": sweep, "h_center": h_star,
            "quadratic": {"a_ss": qf.a_ss, "a_sh": qf.a_sh, "a_hh": qf.a_hh},
            "terminations": {str(v): term for v, _, _, term in results}}
-    files.append(("center.json", write_json(out / "center.json", doc)))
-    return files
+    return [_write(out, "center_sweep.csv",
+                   ["parameter", "measured", "quadratic_prediction"], rows),
+            _write(out, "center.json", doc)]
 
 
 def cmd_shoot(cfg, out: Path):
-    mp = _wall_material(cfg)
-    if "s" in cfg and "omega" in cfg:
-        wf = WaveFrame(s=float(cfg["s"]), omega=float(cfg["omega"]))
-    elif "s" in cfg or "omega" in cfg:
-        raise ConfigError("provide both s and omega, or neither")
-    else:
-        wf = homogeneous_speed_frequency(mp.replace(c_cp=0.0))
-    eps = float(cfg.get("epsilon", 1e-6))
-    tol = float(cfg.get("tol", 1e-10))
-    traj, verdict = shoot_to_pi_chart(mp, wf, epsilon=eps, tol=tol)
+    mp = _material(cfg)
+    wf = (homogeneous_speed_frequency(mp.replace(c_cp=0.0))
+          if cfg["s"] is None else WaveFrame(s=cfg["s"], omega=cfg["omega"]))
+    traj, verdict = shoot_to_pi_chart(mp, wf, epsilon=cfg["epsilon"],
+                                      tol=cfg["tol"])
     xs = np.linspace(traj.xs[0], traj.xs[-1], 4001)
-    states = traj.at(xs)
-    rows = profile_rows(xs, states)
-    files = [("trajectory.csv", write_csv(
-        out / "trajectory.csv",
-        ["xi", "theta", "p", "q", "m1", "m2", "m3"], rows))]
     doc = {"tail": verdict.kind,
            "q_limit_estimate": verdict.q_limit_estimate,
            "oscillation_amplitude": verdict.oscillation_amplitude,
-           "s": wf.s, "omega": wf.omega, "epsilon": eps,
+           "s": wf.s, "omega": wf.omega, "epsilon": cfg["epsilon"],
            "xi_span": [float(traj.xs[0]), float(traj.xs[-1])]}
-    files.append(("shoot.json", write_json(out / "shoot.json", doc)))
-    return files
+    return [_write(out, "trajectory.csv", _PROFILE,
+                   profile_rows(xs, traj.at(xs))),
+            _write(out, "shoot.json", doc)]
 
 
 def cmd_continue(cfg, out: Path, seed_profile=None):
-    mp = _wall_material(cfg)
+    mp = _material(cfg)
     cont = cfg["cont"]
-    if cont not in ("c_cp", "s", "omega", "h"):
-        raise ConfigError("cont must be one of c_cp, s, omega, h")
-    target = float(cfg["target"])
-    cfgb = _bvp_config(cfg)
     seed = None
     if seed_profile is not None:
         try:
@@ -300,7 +317,7 @@ def cmd_continue(cfg, out: Path, seed_profile=None):
     regime = classify_regime(mp.replace(c_cp=0.0))
     wf = (WaveFrame(s=regime.s0, omega=regime.omega0) if seed is None
           else seed.wf)
-    bvp = build_bvp(regime, mp, wf, cfgb)
+    bvp = build_bvp(regime, mp, wf, _bvp(cfg))
     if bvp.frees_or_slaves(cont):
         raise ConfigError(f"the {regime.kind} regime already determines "
                           f"{cont}; it cannot be continued")
@@ -312,16 +329,12 @@ def cmd_continue(cfg, out: Path, seed_profile=None):
         scalars = {n: float(scalars[n]) for n in bvp.free_scalars}
         bvp.set_reference(seed.states, scalars)
         u, sc = newton_solve(bvp, seed.states, scalars)
-    br = continue_branch(bvp, u, sc, cont, target,
-                         step0=float(cfg.get("step0", 0.01)))
-    files = [("branch.json", write_json(out / "branch.json",
-                                        branch_to_dict(br)))]
+    br = continue_branch(bvp, u, sc, cont, cfg["target"], step0=cfg["step0"])
     prof = br.end.profile
-    files.append(("profile.json", write_json(out / "profile.json",
-                                             profile_to_dict(prof))))
-    files.append(("profile.csv", write_csv(
-        out / "profile.csv", ["xi", "theta", "p", "q", "m1", "m2", "m3"],
-        profile_rows(prof.mesh, prof.states))))
+    files = [_write(out, "branch.json", branch_to_dict(br)),
+             _write(out, "profile.json", profile_to_dict(prof)),
+             _write(out, "profile.csv", _PROFILE,
+                    profile_rows(prof.mesh, prof.states))]
     if br.terminated != "reached_target":
         raise DwlabError(
             f"continuation terminated with {br.terminated} "
@@ -330,44 +343,28 @@ def cmd_continue(cfg, out: Path, seed_profile=None):
 
 
 def cmd_freeze(cfg, out: Path):
-    mp = _wall_material(cfg)
-    init = initial_wall(mp, Lx=float(cfg.get("Lx", 100.0)),
-                        n_nodes=int(cfg.get("n_nodes", 2048)))
-    series = run_selection(mp, init=init, T=float(cfg.get("T", 20.0)),
-                           dt=float(cfg.get("dt", 1e-3)))
+    mp = _material(cfg)
+    init = initial_wall(mp, Lx=cfg["Lx"], n_nodes=cfg["n_nodes"])
+    series = run_selection(mp, init=init, T=cfg["T"], dt=cfg["dt"])
     rows = list(zip(series.times, series.s, series.omega))
-    files = [("freeze.csv", write_csv(out / "freeze.csv",
-                                      ["t", "s", "omega"], rows))]
     s_a, o_a = series.asymptotic()
     term = series.terminal
     m = term.m
     mx = np.gradient(m, term.dx, axis=0)
-    den = 1.0 - m[:, 2] ** 2
-    qs = [local_wavenumber(m[i], mx[i]) if den[i] > 1e-10 else 0.0
-          for i in range(len(m))]
+    qs = [local_wavenumber(m[i], mx[i]) if 1.0 - m[i, 2] ** 2 > 1e-10
+          else 0.0 for i in range(len(m))]
     rows_p = np.column_stack([term.grid, np.arccos(np.clip(m[:, 2], -1, 1)),
-                              np.zeros(len(m)), qs, m[:, 0], m[:, 1],
-                              m[:, 2]])
-    files.append(("terminal_profile.csv", write_csv(
-        out / "terminal_profile.csv",
-        ["xi", "theta", "p", "q", "m1", "m2", "m3"], rows_p)))
-    doc = {"asymptotic_s": s_a, "asymptotic_omega": o_a,
-           "T": float(cfg.get("T", 20.0)), "dt": float(cfg.get("dt", 1e-3)),
-           "n_nodes": int(cfg.get("n_nodes", 2048)),
+                              np.zeros(len(m)), qs, *m.T])
+    doc = {"asymptotic_s": s_a, "asymptotic_omega": o_a, "T": cfg["T"],
+           "dt": cfg["dt"], "n_nodes": cfg["n_nodes"],
            "final_norm_deviation": term.norm_deviation}
-    files.append(("freeze.json", write_json(out / "freeze.json", doc)))
-    return files
+    return [_write(out, "freeze.csv", ["t", "s", "omega"], rows),
+            _write(out, "terminal_profile.csv", _PROFILE, rows_p),
+            _write(out, "freeze.json", doc)]
 
 
-_COMMANDS = {
-    "classify": cmd_classify,
-    "stability-map": cmd_stability_map,
-    "melnikov": cmd_melnikov,
-    "center": cmd_center,
-    "shoot": cmd_shoot,
-    "continue": cmd_continue,
-    "freeze": cmd_freeze,
-}
+_COMMANDS = {name: globals()["cmd_" + name.replace("-", "_")]
+             for name in _TABLES}
 
 
 def main(argv=None) -> int:
@@ -391,12 +388,11 @@ def main(argv=None) -> int:
     try:
         if args.seed_profile is not None and args.command != "continue":
             raise ConfigError("--seed-profile applies to continue only")
-        cfg = _load_config(args.command, args.config)
+        raw, cfg = _load_config(args.command, args.config)
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "continue":
-            files = cmd_continue(cfg, out, seed_profile=args.seed_profile)
-        else:
-            files = _COMMANDS[args.command](cfg, out)
+        seed = {} if args.seed_profile is None else {
+            "seed_profile": args.seed_profile}
+        files = _COMMANDS[args.command](cfg, out, **seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -409,7 +405,7 @@ def main(argv=None) -> int:
 
     manifest = {
         "command": args.command,
-        "config": cfg,
+        "config": raw,
         "versions": {"dwlab": __version__,
                      "numpy": np.__version__,
                      "scipy": scipy.__version__,

@@ -55,6 +55,7 @@ __all__ = [
     "build_bvp",
     "newton_solve",
     "continue_branch",
+    "check_step0",
     "termination_boundary",
 ]
 
@@ -115,7 +116,8 @@ class BranchPoint:
 @dataclass(frozen=True)
 class Branch:
     """Ordered continuation results plus the termination reason, one of
-    'reached_target', 'fold', 'newton_failure', 'step_underflow'."""
+    'reached_target' and 'newton_failure'.  Folds do not end a branch; they
+    are flagged in the point diagnostics."""
 
     points: list
     terminated: str
@@ -605,11 +607,13 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
     The start must solve the system at the base parameter value.  Steps adapt
     within [1e-5, 0.05]: halved on corrector failure, grown by 1.3 after 3
     consecutive successes.  Every accepted point is recorded; termination is
-    reported in the Branch (never raised) as one of reached_target /
-    newton_failure / step_underflow, with folds flagged in diagnostics.
-    Raises ``ValueError`` when the regime already frees or slaves
-    ``cont_name``.
+    reported in the Branch (never raised) as reached_target or
+    newton_failure, the latter once a halved step falls below 1e-5.  Folds
+    do not end a branch; each point's diagnostics flag whether one has been
+    passed.  Raises ``ValueError`` when the regime already frees or slaves
+    ``cont_name``, and when ``step0`` fails ``check_step0``.
     """
+    check_step0(step0)
     if bvp.frees_or_slaves(cont_name):
         raise ValueError(f"the {bvp.mode} regime already determines "
                          f"{cont_name}; it cannot be continued")
@@ -710,6 +714,13 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
     prof = bvp.make_profile(u_end, sc_end, extra=extra)
     points[-1] = replace(points[-1], profile=prof)
     return Branch(points=points, terminated=term, cont_name=cont_name)
+
+
+def check_step0(step0: float) -> None:
+    """Raise ``ValueError`` unless the initial arclength step is finite and
+    positive; a zero step never moves the branch."""
+    if not (step0 > 0 and math.isfinite(step0)):
+        raise ValueError(f"step0 must be finite and positive, got {step0}")
 
 
 def termination_boundary(mp: MaterialParams, wf: WaveFrame,

@@ -34,6 +34,8 @@ __all__ = [
     "initial_wall",
     "run_selection",
     "dt_max",
+    "grid_spacing",
+    "check_schedule",
 ]
 
 #: |det| of the phase Gram matrix below this value raises PhaseDegeneracy
@@ -88,6 +90,26 @@ class FreezeSeries:
 def dt_max(dx: float, alpha: float) -> float:
     """Stability guard of the semi-implicit splitting."""
     return 0.4 * dx * dx * (1.0 + alpha * alpha)
+
+
+def grid_spacing(Lx: float, n_nodes: int) -> float:
+    """Node spacing of the uniform ``n_nodes``-point grid on [-Lx, Lx] that
+    ``initial_wall`` builds, rounded as ``LineState.dx`` reads it off the
+    grid: the second node, -Lx + 2 Lx/(n_nodes - 1), less the first.
+    Raises ``ValueError`` unless Lx > 0 and n_nodes >= 2."""
+    if not (Lx > 0 and n_nodes >= 2):
+        raise ValueError(f"the grid needs Lx > 0 and n_nodes >= 2, got "
+                         f"Lx = {Lx}, n_nodes = {n_nodes}")
+    return (2.0 * Lx / (n_nodes - 1) - Lx) + Lx
+
+
+def check_schedule(dt: float, dx: float, alpha: float, T: float = None):
+    """Raise ``ValueError`` unless 0 < dt <= dt_max(dx, alpha) and, when a
+    run length ``T`` is given, T >= dt, so that the run takes a step."""
+    if not (dt > 0 and dt <= dt_max(dx, alpha)):
+        raise ValueError(f"dt must lie in (0, {dt_max(dx, alpha):.3e}]")
+    if T is not None and not T >= dt:
+        raise ValueError(f"T must be at least dt = {dt}, got T = {T}")
 
 
 def _laplacian(m: np.ndarray, dx: float) -> np.ndarray:
@@ -156,9 +178,7 @@ def freeze_step(state: LineState, mp: MaterialParams, dt: float,
     that fixed frame instead.  Raises ``PhaseDegeneracy`` when the phase Gram
     determinant falls below 1e-12 (e.g. a uniform state).
     """
-    if not (dt > 0 and dt <= dt_max(state.dx, mp.alpha)):
-        raise ValueError(
-            f"dt must lie in (0, {dt_max(state.dx, mp.alpha):.3e}]")
+    check_schedule(dt, state.dx, mp.alpha)
     m = state.m
     dx = state.dx
     n = len(state.grid)
@@ -207,7 +227,9 @@ def freeze_step(state: LineState, mp: MaterialParams, dt: float,
 def initial_wall(mp: MaterialParams, Lx: float = 100.0, n_nodes: int = 2048,
                  perturbation: np.ndarray = None) -> LineState:
     """Blow-down of the homogeneous wall onto the grid (azimuth zero),
-    optionally perturbed (the perturbation is renormalized away in norm)."""
+    optionally perturbed (the perturbation is renormalized away in norm).
+    Raises ``ValueError`` unless Lx > 0 and n_nodes >= 2."""
+    grid_spacing(Lx, n_nodes)
     grid = np.linspace(-Lx, Lx, n_nodes)
     theta = homogeneous_profile(grid, mp.mu)[:, 0]
     m = np.stack([np.sin(theta), np.zeros_like(theta), np.cos(theta)], axis=1)
@@ -233,9 +255,12 @@ def run_selection(mp: MaterialParams, init: LineState = None, T: float = 20.0,
 
     The reference profile is the previous step (a genuinely moving frame);
     the asymptotic (s, Omega) are the series means over the final 10% of the
-    run, available via ``FreezeSeries.asymptotic``.
+    run, available via ``FreezeSeries.asymptotic``.  Raises ``ValueError``
+    unless the step passes ``check_schedule`` with T >= dt, so that the run
+    takes at least one step.
     """
     state = init if init is not None else initial_wall(mp)
+    check_schedule(dt, state.dx, mp.alpha, T)
     n_steps = int(round(T / dt))
     times, ss, oms = [], [], []
     for k in range(n_steps):

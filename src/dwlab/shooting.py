@@ -30,8 +30,15 @@ __all__ = [
     "shoot_to_pi_chart",
 ]
 
-#: default seed offset along the unstable eigenvector
+#: default seed offset along the unstable eigenvector, and its upper limit:
+#: the seed angle theta = epsilon must stay in (0, pi]
 DEFAULT_EPSILON = 1e-6
+EPSILON_MAX = math.pi
+
+#: default local error tolerance of the integrator, and its admissible range
+DEFAULT_TOL = 1e-10
+TOL_MIN = 1e-13
+TOL_MAX = 1e-3
 
 #: |p| + |q| beyond this value counts as blow-up
 BLOWUP_BOUND = 1e8
@@ -88,16 +95,16 @@ def _make_rhs(mp: MaterialParams, wf: WaveFrame, system: str):
 
 
 def integrate(state0: ChartState, span, mp: MaterialParams, wf: WaveFrame,
-              tol: float = 1e-10, system: str = "desingularized",
+              tol: float = DEFAULT_TOL, system: str = "desingularized",
               events=None, max_step: float = np.inf) -> Trajectory:
     """Adaptive integration of the chosen right-hand side over ``span``.
 
-    ``tol`` (in [1e-13, 1e-3]) bounds the local error per step; the result
+    ``tol`` (in [TOL_MIN, TOL_MAX]) bounds the local error per step; the result
     carries dense output.  Raises ``BlowUp`` when |p| + |q| exceeds 1e8 and
     ``StepFailure`` when the integrator cannot complete a step.
     """
-    if not (1e-13 <= tol <= 1e-3):
-        raise ValueError("tol must lie in [1e-13, 1e-3]")
+    if not (TOL_MIN <= tol <= TOL_MAX):
+        raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}]")
     f = _make_rhs(mp, wf, system)
 
     def blowup(xi, y):
@@ -146,8 +153,8 @@ def unstable_seed(eq: ChartEquilibrium, epsilon: float = DEFAULT_EPSILON,
         raise SpectralMismatch(
             f"need exactly one unstable eigenvalue (transverse); got "
             f"{n_unstable} unstable, nu3 = {eq.nu3}")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive (theta >= 0 domain)")
+    if not (0 < epsilon <= EPSILON_MAX):
+        raise ValueError(f"epsilon must lie in (0, {EPSILON_MAX}]")
     return ChartState(theta=epsilon, p=eq.p, q=eq.q)
 
 
@@ -174,7 +181,8 @@ def classify_tail(xs: np.ndarray, qs: np.ndarray,
 
 
 def shoot_to_pi_chart(mp: MaterialParams, wf: WaveFrame,
-                      epsilon: float = DEFAULT_EPSILON, tol: float = 1e-10):
+                      epsilon: float = DEFAULT_EPSILON,
+                      tol: float = DEFAULT_TOL):
     """Shoot along the unstable manifold of the theta = 0 "minus" equilibrium
     toward the theta = pi chart.
 

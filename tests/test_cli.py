@@ -3,13 +3,17 @@ trips, manifests, exit codes, and config validation."""
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dwlab import (BvpConfig, MaterialParams, Profile, WaveFrame,
                    classify_regime, build_bvp, solve_regime)
-from dwlab.cli import main
+from dwlab.cli import (INTEGER, NUMBER, NUMBERS, REQUIRED, _TABLES,
+                       _load_config, main)
+from dwlab.freezing import dt_max, grid_spacing
 from dwlab.runio import (dumps_json, fmt, manifest_entry, profile_from_dict,
                          profile_rows, profile_to_dict, sha256_bytes,
                          write_csv, write_json)
@@ -235,7 +239,9 @@ class TestCliContinue:
         assert prof["material"]["c_cp"] == pytest.approx(0.1)
 
     def test_unreachable_target_is_solver_error(self, tmp_path):
-        code, _ = run_cli(tmp_path, "continue", dict(self.CFG, target=1.5))
+        """The branch toward c_cp = 0.999 fails before it gets there."""
+        cfg = dict(self.CFG, target=0.999, step0=0.05)
+        code, _ = run_cli(tmp_path, "continue", cfg)
         assert code == 3
 
     def test_seed_profile_round_trip(self, tmp_path):
@@ -332,3 +338,159 @@ class TestCliShootAndFreeze:
         assert doc["asymptotic_s"] == pytest.approx(0.12, abs=5e-3)
         assert (out / "freeze.csv").exists()
         assert (out / "terminal_profile.csv").exists()
+
+
+#: a valid config per command; every key the table allows is then replaced
+#: by a bad value in turn
+VALID = {
+    "classify": BASE,
+    "stability-map": {"alpha": 0.5, "beta": 0.1, "mu": -1.0},
+    "melnikov": dict(BASE, h=0.5),
+    "center": {"alpha": 0.5, "beta": 0.1, "mu": -1.0, "sweep": "h",
+               "values": [10.2]},
+    "shoot": dict(BASE, h=0.5),
+    "continue": dict(BASE, h=0.5, cont="c_cp", target=0.1),
+    "freeze": dict(BASE, h=0.5, T=0.01),
+}
+
+BAD_VALUES = [(command, key, bad)
+              for command, table in _TABLES.items()
+              for key, (kind, _, _) in table.items()
+              for bad in ("x", True, float("nan"))
+              + ((2.5,) if kind == INTEGER else ())]
+
+
+def assert_config_error(tmp_path, capsys, command, cfg):
+    """Exit 2 with a one-line config error, before anything is written."""
+    code, out = run_cli(tmp_path, command, cfg)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_valid_configs_pass(tmp_path):
+    assert set(_TABLES) == set(VALID)
+    for command, cfg in VALID.items():
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(cfg))
+        raw, typed = _load_config(command, path)
+        assert raw == cfg and set(typed) == set(_TABLES[command])
+
+
+@pytest.mark.parametrize("command, key, bad", BAD_VALUES)
+def test_every_key_rejects_a_bad_value(tmp_path, capsys, command, key, bad):
+    assert_config_error(tmp_path, capsys, command,
+                        {**VALID[command], key: bad})
+
+
+#: configs that exited 0, 1 or 3, or hung, before the table checked them
+#: (base material alpha 0.5, beta 0.1, mu -1); each now exits 2
+REJECTED = [
+    pytest.param("freeze", dict(h=0.5, T=0.05, dt=0.01, n_nodes=2048),
+                 id="freeze-dt-above-dt-max"),
+    pytest.param("stability-map", dict(h_min="x"), id="map-h_min-string"),
+    pytest.param("stability-map", dict(n_h="x"), id="map-n_h-string"),
+    pytest.param("freeze", dict(h=0.5, T="x"), id="freeze-T-string"),
+    pytest.param("continue", dict(h=0.5, cont="c_cp", target="x"),
+                 id="continue-target-string"),
+    pytest.param("continue", dict(h=0.5, cont="c_cp", target=0.1, L="x"),
+                 id="continue-L-string"),
+    pytest.param("center", dict(sweep="h", values=[10.2], step0="x"),
+                 id="center-step0-string"),
+    pytest.param("center", dict(sweep="h", values=["x"]),
+                 id="center-values-string"),
+    pytest.param("shoot", dict(h=0.5, epsilon="x"), id="shoot-epsilon-string"),
+    pytest.param("classify", dict(h="0.5"), id="classify-h-string-number"),
+    pytest.param("center", dict(sweep="h", values=5),
+                 id="center-values-number"),
+    pytest.param("freeze", dict(h=0.5, T=float("inf")),
+                 id="freeze-T-infinite"),
+    pytest.param("freeze", dict(h=0.5, T=0.01, Lx=0.0), id="freeze-Lx-zero"),
+    pytest.param("freeze", dict(h=0.5, T=0.01, n_nodes=1),
+                 id="freeze-one-node"),
+    pytest.param("freeze", dict(h=0.5, T=0.01, Lx=-100.0),
+                 id="freeze-Lx-negative"),
+    pytest.param("stability-map", dict(n_h=2.5), id="map-n_h-fraction"),
+    pytest.param("freeze", dict(h=0.5, T=0.01, n_nodes=256.7),
+                 id="freeze-n_nodes-fraction"),
+    pytest.param("shoot", dict(h=0.5, epsilon=-1.0),
+                 id="shoot-epsilon-negative"),
+    pytest.param("shoot", dict(h=0.5, tol=0.0), id="shoot-tol-zero"),
+    pytest.param("continue", dict(h=0.5, cont="c_cp", target=float("nan"),
+                                  L=20.0, n_mesh=60, collocation_order=3),
+                 id="continue-target-nan"),
+    pytest.param("continue", dict(h=0.5, cont="c_cp", target=1.5),
+                 id="continue-c_cp-target-outside-material"),
+    pytest.param("center", dict(sweep="c_cp", values=[0.05, 1.0]),
+                 id="center-c_cp-value-outside-material"),
+    pytest.param("continue", dict(h=0.5, cont="c_cp", target=0.1, step0=0),
+                 id="continue-step0-zero"),
+    pytest.param("center", dict(sweep="h", values=[10.2], step0=0),
+                 id="center-step0-zero"),
+    pytest.param("freeze", dict(h=0.5, T=-1.0, dt=0.1, n_nodes=256),
+                 id="freeze-no-step"),
+    pytest.param("shoot", dict(h=0.5, s=0.1), id="shoot-s-without-omega"),
+    pytest.param("stability-map", dict(h_min=-1e308, h_max=1e308),
+                 id="map-h-range-overflows"),
+]
+
+
+@pytest.mark.parametrize("command, change", REJECTED)
+def test_rejected_config(tmp_path, capsys, command, change):
+    cfg = {"alpha": 0.5, "beta": 0.1, "mu": -1.0, **change}
+    assert_config_error(tmp_path, capsys, command, cfg)
+
+
+def test_integral_float_is_an_integer(tmp_path):
+    """256.0 is the integer 256 and gives the same files as 256."""
+    cfg = dict(BASE, h=0.5, T=0.01, dt=1e-3, Lx=20.0)
+    code_a, out_a = run_cli(tmp_path / "a", "freeze", dict(cfg, n_nodes=256))
+    code_b, out_b = run_cli(tmp_path / "b", "freeze",
+                            dict(cfg, n_nodes=256.0))
+    assert code_a == code_b == 0
+    for name in ("freeze.csv", "freeze.json", "terminal_profile.csv"):
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+    manifest = json.loads((out_b / "manifest.json").read_text())
+    assert manifest["config"]["n_nodes"] == 256.0
+
+
+def test_freeze_step_at_its_limit(tmp_path):
+    """dt is bounded on the grid's rounded spacing, as the stepper checks it;
+    on this grid dt_max at 2 Lx/(n_nodes - 1) itself lies above that."""
+    dt = dt_max(grid_spacing(20.0, 200), 0.5)
+    assert dt < dt_max(2 * 20.0 / 199, 0.5)
+    cfg = dict(BASE, h=0.5, T=dt, dt=dt, Lx=20.0, n_nodes=200)
+    assert run_cli(tmp_path / "at", "freeze", cfg)[0] == 0
+    above = math.nextafter(dt, 1.0)
+    cfg = dict(cfg, T=above, dt=above)
+    assert run_cli(tmp_path / "above", "freeze", cfg)[0] == 2
+
+
+def readme_keys():
+    """(key, commands, kind, default) per row of the README's key table."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \| ([^|]+) \| ([^|]+) \|",
+                      text, flags=re.MULTILINE)
+    return [(key, [c.strip() for c in commands.split(",")], kind.strip(),
+             default.strip()) for key, commands, kind, default in rows]
+
+
+def test_readme_table_matches_the_code():
+    kinds = {NUMBER: "number", INTEGER: "integer", NUMBERS: "number list"}
+    documented = {}
+    for key, commands, kind, default in readme_keys():
+        for command in (list(_TABLES) if commands == ["all"] else commands):
+            documented[command, key] = (kind, default)
+    assert set(documented) == {(c, k) for c, t in _TABLES.items() for k in t}
+    for command, table in _TABLES.items():
+        for key, (kind, default, _) in table.items():
+            doc_kind, doc_default = documented[command, key]
+            assert doc_kind == kinds.get(kind) or \
+                doc_kind == "one of " + ", ".join(kind)
+            if default is REQUIRED:
+                assert doc_default == "required"
+            elif default is None:
+                assert doc_default == "—"
+            else:
+                assert float(doc_default) == default

@@ -208,6 +208,14 @@ class TestContinuation:
         with pytest.raises(ValueError):
             continue_branch(bvp, None, {}, name, 1.0)
 
+    @pytest.mark.parametrize("step0", [0.0, -0.01, float("nan"),
+                                       float("inf")])
+    def test_rejects_a_step0_that_is_not_finite_and_positive(self, step0):
+        """A zero initial step never moved the branch and looped forever."""
+        bvp, mp, wf = setup(0.5)
+        with pytest.raises(ValueError, match="step0"):
+            continue_branch(bvp, None, {}, "c_cp", 0.1, step0=step0)
+
     def test_branch_bookkeeping(self):
         bvp, mp, wf = setup(0.5)
         u, sc = solve_regime(bvp)

@@ -11,6 +11,7 @@ from dwlab import (FreezeSeries, LineState, MaterialParams, PhaseDegeneracy,
                    dt_max, freeze_step, homogeneous_profile,
                    homogeneous_speed_frequency, initial_wall, pde_rhs,
                    run_selection)
+from dwlab.freezing import grid_spacing
 
 MP = MaterialParams(alpha=0.5, beta=0.1, mu=-1.0, h=0.5, c_cp=0.0)
 
@@ -149,6 +150,26 @@ class TestRunSelection:
         assert len(series.times) == len(series.s) == len(series.omega)
         assert series.times[-1] == pytest.approx(0.02)
         assert series.diagnostics["n_steps"] == 20
+
+    @pytest.mark.parametrize("T", [-1.0, 0.04])
+    def test_run_without_a_step_rejected(self, T):
+        """round(T/dt) = 0 gave a series with no samples and NaN
+        asymptotics."""
+        st = initial_wall(MP, Lx=100.0, n_nodes=256)
+        with pytest.raises(ValueError, match="T must be at least dt"):
+            run_selection(MP, init=st, T=T, dt=0.1)
+
+    @pytest.mark.parametrize("Lx, n_nodes", [(0.0, 256), (-100.0, 256),
+                                             (20.0, 1)])
+    def test_degenerate_grid_rejected(self, Lx, n_nodes):
+        with pytest.raises(ValueError, match="Lx > 0 and n_nodes >= 2"):
+            initial_wall(MP, Lx=Lx, n_nodes=n_nodes)
+
+    @pytest.mark.parametrize("Lx, n_nodes", [(20.0, 200), (100.0, 2048),
+                                             (50.0, 2001), (0.3, 7)])
+    def test_grid_spacing_is_the_walls_dx(self, Lx, n_nodes):
+        st = initial_wall(MP, Lx=Lx, n_nodes=n_nodes)
+        assert grid_spacing(Lx, n_nodes) == st.dx
 
     def test_asymptotic_window(self):
         series = FreezeSeries(times=np.arange(10.0), s=np.arange(10.0),

@@ -12,6 +12,7 @@ from dwlab import (PI, ZERO, BlowUp, ChartState, MaterialParams, NoConnection,
                    chart_equilibria, chart_flow, classify_tail,
                    homogeneous_profile, homogeneous_speed_frequency,
                    integrate, shoot_to_pi_chart, unstable_seed)
+from dwlab.shooting import EPSILON_MAX
 
 MP = MaterialParams(alpha=0.5, beta=0.1, mu=-1.0, h=5.0, c_cp=0.0)
 WF0 = homogeneous_speed_frequency(MP)
@@ -98,6 +99,11 @@ class TestUnstableSeed:
         eq = chart_equilibria(ZERO, MP, WF0)[1]
         with pytest.raises(ValueError):
             unstable_seed(eq, epsilon=-1e-6)
+
+    def test_epsilon_beyond_the_angle_domain_rejected(self):
+        eq = chart_equilibria(ZERO, MP, WF0)[1]
+        with pytest.raises(ValueError, match="epsilon"):
+            unstable_seed(eq, epsilon=2 * EPSILON_MAX)
 
     def test_spectral_mismatch(self):
         """The attracting 'plus' equilibrium has no unstable direction when
