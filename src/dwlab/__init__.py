@@ -22,10 +22,9 @@ from .classify import (Regime, ReflectedParams, StabilityVerdict,
 from .continuation import (Branch, BranchPoint, BvpConfig, Profile,
                            build_bvp, continue_branch, newton_solve,
                            solve_regime, termination_boundary)
-from .energy import (CenterDeviation, QuadraticForm2, center_frequency,
-                     hamiltonian, hamiltonian_gradient, htilde_measured,
-                     htilde_quadratic, periodic_neighborhood,
-                     tail_oscillation_coefficients)
+from .energy import (QuadraticForm2, center_frequency, hamiltonian,
+                     hamiltonian_gradient, htilde_measured, htilde_quadratic,
+                     periodic_neighborhood, tail_oscillation_coefficients)
 from .errors import *  # noqa: F401,F403
 from .freezing import (FreezeSeries, LineState, dt_max, freeze_step,
                        initial_wall, pde_rhs, run_selection)

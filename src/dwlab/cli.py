@@ -13,6 +13,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -303,17 +304,38 @@ def cmd_shoot(cfg, out: Path):
             _write(out, "shoot.json", doc)]
 
 
+def _solve_seed(bvp, seed):
+    """Newton-solve from a seed profile on the run's mesh, starting from its
+    free-scalar values (the regime's base values when it records none)."""
+    if (seed.states.shape != (bvp.n_nodes, 3)
+            or not np.array_equal(seed.mesh, bvp.mesh)):
+        raise ConfigError(
+            f"seed profile mesh ({seed.mesh.size} nodes) differs from the "
+            f"run's ({bvp.n_nodes} nodes: L {bvp.cfg.L}, n_mesh "
+            f"{bvp.N}, collocation_order {bvp.m})")
+    scalars = (seed.diagnostics.get("free_scalars")
+               or {n: bvp.base[n] for n in bvp.free_scalars})
+    missing = [n for n in bvp.free_scalars if n not in scalars]
+    if missing:
+        raise ConfigError(f"seed profile lacks the {bvp.mode} regime's free "
+                          f"scalar(s) {', '.join(missing)}")
+    scalars = {n: float(scalars[n]) for n in bvp.free_scalars}
+    bvp.set_reference(seed.states, scalars)
+    return newton_solve(bvp, seed.states, scalars)
+
+
 def cmd_continue(cfg, out: Path, seed_profile=None):
     mp = _material(cfg)
     cont = cfg["cont"]
     seed = None
     if seed_profile is not None:
+        # the seed's material replaces the config's, under the same bound
         try:
             with open(seed_profile) as fh:
                 seed = profile_from_dict(json.load(fh))
+            mp = _material(asdict(seed.mp))
         except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read seed profile: {exc}") from exc
-        mp = seed.mp
+            raise ConfigError(f"bad seed profile: {exc}") from exc
     regime = classify_regime(mp.replace(c_cp=0.0))
     wf = (WaveFrame(s=regime.s0, omega=regime.omega0) if seed is None
           else seed.wf)
@@ -321,14 +343,7 @@ def cmd_continue(cfg, out: Path, seed_profile=None):
     if bvp.frees_or_slaves(cont):
         raise ConfigError(f"the {regime.kind} regime already determines "
                           f"{cont}; it cannot be continued")
-    if seed is None:
-        u, sc = solve_regime(bvp)
-    else:
-        scalars = (seed.diagnostics.get("free_scalars")
-                   or {n: bvp.base[n] for n in bvp.free_scalars})
-        scalars = {n: float(scalars[n]) for n in bvp.free_scalars}
-        bvp.set_reference(seed.states, scalars)
-        u, sc = newton_solve(bvp, seed.states, scalars)
+    u, sc = solve_regime(bvp) if seed is None else _solve_seed(bvp, seed)
     br = continue_branch(bvp, u, sc, cont, cfg["target"], step0=cfg["step0"])
     prof = br.end.profile
     files = [_write(out, "branch.json", branch_to_dict(br)),

@@ -4,8 +4,8 @@ Walls are computed as solutions of the desingularized system on a truncated
 domain [-L, L], discretized by piecewise-polynomial collocation at Gauss
 points, with boundary conditions pinning the appropriate components to the
 analytic chart equilibria and one integral phase condition fixing
-translation.  The number of boundary conditions and free scalars follows the
-regime:
+translation.  The boundary rows and free scalars follow the regime, and the
+table ``REGIMES`` below is their one definition:
 
   * codim-2: p, q pinned at both ends; (s, Omega) free.
   * center:  p, q pinned at the left end; Omega slaved to the center
@@ -65,6 +65,21 @@ STEP_MAX = 0.05
 STEP_GROW = 1.3
 GROW_AFTER = 3
 
+#: state components that a boundary row pins, and the end nodes
+P, Q = 1, 2
+LEFT, RIGHT = 0, -1
+#: the energy-gap row: H^pi at the right end minus H^pi(Z^pi_-) equals htilde
+GAP = "energy_gap"
+
+#: per regime: (default free scalars, boundary rows).  A row is ``GAP`` or a
+#: (node, component) pin of the state at that end to the chart equilibrium
+#: there, Z^0_- on the left and Z^pi_- on the right.
+REGIMES = {
+    CODIM2: (("s", "omega"), ((LEFT, P), (LEFT, Q), (RIGHT, P), (RIGHT, Q))),
+    CENTER: (("htilde",), ((LEFT, P), (LEFT, Q), GAP)),
+    CODIM0: ((), ((LEFT, P), (RIGHT, P))),
+}
+
 
 @dataclass(frozen=True)
 class BvpConfig:
@@ -97,10 +112,6 @@ class Profile:
     wf: WaveFrame
     regime: str
     diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def params(self):
-        return (self.mp, self.wf)
 
 
 @dataclass(frozen=True)
@@ -154,26 +165,25 @@ def _lagrange_matrices(order: int):
 class HeteroclinicBVP:
     """Discretized nonlinear system for one regime on a fixed mesh.
 
-    Unknowns are the nodal states plus the regime's free scalars; any of
-    (c_cp, s, omega, h, htilde) that the regime neither frees nor slaves may
-    additionally act as the continuation parameter.  ``base`` holds the
-    fixed parameter values; unknown scalars override them.
+    Unknowns are the nodal states plus the free scalars (by default the
+    regime's, from ``REGIMES``); any of (c_cp, s, omega, h, htilde) that the
+    regime neither frees nor slaves may additionally act as the continuation
+    parameter.  ``base`` holds the fixed parameter values; unknown scalars
+    override them.  Raises ``RegimeError`` for a mode without an entry in
+    ``REGIMES``.
     """
 
-    SCALAR_NAMES = ("c_cp", "s", "omega", "h", "htilde")
-
     def __init__(self, mode: str, mp: MaterialParams, wf: WaveFrame,
-                 cfg: BvpConfig, free_scalars=None, slave_omega=None):
-        if mode not in (CODIM2, CENTER, CODIM0):
-            raise ValueError(f"unknown mode {mode!r}")
+                 cfg: BvpConfig, free_scalars=None):
+        if mode not in REGIMES:
+            raise RegimeError(f"unsupported regime {mode!r}")
+        default_free, self.bc_rows = REGIMES[mode]
         self.mode = mode
         self.cfg = cfg
-        if free_scalars is None:
-            free_scalars = {CODIM2: ("s", "omega"),
-                            CENTER: ("htilde",)}.get(mode, ())
-        self.free_scalars = tuple(free_scalars)
+        self.free_scalars = tuple(default_free if free_scalars is None
+                                  else free_scalars)
         # Omega is slaved to the center condition in center mode
-        self.slave_omega = (mode == CENTER) if slave_omega is None else slave_omega
+        self.slave_omega = mode == CENTER
         if self.slave_omega and ("omega" in self.free_scalars):
             raise ValueError("omega cannot be both free and slaved")
         self.base = dict(alpha=mp.alpha, beta=mp.beta, mu=mp.mu, h=mp.h,
@@ -197,19 +207,11 @@ class HeteroclinicBVP:
         # reference profile for the phase condition (set via set_reference)
         self.uhat = None
         self.uhat_prime = None
-        self._bc_names = self._boundary_names()
-        self.n_bc = len(self._bc_names)
+        self.n_bc = len(self.bc_rows)
         self.n_colloc = 3 * N * m
         self._build_pattern()
 
     # -- parameter handling -------------------------------------------------
-
-    def _boundary_names(self):
-        if self.mode == CODIM2:
-            return ("p_left", "q_left", "p_right", "q_right")
-        if self.mode == CENTER:
-            return ("p_left", "q_left", "energy_gap")
-        return ("p_left", "p_right")
 
     def frees_or_slaves(self, name: str) -> bool:
         """Whether the regime already determines the scalar ``name``, as a
@@ -217,9 +219,6 @@ class HeteroclinicBVP:
         continuation parameter."""
         return name in self.free_scalars or (name == "omega"
                                              and self.slave_omega)
-
-    def n_unknowns(self, with_cont: bool = False) -> int:
-        return self.nU + len(self.free_scalars) + (1 if with_cont else 0)
 
     def params_from(self, scalars: dict) -> dict:
         """Full parameter dict from the base values and scalar overrides."""
@@ -266,30 +265,29 @@ class HeteroclinicBVP:
     # -- residual -----------------------------------------------------------
 
     def _equilibria(self, par):
+        """The pinned chart equilibria (Z^0_-, Z^pi_-), indexed by the end
+        node (LEFT, RIGHT)."""
         mp, wf = self._mp(par), self._wf(par)
         z0m = chart_equilibria(ZERO, mp, wf)[1].z
         zpim = chart_equilibria(PI, mp, wf)[1].z
         return z0m, zpim
 
     def _bc_residual(self, u, par):
-        z0m, zpim = self._equilibria(par)
+        ends = self._equilibria(par)
         res = []
-        for name in self._bc_names:
-            if name == "p_left":
-                res.append(u[0, 1] - z0m.real)
-            elif name == "q_left":
-                res.append(u[0, 2] - z0m.imag)
-            elif name == "p_right":
-                res.append(u[-1, 1] - zpim.real)
-            elif name == "q_right":
-                res.append(u[-1, 2] - zpim.imag)
-            elif name == "energy_gap":
+        for row in self.bc_rows:
+            if row == GAP:
+                z = ends[RIGHT]
                 mp, wf = self._mp(par), self._wf(par)
                 with _warnings.catch_warnings():
                     _warnings.simplefilter("ignore", _CCV)
-                    gap = (hamiltonian(PI, u[-1, 1], u[-1, 2], mp, wf)
-                           - hamiltonian(PI, zpim.real, zpim.imag, mp, wf))
+                    gap = (hamiltonian(PI, u[RIGHT, P], u[RIGHT, Q], mp, wf)
+                           - hamiltonian(PI, z.real, z.imag, mp, wf))
                 res.append(gap - par["htilde"])
+            else:
+                node, comp = row
+                z = ends[node]
+                res.append(u[node, comp] - (z.real if comp == P else z.imag))
         return np.array(res)
 
     def residual(self, x, cont_name=None):
@@ -324,16 +322,17 @@ class HeteroclinicBVP:
         self._cols_coll = np.broadcast_to(
             col, (N, m, 3, m + 1, 3)).ravel()
         self._eye_D = np.einsum("gj,ab->gjab", self.D, np.eye(3)) / self.h_mesh
-        last = 3 * (self.n_nodes - 1)
-        state_cols = {"p_left": (1,), "q_left": (2,), "p_right": (last + 1,),
-                      "q_right": (last + 2,),
-                      "energy_gap": (last + 1, last + 2)}
-        self._rows_bc = np.array([self.n_colloc + i
-                                  for i, bc in enumerate(self._bc_names)
-                                  for _ in state_cols[bc]])
-        self._cols_bc = np.array([c for bc in self._bc_names
-                                  for c in state_cols[bc]])
+        state_cols = [self._state_cols(row) for row in self.bc_rows]
+        self._rows_bc = np.repeat(self.n_colloc + np.arange(self.n_bc),
+                                  [len(cols) for cols in state_cols])
+        self._cols_bc = np.concatenate(state_cols)
         self._patterns = {}
+
+    def _state_cols(self, row):
+        """Columns of the state entries of one boundary row: the pinned
+        component, or p and q at the right end for the gap."""
+        node, comps = (RIGHT, (P, Q)) if row == GAP else (row[0], row[1:])
+        return [3 * (node % self.n_nodes) + comp for comp in comps]
 
     def _newton_pattern(self, n_scal: int, with_row: bool):
         """CSC structure of the Newton matrix with ``n_scal`` scalar columns
@@ -389,22 +388,21 @@ class HeteroclinicBVP:
         # derivative w.r.t. scalar values by central differences on the
         # boundary targets (the state contribution is handled analytically)
         eps = 1e-6
-        fixed = {k: par[k] for k in self.SCALAR_NAMES if k in par}
         dscal = np.zeros((self.n_bc, len(scal_names)))
         for k, name in enumerate(scal_names):
             if name == "htilde":
-                for i, bc in enumerate(self._bc_names):
-                    if bc == "energy_gap":
-                        dscal[i, k] = -1.0
+                # only the gap row reads htilde, as gap - htilde
+                dscal[:, k] = [-1.0 if row == GAP else 0.0
+                               for row in self.bc_rows]
                 continue
-            par_p = self.params_from({**fixed, name: par[name] + eps})
-            par_m = self.params_from({**fixed, name: par[name] - eps})
+            par_p = self.params_from({**par, name: par[name] + eps})
+            par_m = self.params_from({**par, name: par[name] - eps})
             dscal[:, k] = (self._bc_residual(u, par_p)
                            - self._bc_residual(u, par_m)) / (2 * eps)
         state = []
-        for bc in self._bc_names:
-            if bc == "energy_gap":
-                state += hamiltonian_gradient(PI, u[-1, 1], u[-1, 2],
+        for row in self.bc_rows:
+            if row == GAP:
+                state += hamiltonian_gradient(PI, u[RIGHT, P], u[RIGHT, Q],
                                               self._mp(par), self._wf(par))
             else:
                 state.append(1.0)
@@ -461,13 +459,16 @@ class HeteroclinicBVP:
 
     # -- profile plumbing ---------------------------------------------------
 
-    def make_profile(self, u, scalars, extra=None) -> Profile:
+    def make_profile(self, u, scalars) -> Profile:
+        """The profile of a solution, with its free-scalar values, boundary
+        residual and, where the regime frees it, the energy gap htilde in
+        the diagnostics."""
         par = self.params_from(scalars)
         diag = {"free_scalars": dict(scalars),
                 "boundary_residual": float(np.max(np.abs(
-                    self._bc_residual(u, par)))) if self.uhat is not None else None}
-        if extra:
-            diag.update(extra)
+                    self._bc_residual(u, par))))}
+        if "htilde" in self.free_scalars:
+            diag["htilde"] = float(scalars["htilde"])
         return Profile(mesh=self.mesh.copy(), states=np.asarray(u).copy(),
                        mp=self._mp(par), wf=self._wf(par), regime=self.mode,
                        diagnostics=diag)
@@ -478,16 +479,13 @@ class HeteroclinicBVP:
 # ---------------------------------------------------------------------------
 
 def build_bvp(regime: Regime, mp: MaterialParams, wf: WaveFrame,
-              cfg: BvpConfig = BvpConfig(),
-              free_scalars=None) -> HeteroclinicBVP:
-    """Discretized heteroclinic system for the given regime.
+              cfg: BvpConfig = BvpConfig()) -> HeteroclinicBVP:
+    """Discretized heteroclinic system for the given regime, with its
+    default free scalars.
 
-    Raises ``RegimeError`` when the regime kind is inconsistent with the
-    parameters (checked through the selected speed where applicable)."""
-    if regime.kind not in (CODIM2, CENTER, CODIM0):
-        raise RegimeError(f"unsupported regime {regime.kind!r}")
-    return HeteroclinicBVP(regime.kind, mp, wf, cfg,
-                           free_scalars=free_scalars)
+    Raises ``RegimeError`` when ``REGIMES`` has no entry for the regime
+    kind."""
+    return HeteroclinicBVP(regime.kind, mp, wf, cfg)
 
 
 def _factorize(J):
@@ -502,6 +500,28 @@ def _factorize(J):
     return splu(J, permc_spec="MMD_AT_PLUS_A")
 
 
+def _newton_directions(J, r):
+    """The Newton directions for J dx = -r, in the order they are tried.
+
+    First the sparse LU step, when J factors and the step is finite; then a
+    regularized least-squares step, solved only when the LU step is missing
+    or cannot be damped into a residual decrease (the codim-0 truncation is
+    exponentially ill-conditioned, with a near-kernel along the decayed
+    left-chart modes, and needs the minimal-norm direction).  Raises
+    ``SingularJacobian`` when that step is not finite."""
+    try:
+        dx = _factorize(J).solve(-r)
+    except RuntimeError:
+        dx = None
+    if dx is not None and np.all(np.isfinite(dx)):
+        yield dx
+    dx = lsmr(J, -r, damp=1e-12, atol=1e-14, btol=1e-14,
+              maxiter=20 * J.shape[0])[0]
+    if not np.all(np.isfinite(dx)):
+        raise SingularJacobian("linear solve produced non-finite update")
+    yield dx
+
+
 def newton_solve(bvp: HeteroclinicBVP, states: np.ndarray, scalars: dict,
                  cont_name=None, extra_row=None, return_iters: bool = False):
     """Damped Newton iteration on the discretized system.
@@ -511,65 +531,30 @@ def newton_solve(bvp: HeteroclinicBVP, states: np.ndarray, scalars: dict,
     (states, scalars) pair (plus the iteration count when requested).
     Raises ``NoConvergence`` / ``SingularJacobian``.
     """
-    x = bvp.pack(states, scalars, cont_name)
-    tol = bvp.cfg.newton_tol
-    res_norm = None
-    for it in range(bvp.cfg.max_newton + 1):
-        r = bvp.residual(x, cont_name)
+    def res_norm_at(z):
+        r = bvp.residual(z, cont_name)
         if extra_row is not None:
-            r = np.append(r, extra_row[0](x))
-        res_norm = float(np.max(np.abs(r)))
+            r = np.append(r, extra_row[0](z))
+        return r, float(np.max(np.abs(r)))
+
+    x = bvp.pack(states, scalars, cont_name)
+    for it in range(bvp.cfg.max_newton + 1):
+        r, res_norm = res_norm_at(x)
         if not math.isfinite(res_norm):
             raise NoConvergence("residual is not finite")
-        if res_norm < tol:
+        if res_norm < bvp.cfg.newton_tol:
             u, sc = bvp.unpack(x, cont_name)
             return (u, sc, it) if return_iters else (u, sc)
         if it == bvp.cfg.max_newton:
             break
         J = bvp.jacobian(x, cont_name,
                          None if extra_row is None else extra_row[1](x))
-        # direct sparse LU first; fall back to a regularized least-squares
-        # step when the factorization fails or the LU direction cannot be
-        # damped into a residual decrease (the codim-0 truncation is
-        # exponentially ill-conditioned, with a near-kernel along the decayed
-        # left-chart modes, and needs the minimal-norm direction)
-        candidates = []
-        try:
-            dx = _factorize(J).solve(-r)
-            if np.all(np.isfinite(dx)):
-                candidates.append(dx)
-        except RuntimeError:
-            pass
-
-        def _lsmr_step():
-            sol = lsmr(J, -r, damp=1e-12, atol=1e-14, btol=1e-14,
-                       maxiter=20 * J.shape[0])
-            return sol[0]
-
-        accepted = False
-        for attempt in range(2):
-            if attempt == 1 or not candidates:
-                dx = _lsmr_step()
-                if not np.all(np.isfinite(dx)):
-                    raise SingularJacobian(
-                        "linear solve produced non-finite update")
-            else:
-                dx = candidates[0]
-            lam = 1.0
-            for _ in range(10):
-                x_new = x + lam * dx
-                r_new = bvp.residual(x_new, cont_name)
-                if extra_row is not None:
-                    r_new = np.append(r_new, extra_row[0](x_new))
-                nrm = float(np.max(np.abs(r_new)))
-                if math.isfinite(nrm) and (nrm < res_norm or nrm < tol):
-                    x = x_new
-                    accepted = True
-                    break
-                lam *= 0.5
-            if accepted:
-                break
-        if not accepted:
+        # the first direction whose step, halved up to nine times, lowers the
+        # residual norm (a NaN norm compares false)
+        trials = (x + 0.5 ** k * dx for dx in _newton_directions(J, r)
+                  for k in range(10))
+        x = next((z for z in trials if res_norm_at(z)[1] < res_norm), None)
+        if x is None:
             raise NoConvergence(
                 f"damping failed at residual {res_norm:.3e}")
     raise NoConvergence(
@@ -599,26 +584,23 @@ def _weighted_dot(bvp, a, b):
 
 def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
                     cont_name: str, target: float,
-                    step0: float = 0.01, store_profiles: bool = False,
-                    record_htilde: bool = None) -> Branch:
+                    step0: float = 0.01) -> Branch:
     """Pseudo-arclength continuation of a solved profile in ``cont_name``
     toward ``target``.
 
     The start must solve the system at the base parameter value.  Steps adapt
     within [1e-5, 0.05]: halved on corrector failure, grown by 1.3 after 3
-    consecutive successes.  Every accepted point is recorded; termination is
-    reported in the Branch (never raised) as reached_target or
-    newton_failure, the latter once a halved step falls below 1e-5.  Folds
-    do not end a branch; each point's diagnostics flag whether one has been
-    passed.  Raises ``ValueError`` when the regime already frees or slaves
+    consecutive successes.  Every accepted point is recorded, and the last
+    one carries its full profile; termination is reported in the Branch
+    (never raised) as reached_target or newton_failure, the latter once a
+    halved step falls below 1e-5.  Folds do not end a branch; each point's
+    diagnostics flag whether one has been passed.  Raises ``ValueError`` when the regime already frees or slaves
     ``cont_name``, and when ``step0`` fails ``check_step0``.
     """
     check_step0(step0)
     if bvp.frees_or_slaves(cont_name):
         raise ValueError(f"the {bvp.mode} regime already determines "
                          f"{cont_name}; it cannot be continued")
-    if record_htilde is None:
-        record_htilde = "htilde" in bvp.free_scalars
     lam0 = bvp.base[cont_name]
     direction = 1.0 if target >= lam0 else -1.0
     scalars = dict(start_scalars)
@@ -627,22 +609,19 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
     bvp.set_reference(start_states, scalars)
 
     def record(u, sc, diag):
-        prof = bvp.make_profile(u, sc) if store_profiles else None
         pt_scalars = {n: float(sc[n]) for n in bvp.free_scalars}
         par = bvp.params_from(sc)
         pt_scalars.setdefault("s", float(par["s"]))
         pt_scalars.setdefault("omega", float(par["omega"]))
-        if record_htilde:
-            pt_scalars["htilde"] = float(sc.get("htilde", 0.0))
         points.append(BranchPoint(param=float(sc[cont_name]),
-                                  scalars=pt_scalars, profile=prof,
+                                  scalars=pt_scalars, profile=None,
                                   diagnostics=diag))
 
     points = []
     u0, sc0 = bvp.unpack(x, cont_name)
     record(u0, sc0, {"step": 0.0})
 
-    n_x = bvp.n_unknowns(with_cont=True)
+    n_x = len(x)
     tangent = np.zeros(n_x)
     tangent[-1] = direction
     e_last = np.zeros(n_x)
@@ -678,10 +657,7 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
             u_new, sc_new, iters = newton_solve(
                 bvp, u_pred, sc_pred, cont_name=cont_name,
                 extra_row=row, return_iters=True)
-            ok = True
         except (NoConvergence, SingularJacobian):
-            ok = False
-        if not ok:
             successes = 0
             step *= 0.5
             if step < STEP_MIN:
@@ -707,11 +683,7 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
             successes = 0
 
     # attach the final full profile
-    u_end, sc_end = bvp.unpack(x, cont_name)
-    extra = {}
-    if record_htilde:
-        extra["htilde"] = float(sc_end.get("htilde", 0.0))
-    prof = bvp.make_profile(u_end, sc_end, extra=extra)
+    prof = bvp.make_profile(*bvp.unpack(x, cont_name))
     points[-1] = replace(points[-1], profile=prof)
     return Branch(points=points, terminated=term, cont_name=cont_name)
 
@@ -724,14 +696,14 @@ def check_step0(step0: float) -> None:
 
 
 def termination_boundary(mp: MaterialParams, wf: WaveFrame,
-                         c_cp_values, cfg: BvpConfig = BvpConfig(),
-                         fit_degree: int = 3):
+                         c_cp_values, cfg: BvpConfig = BvpConfig()):
     """Existence-boundary estimate: for each c_cp, continue the codim-2 wall
     in s toward 0 (h and Omega free) and record the last converged point.
 
     Returns (points, fit_coefficients) where points is a list of
     (c_cp, s_terminal, omega_terminal) and the fit is a polynomial in c_cp
-    through the s-terminal values (least squares, given degree).
+    through the s-terminal values (least squares, cubic, or of lower degree
+    when fewer than four points converged).
     """
     results = []
     for ccp in c_cp_values:
@@ -759,5 +731,5 @@ def termination_boundary(mp: MaterialParams, wf: WaveFrame,
                         float(end.scalars["omega"])))
     pts = [r for r in results if math.isfinite(r[1])]
     coeffs = np.polyfit([r[0] for r in pts], [r[1] for r in pts],
-                        deg=min(fit_degree, max(1, len(pts) - 1)))
+                        deg=min(3, max(1, len(pts) - 1)))
     return results, coeffs

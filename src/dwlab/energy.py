@@ -25,12 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import PI, ZERO, ChartId, chart_equilibria
+from .charts import PI, ChartId, chart_equilibria
 from .errors import CenterConditionViolated, ChartMiss, InvariantLine
 from .model import MaterialParams, WaveFrame
 
 __all__ = [
-    "CenterDeviation",
     "QuadraticForm2",
     "hamiltonian",
     "center_frequency",
@@ -50,16 +49,6 @@ CENTER_CONDITION_TOL = 1e-10
 NONFLAT_THRESHOLD = 1e-7
 #: ... and below this one as flat; in between is undetermined
 FLAT_THRESHOLD = 1e-9
-
-
-@dataclass(frozen=True)
-class CenterDeviation:
-    """Deviations (c_cp, ds, dh) about the center point
-    (0, 2*sqrt(-mu)/alpha, h^*)."""
-
-    c_cp: float
-    ds: float
-    dh: float
 
 
 @dataclass(frozen=True)

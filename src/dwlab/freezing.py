@@ -16,7 +16,6 @@ everything else explicitly, followed by nodewise renormalization.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,17 +165,17 @@ def _banded_operator(n: int, kappa: float) -> np.ndarray:
 
 
 def freeze_step(state: LineState, mp: MaterialParams, dt: float,
-                reference: np.ndarray = None, frame=None) -> LineState:
+                frame=None) -> LineState:
     """One frozen-frame step.
 
     The diffusive part D*m_xx, D = 1/(1+alpha^2), goes implicit; the rest of
     the dynamics plus the frame terms s*m_x - Omega*e3 x m explicit, with
     (s, Omega) solved from the phase conditions <m - mhat, d/dx mhat> = 0 and
-    <m - mhat, e3 x mhat> = 0 against the reference profile ``mhat``
-    (default: the incoming profile).  The result is renormalized nodewise.
-    Passing ``frame=(s, omega)`` skips the phase conditions and steps with
-    that fixed frame instead.  Raises ``PhaseDegeneracy`` when the phase Gram
-    determinant falls below 1e-12 (e.g. a uniform state).
+    <m - mhat, e3 x mhat> = 0 against the incoming profile ``mhat``.  The
+    result is renormalized nodewise.  Passing ``frame=(s, omega)`` skips the
+    phase conditions and steps with that fixed frame instead.  Raises
+    ``PhaseDegeneracy`` when the phase Gram determinant falls below 1e-12
+    (e.g. a uniform state).
     """
     check_schedule(dt, state.dx, mp.alpha)
     m = state.m
@@ -197,7 +196,7 @@ def freeze_step(state: LineState, mp: MaterialParams, dt: float,
     if frame is not None:
         s_new, omega_new = frame
     else:
-        mhat = m if reference is None else np.asarray(reference, dtype=float)
+        mhat = m
         mhat_x = _gradient(mhat, dx)
         mhat_r = np.cross(np.array([0.0, 0.0, 1.0]), mhat)
         w = np.full(n, dx)
@@ -248,8 +247,7 @@ def initial_wall(mp: MaterialParams, Lx: float = 100.0, n_nodes: int = 2048,
 
 
 def run_selection(mp: MaterialParams, init: LineState = None, T: float = 20.0,
-                  dt: float = 1e-3, record_every: int = 10,
-                  frame=None) -> FreezeSeries:
+                  dt: float = 1e-3, record_every: int = 10) -> FreezeSeries:
     """Integrate the frozen dynamics to time ``T`` and report the selected
     frame.
 
@@ -264,7 +262,7 @@ def run_selection(mp: MaterialParams, init: LineState = None, T: float = 20.0,
     n_steps = int(round(T / dt))
     times, ss, oms = [], [], []
     for k in range(n_steps):
-        state = freeze_step(state, mp, dt, frame=frame)
+        state = freeze_step(state, mp, dt)
         if (k + 1) % record_every == 0 or k == n_steps - 1:
             times.append(state.t)
             ss.append(state.s_est)

@@ -140,16 +140,22 @@ def profile_to_dict(profile: Profile) -> dict:
 
 
 def profile_from_dict(doc: dict) -> Profile:
-    if doc.get("schema") != "profile/1":
+    """Inverse of ``profile_to_dict``.  Raises ``ValueError`` for a document
+    that is not a profile or lacks one of its fields."""
+    if not isinstance(doc, dict) or doc.get("schema") != "profile/1":
         raise ValueError("not a profile document (schema != profile/1)")
-    mat = doc["material"]
-    mp = MaterialParams(alpha=mat["alpha"], beta=mat["beta"], mu=mat["mu"],
-                        h=mat["h"], c_cp=mat["c_cp"])
-    wf = WaveFrame(s=doc["frame"]["s"], omega=doc["frame"]["omega"])
-    return Profile(mesh=np.asarray(doc["mesh"], dtype=float),
-                   states=np.asarray(doc["states"], dtype=float),
-                   mp=mp, wf=wf, regime=doc["regime"],
-                   diagnostics=dict(doc.get("diagnostics") or {}))
+    try:
+        mat = doc["material"]
+        mp = MaterialParams(alpha=mat["alpha"], beta=mat["beta"],
+                            mu=mat["mu"], h=mat["h"], c_cp=mat["c_cp"])
+        wf = WaveFrame(s=doc["frame"]["s"], omega=doc["frame"]["omega"])
+        return Profile(mesh=np.asarray(doc["mesh"], dtype=float),
+                       states=np.asarray(doc["states"], dtype=float),
+                       mp=mp, wf=wf, regime=doc["regime"],
+                       diagnostics=dict(doc.get("diagnostics") or {}))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed profile document "
+                         f"({type(exc).__name__}: {exc})") from exc
 
 
 def branch_to_dict(branch) -> dict:

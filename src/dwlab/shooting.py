@@ -96,7 +96,7 @@ def _make_rhs(mp: MaterialParams, wf: WaveFrame, system: str):
 
 def integrate(state0: ChartState, span, mp: MaterialParams, wf: WaveFrame,
               tol: float = DEFAULT_TOL, system: str = "desingularized",
-              events=None, max_step: float = np.inf) -> Trajectory:
+              events=None) -> Trajectory:
     """Adaptive integration of the chosen right-hand side over ``span``.
 
     ``tol`` (in [TOL_MIN, TOL_MAX]) bounds the local error per step; the result
@@ -115,7 +115,7 @@ def integrate(state0: ChartState, span, mp: MaterialParams, wf: WaveFrame,
     y0 = [state0.theta, state0.p, state0.q] if isinstance(state0, ChartState) \
         else list(state0)
     sol = solve_ivp(f, span, y0, method="DOP853", rtol=tol, atol=tol,
-                    dense_output=True, events=ev, max_step=max_step)
+                    dense_output=True, events=ev)
     if sol.status == -1:
         raise StepFailure(sol.message)
     if len(sol.t_events[0]) > 0:

@@ -289,6 +289,52 @@ def test_seed_profile_is_config_error(tmp_path, command, cfg):
     assert code == 2
 
 
+@pytest.fixture(scope="module")
+def seed_doc(tmp_path_factory):
+    """A profile that continue wrote on the small mesh of TestCliContinue."""
+    code, out = run_cli(tmp_path_factory.mktemp("seed"), "continue",
+                        TestCliContinue.CFG)
+    assert code == 0
+    return json.loads((out / "profile.json").read_text())
+
+
+def _without_omega(doc):
+    doc = json.loads(json.dumps(doc))
+    del doc["diagnostics"]["free_scalars"]["omega"]
+    return doc
+
+
+#: case -> (seed made from a valid one, run config, message fragments)
+BAD_SEEDS = {
+    "schema-only": (lambda doc: {"schema": "profile/1"},
+                    TestCliContinue.CFG, ["material"]),
+    "mu-not-negative": (
+        lambda doc: {**doc, "material": {**doc["material"], "mu": 0.5}},
+        TestCliContinue.CFG, ["mu < 0"]),
+    "free-scalar-missing": (_without_omega, TestCliContinue.CFG, ["omega"]),
+    "other-mesh": (lambda doc: doc,
+                   dict(BASE, h=0.5, cont="c_cp", target=0.1),
+                   ["181 nodes", "1601 nodes"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SEEDS))
+def test_bad_seed_profile_is_config_error(tmp_path, capsys, seed_doc, case):
+    """A seed must be a whole profile of a wall material (mu < 0) on the
+    run's mesh, with a value for every free scalar of its regime."""
+    make, cfg, fragments = BAD_SEEDS[case]
+    seed = tmp_path / "seed.json"
+    seed.write_text(json.dumps(make(seed_doc)))
+    capsys.readouterr()
+    code, _ = run_cli(tmp_path, "continue", cfg,
+                      extra=["--seed-profile", str(seed)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and err.count("\n") == 1
+    for fragment in fragments:
+        assert fragment in err
+
+
 class TestCliStabilityMap:
     CFG = {"alpha": 0.5, "beta": 0.1, "mu": -1.0, "h_min": -2.0,
            "h_max": 12.0, "n_h": 15, "ccp_min": -0.9, "ccp_max": 0.9,

@@ -12,6 +12,7 @@ from dwlab import (BvpConfig, MaterialParams, NoConvergence, WaveFrame,
                    build_bvp, classify_regime, continue_branch,
                    homogeneous_profile, homogeneous_speed_frequency,
                    newton_solve, solve_regime, termination_boundary)
+from dwlab import continuation
 from dwlab.continuation import _factorize
 
 ALPHA, BETA, MU = 0.5, 0.1, -1.0
@@ -134,7 +135,8 @@ class TestNewton:
         assert sc2["s"] == pytest.approx(wf.s, abs=1e-8)
         assert sc2["omega"] == pytest.approx(wf.omega, abs=1e-8)
 
-    def test_noise_guess_fails(self):
+    @staticmethod
+    def _noise_guess():
         bvp, mp, wf = setup(0.5)
         rng = np.random.default_rng(1)
         u = homogeneous_profile(bvp.mesh, mp.mu)
@@ -143,8 +145,39 @@ class TestNewton:
                           0.0, math.pi)
         sc = {n: bvp.base[n] for n in bvp.free_scalars}
         bvp.set_reference(u, sc)
+        return bvp, u, sc
+
+    def test_noise_guess_fails(self):
+        bvp, u, sc = self._noise_guess()
         with pytest.raises(NoConvergence):
             newton_solve(bvp, u, sc)
+
+    def test_least_squares_solved_at_most_once_per_jacobian(
+            self, monkeypatch):
+        """Without the LU step every iteration falls back to the least-
+        squares step; one that cannot be damped is not solved again."""
+        calls = {"lsmr": 0, "jacobian": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def singular(J):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(continuation, "_factorize", singular)
+        monkeypatch.setattr(continuation, "lsmr",
+                            counted("lsmr", continuation.lsmr))
+        monkeypatch.setattr(continuation.HeteroclinicBVP, "jacobian",
+                            counted("jacobian",
+                                    continuation.HeteroclinicBVP.jacobian))
+        bvp, u, sc = self._noise_guess()
+        with pytest.raises(NoConvergence):
+            newton_solve(bvp, u, sc)
+        assert calls["jacobian"] > 0
+        assert calls["lsmr"] == calls["jacobian"]
 
 
 class TestContinuation:
