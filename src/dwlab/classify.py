@@ -53,6 +53,15 @@ REGIME_BOUNDARY_TOL = 1e-10
 #: the round-off of alpha*h - beta, which is 0 or +/- 1 ulp at h = beta/alpha
 ZERO_SPEED_TOL = 1e-10
 
+#: tolerance on |Omega - beta+/-/alpha| for the standing-wall tie
+STANDING_TOL = 1e-12
+
+#: tolerance on Im(gamma) and |gamma| for a chart center
+CENTER_TOL = 1e-10
+
+#: distance from the poles h = +/- mu of the stability curves
+CURVE_POLE_TOL = 1e-12
+
 CODIM2 = "codim2"
 CENTER = "center"
 CODIM0 = "codim0"
@@ -159,45 +168,46 @@ def eigenvalues_homogeneous(alpha: float, beta: float, mu: float, h: float):
 
 
 def standing_wall_condition(chart: ChartId, mp: MaterialParams,
-                            omega: float, tol: float = 1e-12) -> bool:
+                            omega: float) -> bool:
     """Existence condition for standing (s = 0) walls at the given chart.
 
     theta = 0: Omega != beta+/alpha, or Omega = beta+/alpha and Omega <= h-mu;
-    theta = pi: Omega != beta-/alpha, or Omega = beta-/alpha and Omega >= h+mu.
+    theta = pi: Omega != beta-/alpha, or Omega = beta-/alpha and Omega >= h+mu;
+    equality is up to STANDING_TOL.
     """
     if chart.is_zero:
         crit = mp.beta_plus / mp.alpha
-        if abs(omega - crit) > tol:
+        if abs(omega - crit) > STANDING_TOL:
             return True
         return omega <= mp.h - mp.mu
     if chart.is_pi:
         crit = mp.beta_minus / mp.alpha
-        if abs(omega - crit) > tol:
+        if abs(omega - crit) > STANDING_TOL:
             return True
         return omega >= mp.h + mp.mu
     raise ValueError("standing-wall condition refers to the theta=0/pi charts")
 
 
-def simultaneous_center(mp: MaterialParams, wf: WaveFrame,
-                        tol: float = 1e-10) -> bool:
+def simultaneous_center(mp: MaterialParams, wf: WaveFrame) -> bool:
     """True when both chart equilibrium pairs are centers simultaneously:
-    gamma^0 and gamma^pi are both real and non-zero (within tol)."""
+    gamma^0 and gamma^pi are both real and non-zero (within CENTER_TOL)."""
     g0 = chart_coefficients(ZERO, mp, wf).gamma
     gpi = chart_coefficients(PI, mp, wf).gamma
     for g in (g0, gpi):
-        if abs(g.imag) > tol or abs(g) <= tol:
+        if abs(g.imag) > CENTER_TOL or abs(g) <= CENTER_TOL:
             return False
     return True
 
 
-def stability_verdict(mp: MaterialParams, tol: float = 1e-12) -> StabilityVerdict:
+def stability_verdict(mp: MaterialParams) -> StabilityVerdict:
     """Linear stability of +/- e3 from the curves
     Gamma+ = (beta/alpha)/(h - mu) - 1 and Gamma- = 1 - (beta/alpha)/(h + mu):
     +e3 is stable iff c_cp > Gamma+(h) (stable to the right of Gamma+);
     -e3 is stable iff c_cp > Gamma-(h) (stable to the left of Gamma-, the
     curve being increasing in h), equivalently the torque beta/(1 - c_cp)
-    exceeding the damping rate alpha*(h + mu)."""
-    if abs(mp.h - mp.mu) < tol or abs(mp.h + mp.mu) < tol:
+    exceeding the damping rate alpha*(h + mu).  Raises ``CurvePole`` within
+    CURVE_POLE_TOL of the poles h = +/- mu."""
+    if min(abs(mp.h - mp.mu), abs(mp.h + mp.mu)) < CURVE_POLE_TOL:
         raise CurvePole("stability curves have a pole at h = +/- mu")
     ba = mp.beta / mp.alpha
     gamma_plus = ba / (mp.h - mp.mu) - 1.0
@@ -234,17 +244,12 @@ def reflect_parameters(mp: MaterialParams) -> ReflectedParams:
     return ReflectedParams(mp=mp, reflected=resolve_zero_speed(s0) < 0)
 
 
-def reflect_frame(wf: WaveFrame, reflected: bool = True) -> WaveFrame:
+def reflect_frame(wf: WaveFrame) -> WaveFrame:
     """Frame of the reflected problem: s flips sign, Omega is unchanged."""
-    if not reflected:
-        return wf
     return WaveFrame(s=-wf.s, omega=wf.omega)
 
 
-def reflect_profile_state(state: ChartState,
-                          reflected: bool = True) -> ChartState:
+def reflect_profile_state(state: ChartState) -> ChartState:
     """Pointwise state map of the reflection (to be used together with
     xi -> -xi): (theta, p, q) -> (theta, -p, -q)."""
-    if not reflected:
-        return state
     return ChartState(theta=state.theta, p=-state.p, q=-state.q)

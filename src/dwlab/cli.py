@@ -182,8 +182,9 @@ _PROFILE = ["xi", "theta", "p", "q", "m1", "m2", "m3"]
 
 
 def _write(out: Path, name: str, *content):
-    """Write a JSON document or CSV (header, rows) into ``out``; returns the
-    (filename, bytes) entry."""
+    """Write a JSON document or CSV (header, rows) into ``out``, which is
+    made with the first file; returns the (filename, bytes) entry."""
+    out.mkdir(parents=True, exist_ok=True)
     write = write_json if name.endswith(".json") else write_csv
     return name, write(out / name, *content)
 
@@ -366,10 +367,16 @@ def cmd_freeze(cfg, out: Path):
     term = series.terminal
     m = term.m
     mx = np.gradient(m, term.dx, axis=0)
-    qs = [local_wavenumber(m[i], mx[i]) if 1.0 - m[i, 2] ** 2 > 1e-10
-          else 0.0 for i in range(len(m))]
+    # p = theta'/sin(theta) = -m3'/(1 - m3^2) and q are undefined at the
+    # poles, where both are written as 0
+    den = 1.0 - m[:, 2] ** 2
+    core = den > 1e-10
+    ps = np.zeros(len(m))
+    ps[core] = -mx[core, 2] / den[core]
+    qs = [local_wavenumber(m[i], mx[i]) if core[i] else 0.0
+          for i in range(len(m))]
     rows_p = np.column_stack([term.grid, np.arccos(np.clip(m[:, 2], -1, 1)),
-                              np.zeros(len(m)), qs, *m.T])
+                              ps, qs, *m.T])
     doc = {"asymptotic_s": s_a, "asymptotic_omega": o_a, "T": cfg["T"],
            "dt": cfg["dt"], "n_nodes": cfg["n_nodes"],
            "final_norm_deviation": term.norm_deviation}
@@ -404,7 +411,6 @@ def main(argv=None) -> int:
         if args.seed_profile is not None and args.command != "continue":
             raise ConfigError("--seed-profile applies to continue only")
         raw, cfg = _load_config(args.command, args.config)
-        out.mkdir(parents=True, exist_ok=True)
         seed = {} if args.seed_profile is None else {
             "seed_profile": args.seed_profile}
         files = _COMMANDS[args.command](cfg, out, **seed)

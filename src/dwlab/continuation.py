@@ -18,7 +18,8 @@ table ``REGIMES`` below is their one definition:
 Solving uses damped Newton iteration on an analytically assembled sparse
 Jacobian; branches in any of (c_cp, s, Omega, h) are traced by
 pseudo-arclength continuation with a secant predictor, whose last step ends
-exactly on the target.
+exactly on the target.  The continuation parameter is one more free scalar
+of the same system, and the arclength equation one more row.
 
 The Newton matrix is the almost block-diagonal collocation block (one block
 per mesh interval) bordered by the scalar columns and the boundary, phase
@@ -31,7 +32,6 @@ pattern of J^T + J, which keeps the fill near nnz(J).
 from __future__ import annotations
 
 import math
-import warnings as _warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -41,8 +41,7 @@ from scipy.sparse.linalg import lsmr, splu
 
 from .charts import PI, ZERO, chart_equilibria, homogeneous_profile
 from .classify import CENTER, CODIM0, CODIM2, Regime
-from .energy import center_frequency, hamiltonian, hamiltonian_gradient
-from .errors import CenterConditionViolated as _CCV
+from .energy import center_frequency, energy_gap, hamiltonian_gradient
 from .errors import NoConvergence, RegimeError, SingularJacobian
 from .model import (MaterialParams, WaveFrame, rhs_jacobian_raw,
                     rhs_param_derivatives_raw, rhs_raw)
@@ -65,6 +64,11 @@ STEP_MAX = 0.05
 STEP_GROW = 1.3
 GROW_AFTER = 3
 
+#: Newton stops when the max-norm residual falls below NEWTON_TOL, and fails
+#: after MAX_NEWTON iterations
+NEWTON_TOL = 1e-10
+MAX_NEWTON = 12
+
 #: state components that a boundary row pins, and the end nodes
 P, Q = 1, 2
 LEFT, RIGHT = 0, -1
@@ -83,13 +87,11 @@ REGIMES = {
 
 @dataclass(frozen=True)
 class BvpConfig:
-    """Discretization and Newton settings."""
+    """Discretization settings."""
 
     L: float = 50.0
     n_mesh: int = 400
     collocation_order: int = 4
-    newton_tol: float = 1e-10
-    max_newton: int = 12
 
     def __post_init__(self):
         if not (self.L > 0):
@@ -165,12 +167,11 @@ def _lagrange_matrices(order: int):
 class HeteroclinicBVP:
     """Discretized nonlinear system for one regime on a fixed mesh.
 
-    Unknowns are the nodal states plus the free scalars (by default the
-    regime's, from ``REGIMES``); any of (c_cp, s, omega, h, htilde) that the
-    regime neither frees nor slaves may additionally act as the continuation
-    parameter.  ``base`` holds the fixed parameter values; unknown scalars
-    override them.  Raises ``RegimeError`` for a mode without an entry in
-    ``REGIMES``.
+    Unknowns are the nodal states followed by the free scalars, by default
+    the regime's from ``REGIMES``; ``continue_branch`` frees its
+    continuation parameter as one more.  ``base`` holds the fixed parameter
+    values; unknown scalars override them.  Raises ``RegimeError`` for a mode
+    without an entry in ``REGIMES``.
     """
 
     def __init__(self, mode: str, mp: MaterialParams, wf: WaveFrame,
@@ -238,20 +239,15 @@ class HeteroclinicBVP:
     def _wf(par) -> WaveFrame:
         return WaveFrame(s=par["s"], omega=par["omega"])
 
-    def unpack(self, x, cont_name=None):
+    def unpack(self, x):
         u = x[: self.nU].reshape(self.n_nodes, 3)
         scalars = {name: x[self.nU + k]
                    for k, name in enumerate(self.free_scalars)}
-        if cont_name is not None:
-            scalars[cont_name] = x[-1]
         return u, scalars
 
-    def pack(self, states: np.ndarray, scalars: dict, cont_name=None):
-        parts = [np.asarray(states, dtype=float).ravel()]
-        parts.append(np.array([scalars[n] for n in self.free_scalars]))
-        if cont_name is not None:
-            parts.append(np.array([scalars[cont_name]]))
-        return np.concatenate(parts)
+    def pack(self, states: np.ndarray, scalars: dict):
+        return np.concatenate([np.asarray(states, dtype=float).ravel(),
+                               [scalars[n] for n in self.free_scalars]])
 
     def set_reference(self, states: np.ndarray, scalars: dict):
         """Fix the phase-condition reference profile (and its derivative)."""
@@ -264,34 +260,24 @@ class HeteroclinicBVP:
 
     # -- residual -----------------------------------------------------------
 
-    def _equilibria(self, par):
-        """The pinned chart equilibria (Z^0_-, Z^pi_-), indexed by the end
-        node (LEFT, RIGHT)."""
-        mp, wf = self._mp(par), self._wf(par)
-        z0m = chart_equilibria(ZERO, mp, wf)[1].z
-        zpim = chart_equilibria(PI, mp, wf)[1].z
-        return z0m, zpim
-
     def _bc_residual(self, u, par):
-        ends = self._equilibria(par)
+        mp, wf = self._mp(par), self._wf(par)
+        # the pinned chart equilibria (Z^0_-, Z^pi_-), indexed by end node
+        ends = (chart_equilibria(ZERO, mp, wf)[1].z,
+                chart_equilibria(PI, mp, wf)[1].z)
         res = []
         for row in self.bc_rows:
             if row == GAP:
-                z = ends[RIGHT]
-                mp, wf = self._mp(par), self._wf(par)
-                with _warnings.catch_warnings():
-                    _warnings.simplefilter("ignore", _CCV)
-                    gap = (hamiltonian(PI, u[RIGHT, P], u[RIGHT, Q], mp, wf)
-                           - hamiltonian(PI, z.real, z.imag, mp, wf))
-                res.append(gap - par["htilde"])
+                res.append(energy_gap(u[RIGHT, P], u[RIGHT, Q], mp, wf)
+                           - par["htilde"])
             else:
                 node, comp = row
                 z = ends[node]
                 res.append(u[node, comp] - (z.real if comp == P else z.imag))
         return np.array(res)
 
-    def residual(self, x, cont_name=None):
-        u, scalars = self.unpack(x, cont_name)
+    def residual(self, x):
+        u, scalars = self.unpack(x)
         par = self.params_from(scalars)
         u_loc = u[self.loc_idx]                       # (N, m+1, 3)
         u_g = np.einsum("gj,ijc->igc", self.W, u_loc)  # (N, m, 3)
@@ -334,9 +320,9 @@ class HeteroclinicBVP:
         node, comps = (RIGHT, (P, Q)) if row == GAP else (row[0], row[1:])
         return [3 * (node % self.n_nodes) + comp for comp in comps]
 
-    def _newton_pattern(self, n_scal: int, with_row: bool):
-        """CSC structure of the Newton matrix with ``n_scal`` scalar columns
-        and, when ``with_row``, a dense last row; built once per structure.
+    def _newton_pattern(self, with_row: bool):
+        """CSC structure of the Newton matrix, with a dense last row when
+        ``with_row``; built once per structure.
 
         Returns (order, indices, indptr, shape), where ``order`` takes the
         concatenated value blocks of ``jacobian`` (collocation block, scalar
@@ -344,10 +330,10 @@ class HeteroclinicBVP:
         extra row) to CSC data order.  Every entry of the boundary rows is
         kept, also where its value is zero, so the structure never changes
         between Newton iterations."""
-        key = (n_scal, with_row)
-        if key in self._patterns:
-            return self._patterns[key]
+        if with_row in self._patterns:
+            return self._patterns[with_row]
         nc, nb, nU = self.n_colloc, self.n_bc, self.nU
+        n_scal = len(self.free_scalars)
         n_x = nU + n_scal
         scal_cols = nU + np.arange(n_scal)
         rows = [self._rows_coll, np.tile(np.arange(nc), n_scal),
@@ -364,7 +350,7 @@ class HeteroclinicBVP:
         np.cumsum(np.bincount(cols, minlength=n_x), out=indptr[1:])
         pattern = (order, rows[order].astype(np.int32), indptr,
                    (nc + nb + 1 + int(with_row), n_x))
-        self._patterns[key] = pattern
+        self._patterns[with_row] = pattern
         return pattern
 
     def _scalar_chain(self, name, par):
@@ -381,15 +367,15 @@ class HeteroclinicBVP:
                 chain.append(("omega", dod))
         return chain
 
-    def _bc_jacobian(self, u, par, scal_names):
+    def _bc_jacobian(self, u, par):
         """Values of the boundary rows: the state entries (in the order of
         the pattern's boundary columns) and the dense (n_bc, n_scal) block of
-        scalar derivatives."""
+        free-scalar derivatives."""
         # derivative w.r.t. scalar values by central differences on the
         # boundary targets (the state contribution is handled analytically)
         eps = 1e-6
-        dscal = np.zeros((self.n_bc, len(scal_names)))
-        for k, name in enumerate(scal_names):
+        dscal = np.zeros((self.n_bc, len(self.free_scalars)))
+        for k, name in enumerate(self.free_scalars):
             if name == "htilde":
                 # only the gap row reads htilde, as gap - htilde
                 dscal[:, k] = [-1.0 if row == GAP else 0.0
@@ -408,15 +394,13 @@ class HeteroclinicBVP:
                 state.append(1.0)
         return np.array(state, dtype=float), dscal
 
-    def jacobian(self, x, cont_name=None, extra_grad=None):
-        """Sparse (CSC) Jacobian of ``residual``, including the continuation
-        column when ``cont_name`` is given and, when ``extra_grad`` is given,
-        that gradient as a dense last row (the continuation driver's
+    def jacobian(self, x, extra_grad=None):
+        """Sparse (CSC) Jacobian of ``residual`` and, when ``extra_grad`` is
+        given, that gradient as a dense last row (the continuation driver's
         arclength or target row).  Each call computes values only; the
-        structure is fixed per (number of scalars, extra row)."""
-        u, scalars = self.unpack(x, cont_name)
+        structure is fixed per extra row."""
+        u, scalars = self.unpack(x)
         par = self.params_from(scalars)
-        scal_names = list(self.free_scalars) + ([cont_name] if cont_name else [])
         N, m = self.N, self.m
 
         u_loc = u[self.loc_idx]
@@ -437,23 +421,23 @@ class HeteroclinicBVP:
         blocks = [data.ravel()]
 
         # scalar columns of the collocation rows
-        if scal_names:
+        if self.free_scalars:
             pder = rhs_param_derivatives_raw(*args)
-            colv = np.zeros((len(scal_names), N, m, 3))
-            for k, name in enumerate(scal_names):
+            colv = np.zeros((len(self.free_scalars), N, m, 3))
+            for k, name in enumerate(self.free_scalars):
                 for raw, wgt in self._scalar_chain(name, par):
                     d = pder[raw]
                     for a in range(3):
                         colv[k, ..., a] -= wgt * np.broadcast_to(d[a], (N, m))
             blocks.append(colv.ravel())
 
-        bc_state, bc_scal = self._bc_jacobian(u, par, scal_names)
+        bc_state, bc_scal = self._bc_jacobian(u, par)
         blocks += [bc_state, bc_scal.ravel(),
                    (self.phase_w[:, None] * self.uhat_prime).ravel()]
         if extra_grad is not None:
             blocks.append(extra_grad)
         order, indices, indptr, shape = self._newton_pattern(
-            len(scal_names), extra_grad is not None)
+            extra_grad is not None)
         return csc_matrix((np.concatenate(blocks)[order], indices, indptr),
                           shape=shape)
 
@@ -523,8 +507,9 @@ def _newton_directions(J, r):
 
 
 def newton_solve(bvp: HeteroclinicBVP, states: np.ndarray, scalars: dict,
-                 cont_name=None, extra_row=None, return_iters: bool = False):
-    """Damped Newton iteration on the discretized system.
+                 extra_row=None, return_iters: bool = False):
+    """Damped Newton iteration on the discretized system, to a max-norm
+    residual below NEWTON_TOL within MAX_NEWTON iterations.
 
     ``extra_row`` optionally appends one dense equation (value, gradient)
     callback pair used by the pseudo-arclength driver.  Returns the solved
@@ -532,23 +517,22 @@ def newton_solve(bvp: HeteroclinicBVP, states: np.ndarray, scalars: dict,
     Raises ``NoConvergence`` / ``SingularJacobian``.
     """
     def res_norm_at(z):
-        r = bvp.residual(z, cont_name)
+        r = bvp.residual(z)
         if extra_row is not None:
             r = np.append(r, extra_row[0](z))
         return r, float(np.max(np.abs(r)))
 
-    x = bvp.pack(states, scalars, cont_name)
-    for it in range(bvp.cfg.max_newton + 1):
+    x = bvp.pack(states, scalars)
+    for it in range(MAX_NEWTON + 1):
         r, res_norm = res_norm_at(x)
         if not math.isfinite(res_norm):
             raise NoConvergence("residual is not finite")
-        if res_norm < bvp.cfg.newton_tol:
-            u, sc = bvp.unpack(x, cont_name)
+        if res_norm < NEWTON_TOL:
+            u, sc = bvp.unpack(x)
             return (u, sc, it) if return_iters else (u, sc)
-        if it == bvp.cfg.max_newton:
+        if it == MAX_NEWTON:
             break
-        J = bvp.jacobian(x, cont_name,
-                         None if extra_row is None else extra_row[1](x))
+        J = bvp.jacobian(x, None if extra_row is None else extra_row[1](x))
         # the first direction whose step, halved up to nine times, lowers the
         # residual norm (a NaN norm compares false)
         trials = (x + 0.5 ** k * dx for dx in _newton_directions(J, r)
@@ -558,7 +542,7 @@ def newton_solve(bvp: HeteroclinicBVP, states: np.ndarray, scalars: dict,
             raise NoConvergence(
                 f"damping failed at residual {res_norm:.3e}")
     raise NoConvergence(
-        f"no convergence after {bvp.cfg.max_newton} iterations "
+        f"no convergence after {MAX_NEWTON} iterations "
         f"(residual {res_norm:.3e})")
 
 
@@ -588,29 +572,36 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
     """Pseudo-arclength continuation of a solved profile in ``cont_name``
     toward ``target``.
 
-    The start must solve the system at the base parameter value.  Steps adapt
-    within [1e-5, 0.05]: halved on corrector failure, grown by 1.3 after 3
-    consecutive successes.  Every accepted point is recorded, and the last
-    one carries its full profile; termination is reported in the Branch
-    (never raised) as reached_target or newton_failure, the latter once a
-    halved step falls below 1e-5.  Folds do not end a branch; each point's
-    diagnostics flag whether one has been passed.  Raises ``ValueError`` when the regime already frees or slaves
-    ``cont_name``, and when ``step0`` fails ``check_step0``.
+    The start must solve ``bvp`` at its base parameter value.  The branch is
+    traced on a copy of ``bvp`` that frees ``cont_name`` as its last
+    unknown, so ``bvp`` itself, its phase reference included, is left as it
+    was.  Steps adapt within [1e-5, 0.05]: halved on corrector failure,
+    grown by 1.3 after 3 consecutive successes.  Every accepted point is
+    recorded with the regime's free scalars, and the last one carries its
+    full profile; termination is reported in the Branch (never raised) as
+    reached_target or newton_failure, the latter once a halved step falls
+    below 1e-5.  Folds do not end a branch; each point's diagnostics flag
+    whether one has been passed.  Raises ``ValueError`` when the regime
+    already frees or slaves ``cont_name``, and when ``step0`` fails
+    ``check_step0``.
     """
     check_step0(step0)
     if bvp.frees_or_slaves(cont_name):
         raise ValueError(f"the {bvp.mode} regime already determines "
                          f"{cont_name}; it cannot be continued")
-    lam0 = bvp.base[cont_name]
+    base = bvp.base
+    cbvp = HeteroclinicBVP(bvp.mode, bvp._mp(base), bvp._wf(base), bvp.cfg,
+                           free_scalars=bvp.free_scalars + (cont_name,))
+    lam0 = base[cont_name]
     direction = 1.0 if target >= lam0 else -1.0
     scalars = dict(start_scalars)
     scalars[cont_name] = lam0
-    x = bvp.pack(start_states, scalars, cont_name)
-    bvp.set_reference(start_states, scalars)
+    x = cbvp.pack(start_states, scalars)
+    cbvp.set_reference(start_states, scalars)
 
     def record(u, sc, diag):
         pt_scalars = {n: float(sc[n]) for n in bvp.free_scalars}
-        par = bvp.params_from(sc)
+        par = cbvp.params_from(sc)
         pt_scalars.setdefault("s", float(par["s"]))
         pt_scalars.setdefault("omega", float(par["omega"]))
         points.append(BranchPoint(param=float(sc[cont_name]),
@@ -618,7 +609,7 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
                                   diagnostics=diag))
 
     points = []
-    u0, sc0 = bvp.unpack(x, cont_name)
+    u0, sc0 = cbvp.unpack(x)
     record(u0, sc0, {"step": 0.0})
 
     n_x = len(x)
@@ -648,15 +639,14 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
             row = (lambda z: z[-1] - target, lambda z: e_last)
         else:
             arc_grad = tangent.copy()
-            arc_grad[: bvp.nU] /= bvp.n_nodes
-            row = (lambda z: _weighted_dot(bvp, z - x_pred, tangent),
+            arc_grad[: cbvp.nU] /= cbvp.n_nodes
+            row = (lambda z: _weighted_dot(cbvp, z - x_pred, tangent),
                    lambda z: arc_grad)
 
-        u_pred, sc_pred = bvp.unpack(x_pred, cont_name)
+        u_pred, sc_pred = cbvp.unpack(x_pred)
         try:
             u_new, sc_new, iters = newton_solve(
-                bvp, u_pred, sc_pred, cont_name=cont_name,
-                extra_row=row, return_iters=True)
+                cbvp, u_pred, sc_pred, extra_row=row, return_iters=True)
         except (NoConvergence, SingularJacobian):
             successes = 0
             step *= 0.5
@@ -665,16 +655,16 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
                 break
             continue
         x_prev = x.copy()
-        x = bvp.pack(u_new, sc_new, cont_name)
+        x = cbvp.pack(u_new, sc_new)
         # secant tangent for the next step
         diff = x - x_prev
-        nrm = math.sqrt(_weighted_dot(bvp, diff, diff))
+        nrm = math.sqrt(_weighted_dot(cbvp, diff, diff))
         if nrm > 0:
             new_tangent = diff / nrm
             if new_tangent[-1] * tangent[-1] < 0:
                 fold_seen = True
             tangent = new_tangent
-        bvp.set_reference(u_new, sc_new)
+        cbvp.set_reference(u_new, sc_new)
         record(u_new, sc_new,
                {"step": ds, "newton_iters": iters, "fold": fold_seen})
         successes += 1
@@ -683,7 +673,7 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
             successes = 0
 
     # attach the final full profile
-    prof = bvp.make_profile(*bvp.unpack(x, cont_name))
+    prof = cbvp.make_profile(*cbvp.unpack(x))
     points[-1] = replace(points[-1], profile=prof)
     return Branch(points=points, terminated=term, cont_name=cont_name)
 
@@ -700,10 +690,8 @@ def termination_boundary(mp: MaterialParams, wf: WaveFrame,
     """Existence-boundary estimate: for each c_cp, continue the codim-2 wall
     in s toward 0 (h and Omega free) and record the last converged point.
 
-    Returns (points, fit_coefficients) where points is a list of
-    (c_cp, s_terminal, omega_terminal) and the fit is a polynomial in c_cp
-    through the s-terminal values (least squares, cubic, or of lower degree
-    when fewer than four points converged).
+    Returns a list of (c_cp, s_terminal, omega_terminal), with NaN for s
+    and omega where the walk to c_cp failed.
     """
     results = []
     for ccp in c_cp_values:
@@ -729,7 +717,4 @@ def termination_boundary(mp: MaterialParams, wf: WaveFrame,
         end = br.end
         results.append((float(ccp), float(end.param),
                         float(end.scalars["omega"])))
-    pts = [r for r in results if math.isfinite(r[1])]
-    coeffs = np.polyfit([r[0] for r in pts], [r[1] for r in pts],
-                        deg=min(3, max(1, len(pts) - 1)))
-    return results, coeffs
+    return results

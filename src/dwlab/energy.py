@@ -32,6 +32,8 @@ from .model import MaterialParams, WaveFrame
 __all__ = [
     "QuadraticForm2",
     "hamiltonian",
+    "hamiltonian_gradient",
+    "energy_gap",
     "center_frequency",
     "periodic_neighborhood",
     "htilde_quadratic",
@@ -44,6 +46,9 @@ INVARIANT_LINE_GUARD = 1e-12
 
 #: tolerance on the center condition before warning
 CENTER_CONDITION_TOL = 1e-10
+
+#: largest |theta - pi| at the right end of a profile whose gap is measured
+CHART_TOL = 1e-6
 
 #: |Htilde| above this value classifies a wall as non-flat ...
 NONFLAT_THRESHOLD = 1e-7
@@ -95,42 +100,47 @@ def hamiltonian(chart: ChartId, p: float, q: float, mp: MaterialParams,
             f"frequency {omega} violates the center condition {omega_c}; "
             "H is not a first integral here", CenterConditionViolated,
             stacklevel=2)
-    if chart.is_zero:
-        den = q + 0.5 * s
-        if abs(den) < INVARIANT_LINE_GUARD:
-            raise InvariantLine("q = -s/2 is the invariant line of H^0")
-        num = (p * p + q * q + mp.alpha * s * p + s * q - mp.h
-               + mp.beta_plus / mp.alpha + mp.mu)
-        return -num / den
-    if chart.is_pi:
-        den = q - 0.5 * s
-        if abs(den) < INVARIANT_LINE_GUARD:
-            raise InvariantLine("q = s/2 is the invariant line of H^pi")
-        num = (p * p + q * q - mp.alpha * s * p - s * q + mp.h
-               - mp.beta_minus / mp.alpha + mp.mu)
-        return num / den
-    raise ValueError("Hamiltonian is defined on the theta=0/pi charts")
+    sign, num, den, _ = _fraction(chart, p, q, mp, s)
+    if abs(den) < INVARIANT_LINE_GUARD:
+        raise InvariantLine("q is on the invariant line q = -/+ s/2 of "
+                            "H^0/H^pi, where H is undefined")
+    return sign * num / den
 
 
 def hamiltonian_gradient(chart: ChartId, p: float, q: float,
                          mp: MaterialParams, wf: WaveFrame):
     """Analytic gradient (dH/dp, dH/dq) of the chart Hamiltonian."""
-    s = wf.s
+    sign, num, den, lin = _fraction(chart, p, q, mp, wf.s)
+    dp = sign * (2.0 * p + lin[0]) / den
+    dq = sign * ((2.0 * q + lin[1]) / den - num / (den * den))
+    return dp, dq
+
+
+def _fraction(chart: ChartId, p, q, mp: MaterialParams, s: float):
+    """H = sign * num / den on the chart: (sign, num, den, (a, b)), where
+    num = p^2 + q^2 + a p + b q + const and den is the distance to the
+    invariant line."""
     if chart.is_zero:
-        den = q + 0.5 * s
         num = (p * p + q * q + mp.alpha * s * p + s * q - mp.h
                + mp.beta_plus / mp.alpha + mp.mu)
-        dp = -(2.0 * p + mp.alpha * s) / den
-        dq = -(2.0 * q + s) / den + num / (den * den)
-        return dp, dq
+        return -1.0, num, q + 0.5 * s, (mp.alpha * s, s)
     if chart.is_pi:
-        den = q - 0.5 * s
         num = (p * p + q * q - mp.alpha * s * p - s * q + mp.h
                - mp.beta_minus / mp.alpha + mp.mu)
-        dp = (2.0 * p - mp.alpha * s) / den
-        dq = (2.0 * q - s) / den - num / (den * den)
-        return dp, dq
+        return 1.0, num, q - 0.5 * s, (-(mp.alpha * s), -s)
     raise ValueError("Hamiltonian is defined on the theta=0/pi charts")
+
+
+def energy_gap(p: float, q: float, mp: MaterialParams,
+               wf: WaveFrame) -> float:
+    """The energy gap H^pi(p, q) - H^pi(Z^pi_-) of a state on the
+    theta = pi chart.  Off the center condition H^pi is not conserved, and
+    the gap is returned without the ``CenterConditionViolated`` warning."""
+    z = chart_equilibria(PI, mp, wf)[1].z
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CenterConditionViolated)
+        return (hamiltonian(PI, p, q, mp, wf)
+                - hamiltonian(PI, z.real, z.imag, mp, wf))
 
 
 def periodic_neighborhood(chart: ChartId, mp: MaterialParams,
@@ -201,24 +211,17 @@ def _tail_matrix(ds: float, dh: float, alpha: float, r: float) -> np.ndarray:
     return np.array([[p_cos, p_sin], [q_cos, q_sin]])
 
 
-def htilde_measured(profile, mp: MaterialParams, wf: WaveFrame,
-                    chart_tol: float = 1e-6) -> float:
-    """Energy gap H(p, q at the right end) - H(Z^pi_-) of a computed profile.
+def htilde_measured(profile, mp: MaterialParams, wf: WaveFrame) -> float:
+    """Energy gap ``energy_gap`` at the right end of a computed profile.
 
-    ``profile`` is any object with ``mesh`` and ``states`` arrays (the
-    continuation Profile, or a (theta, p, q) trajectory sampled toward
-    theta = pi).  Raises ``ChartMiss`` when the right end is not on the
-    theta = pi chart within ``chart_tol``.  A result near zero identifies a
-    flat (point-to-point) wall; a persistent non-zero value a non-flat one.
+    ``profile`` is any object with a ``states`` array (the continuation
+    Profile, or a (theta, p, q) trajectory sampled toward theta = pi).
+    Raises ``ChartMiss`` when the right end is not on the theta = pi chart
+    within CHART_TOL.  A result near zero identifies a flat (point-to-point)
+    wall; a persistent non-zero value a non-flat one.
     """
-    states = np.asarray(profile.states, dtype=float)
-    theta_end, p_end, q_end = states[-1]
-    if abs(theta_end - math.pi) > chart_tol:
-        raise ChartMiss(
-            f"right end theta = {theta_end} misses pi by more than {chart_tol}")
-    eq_minus = chart_equilibria(PI, mp, wf)[1]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CenterConditionViolated)
-        h_end = hamiltonian(PI, p_end, q_end, mp, wf)
-        h_eq = hamiltonian(PI, eq_minus.p, eq_minus.q, mp, wf)
-    return h_end - h_eq
+    theta_end, p_end, q_end = np.asarray(profile.states, dtype=float)[-1]
+    if abs(theta_end - math.pi) > CHART_TOL:
+        raise ChartMiss(f"right end theta = {theta_end} misses pi by more "
+                        f"than {CHART_TOL}")
+    return energy_gap(p_end, q_end, mp, wf)

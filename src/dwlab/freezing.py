@@ -196,23 +196,22 @@ def freeze_step(state: LineState, mp: MaterialParams, dt: float,
     if frame is not None:
         s_new, omega_new = frame
     else:
-        mhat = m
-        mhat_x = _gradient(mhat, dx)
-        mhat_r = np.cross(np.array([0.0, 0.0, 1.0]), mhat)
+        # the reference mhat is the incoming m, so its tangents d/dx mhat
+        # and e3 x mhat are mx and e3m
         w = np.full(n, dx)
         w[0] = w[-1] = 0.5 * dx
 
         def ip(u, v):
             return float(np.sum(w[:, None] * u * v))
 
-        # <a + s b + Om c - mhat, T> = 0 for T in {mhat_x, mhat_r}
-        A = np.array([[ip(b, mhat_x), ip(c, mhat_x)],
-                      [ip(b, mhat_r), ip(c, mhat_r)]])
+        # <a + s b + Om c - mhat, T> = 0 for T in {mx, e3m}
+        A = np.array([[ip(b, mx), ip(c, mx)],
+                      [ip(b, e3m), ip(c, e3m)]])
         det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
         if abs(det) < PHASE_DET_GUARD * dt * dt:
             raise PhaseDegeneracy(
                 f"phase Gram determinant {det:.3e} below guard")
-        rvec = -np.array([ip(a - mhat, mhat_x), ip(a - mhat, mhat_r)])
+        rvec = -np.array([ip(a - m, mx), ip(a - m, e3m)])
         s_new, omega_new = np.linalg.solve(A, rvec)
     m_new = a + s_new * b + omega_new * c
     norms = np.linalg.norm(m_new, axis=1)

@@ -35,10 +35,10 @@ __all__ = [
     "local_wavenumber",
 ]
 
-#: default guard on |sin(theta)| below which the singular system is rejected
+#: guard on |sin(theta)| below which the singular system is rejected
 SINGULAR_GUARD = 1e-8
 
-#: default guard on 1 - m3^2 below which the local wavenumber is rejected
+#: guard on 1 - m3^2 below which the local wavenumber is rejected
 WAVENUMBER_GUARD = 1e-14
 
 
@@ -211,8 +211,8 @@ def desingularized_rhs(state: ChartState, mp: MaterialParams,
     return np.array(d, dtype=float)
 
 
-def singular_rhs(state: SingularState, mp: MaterialParams, wf: WaveFrame,
-                 guard: float = SINGULAR_GUARD) -> np.ndarray:
+def singular_rhs(state: SingularState, mp: MaterialParams,
+                 wf: WaveFrame) -> np.ndarray:
     """Right-hand side of the singular (raw-angle) system
 
         theta' = psi
@@ -221,13 +221,13 @@ def singular_rhs(state: SingularState, mp: MaterialParams, wf: WaveFrame,
         q'     = alpha*Omega - beta/(1 + c_cp cos(theta)) - alpha*s*q
                  - (s + 2 q cos(theta)) psi / sin(theta)
 
-    Raises ``SingularEvaluation`` when |sin(theta)| < guard: the caller must
-    switch to the desingularized system near the poles.
+    Raises ``SingularEvaluation`` when |sin(theta)| < SINGULAR_GUARD: the
+    caller must switch to the desingularized system near the poles.
     """
     st = math.sin(state.theta)
-    if abs(st) < guard:
+    if abs(st) < SINGULAR_GUARD:
         raise SingularEvaluation(
-            f"|sin(theta)| = {abs(st):.3e} below guard {guard:.3e}")
+            f"|sin(theta)| = {abs(st):.3e} below guard {SINGULAR_GUARD:.3e}")
     ct = math.cos(state.theta)
     theta, psi, q = state.theta, state.psi, state.q
     s, omega = wf.s, wf.omega
@@ -249,15 +249,16 @@ def blow_down(state: ChartState, phi: float) -> SphereState:
     return SphereState(m=m, q=state.q)
 
 
-def local_wavenumber(m, m_prime, guard: float = WAVENUMBER_GUARD) -> float:
+def local_wavenumber(m, m_prime) -> float:
     """Local wavenumber q = <(m1', m2'), (-m2, m1)> / (1 - m3^2).
 
-    Undefined at the poles; raises ``PoleEvaluation`` when 1 - m3^2 < guard.
+    Undefined at the poles; raises ``PoleEvaluation`` when
+    1 - m3^2 < WAVENUMBER_GUARD.
     """
     m = np.asarray(m, dtype=float)
     mp_ = np.asarray(m_prime, dtype=float)
     den = 1.0 - m[2] * m[2]
-    if den < guard:
+    if den < WAVENUMBER_GUARD:
         raise PoleEvaluation(
-            f"1 - m3^2 = {den:.3e} below guard {guard:.3e}")
+            f"1 - m3^2 = {den:.3e} below guard {WAVENUMBER_GUARD:.3e}")
     return float((mp_[0] * (-m[1]) + mp_[1] * m[0]) / den)

@@ -12,7 +12,8 @@ of the local wavenumber q as flat (q settles to a point) or non-flat
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -43,9 +44,11 @@ TOL_MAX = 1e-3
 #: |p| + |q| beyond this value counts as blow-up
 BLOWUP_BOUND = 1e8
 
-#: thresholds on the q-oscillation amplitude in the tail window
+#: thresholds on the q-oscillation amplitude in the tail window, the
+#: trailing TAIL_WINDOW fraction of the orbit
 FLAT_AMPLITUDE = 1e-7
 NONFLAT_AMPLITUDE = 1e-5
+TAIL_WINDOW = 0.25
 
 
 @dataclass(frozen=True)
@@ -53,23 +56,19 @@ class Trajectory:
     """Sampled orbit with dense-output interpolation.
 
     ``xs`` is strictly increasing; ``states`` has matching rows (theta, p, q).
+    ``dense`` is the integrator's dense output, and ``events`` holds the xi
+    of each crossing of each requested event.
     """
 
     xs: np.ndarray
     states: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
+    dense: Callable
+    events: list
 
     def at(self, xi):
         """Dense-output evaluation at arbitrary xi inside the span."""
-        sol = self.diagnostics.get("dense")
-        if sol is None:
-            raise ValueError("trajectory carries no dense output")
-        out = sol(xi)
+        out = self.dense(xi)
         return out.T if np.ndim(xi) else out
-
-    @property
-    def mesh(self):
-        return self.xs
 
 
 @dataclass(frozen=True)
@@ -121,21 +120,12 @@ def integrate(state0: ChartState, span, mp: MaterialParams, wf: WaveFrame,
     if len(sol.t_events[0]) > 0:
         raise BlowUp("|p| + |q| exceeded the blow-up bound")
     order = np.argsort(sol.t)
-    diag = {
-        "dense": sol.sol,
-        "n_steps": len(sol.t) - 1,
-        "tol": tol,
-        "termination": sol.message if sol.status == 0 else "event",
-        "events": sol.t_events[1:],
-        "event_states": sol.y_events[1:] if events else [],
-        "status": sol.status,
-    }
-    return Trajectory(xs=sol.t[order], states=sol.y.T[order], diagnostics=diag)
+    return Trajectory(xs=sol.t[order], states=sol.y.T[order], dense=sol.sol,
+                      events=sol.t_events[1:])
 
 
-def unstable_seed(eq: ChartEquilibrium, epsilon: float = DEFAULT_EPSILON,
-                  mp: MaterialParams = None, wf: WaveFrame = None
-                  ) -> ChartState:
+def unstable_seed(eq: ChartEquilibrium,
+                  epsilon: float = DEFAULT_EPSILON) -> ChartState:
     """Point at distance ``epsilon`` from a theta = 0 chart equilibrium along
     its (unit) unstable eigenvector, oriented so the theta-component is
     positive.
@@ -158,12 +148,11 @@ def unstable_seed(eq: ChartEquilibrium, epsilon: float = DEFAULT_EPSILON,
     return ChartState(theta=epsilon, p=eq.p, q=eq.q)
 
 
-def classify_tail(xs: np.ndarray, qs: np.ndarray,
-                  window: float = 0.25) -> TailVerdict:
-    """Classify the q-tail on the trailing ``window`` fraction of the orbit:
-    amplitude = half the peak-to-peak of q about its mean there."""
+def classify_tail(xs: np.ndarray, qs: np.ndarray) -> TailVerdict:
+    """Classify the q-tail on the trailing TAIL_WINDOW fraction of the
+    orbit: amplitude = half the peak-to-peak of q about its mean there."""
     n = len(xs)
-    i0 = int(math.floor((1.0 - window) * n))
+    i0 = int(math.floor((1.0 - TAIL_WINDOW) * n))
     tail = qs[i0:]
     if not np.all(np.isfinite(tail)):
         return TailVerdict(kind="undetermined", q_limit_estimate=None,
@@ -208,5 +197,5 @@ def shoot_to_pi_chart(mp: MaterialParams, wf: WaveFrame,
     # classify on a uniform resampling so the window is a true xi-fraction
     xs_fine = np.linspace(traj.xs[0], traj.xs[-1], 8000)
     qs_fine = traj.at(xs_fine)[:, 2]
-    verdict = classify_tail(xs_fine, qs_fine, window=0.25)
+    verdict = classify_tail(xs_fine, qs_fine)
     return traj, verdict

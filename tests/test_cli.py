@@ -326,10 +326,11 @@ def test_bad_seed_profile_is_config_error(tmp_path, capsys, seed_doc, case):
     seed = tmp_path / "seed.json"
     seed.write_text(json.dumps(make(seed_doc)))
     capsys.readouterr()
-    code, _ = run_cli(tmp_path, "continue", cfg,
-                      extra=["--seed-profile", str(seed)])
+    code, out = run_cli(tmp_path, "continue", cfg,
+                        extra=["--seed-profile", str(seed)])
     err = capsys.readouterr().err
     assert code == 2
+    assert not out.exists()
     assert err.startswith("config error:") and err.count("\n") == 1
     for fragment in fragments:
         assert fragment in err
@@ -384,6 +385,19 @@ class TestCliShootAndFreeze:
         assert doc["asymptotic_s"] == pytest.approx(0.12, abs=5e-3)
         assert (out / "freeze.csv").exists()
         assert (out / "terminal_profile.csv").exists()
+
+    def test_terminal_profile_p_is_the_walls(self, tmp_path):
+        """At c_cp = 0 the wall has p = sqrt(-mu) = 1 at every node.  On the
+        wall core |m3| < 0.9 the written p, a central difference on
+        dx = 40/255, lies within 0.02 of it (0.010 measured)."""
+        cfg = dict(BASE, h=0.5, T=0.05, dt=1e-3, n_nodes=256, Lx=20.0)
+        code, out = run_cli(tmp_path, "freeze", cfg)
+        assert code == 0
+        rows = np.loadtxt(out / "terminal_profile.csv", delimiter=",",
+                          skiprows=1)
+        core = np.abs(rows[:, 6]) < 0.9
+        assert np.count_nonzero(core) >= 10
+        assert np.max(np.abs(rows[core, 2] - math.sqrt(-BASE["mu"]))) < 0.02
 
 
 #: a valid config per command; every key the table allows is then replaced
@@ -520,6 +534,16 @@ def readme_keys():
                       text, flags=re.MULTILINE)
     return [(key, [c.strip() for c in commands.split(",")], kind.strip(),
              default.strip()) for key, commands, kind, default in rows]
+
+
+def test_readme_quick_start_runs():
+    """The README's library example runs as printed."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## Library quick start\s+```python\n(.*?)```", text,
+                      flags=re.DOTALL).group(1)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["branch"].terminated == "reached_target"
 
 
 def test_readme_table_matches_the_code():

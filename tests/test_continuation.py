@@ -65,18 +65,24 @@ class TestStructure:
     def _check_jacobian(h, bordered):
         bvp, mp, wf = setup(h, BvpConfig(L=10.0, n_mesh=50,
                                          collocation_order=3))
+        if bordered:
+            # the unknowns of a continuation in c_cp: c_cp is one more free
+            # scalar
+            bvp = continuation.HeteroclinicBVP(
+                bvp.mode, mp, wf, bvp.cfg,
+                free_scalars=bvp.free_scalars + ("c_cp",))
         u = homogeneous_profile(bvp.mesh, mp.mu)
         u[:, 1] += 0.01 * np.cos(bvp.mesh)  # move off the exact solution
         sc = {n: bvp.base[n] for n in bvp.free_scalars}
         bvp.set_reference(u, sc)
         rng = np.random.default_rng(0)
         if bordered:
-            x = bvp.pack(u, dict(sc, c_cp=0.1), "c_cp")
+            x = bvp.pack(u, dict(sc, c_cp=0.1))
             g = rng.normal(size=len(x))
-            J = bvp.jacobian(x, "c_cp", g).toarray()
+            J = bvp.jacobian(x, g).toarray()
 
             def res(z):
-                return np.append(bvp.residual(z, "c_cp"), g @ (z - x))
+                return np.append(bvp.residual(z), g @ (z - x))
         else:
             x = bvp.pack(u, sc)
             J = bvp.jacobian(x).toarray()
@@ -252,7 +258,10 @@ class TestContinuation:
     def test_branch_bookkeeping(self):
         bvp, mp, wf = setup(0.5)
         u, sc = solve_regime(bvp)
+        uhat = bvp.uhat.copy()
         br = continue_branch(bvp, u, sc, "c_cp", 0.1, step0=0.02)
+        # the caller's system keeps its phase reference
+        assert np.array_equal(bvp.uhat, uhat)
         params = [pt.param for pt in br.points]
         assert params[0] == 0.0 and params[-1] == pytest.approx(0.1)
         steps = np.abs(np.diff(params))
@@ -310,8 +319,7 @@ class TestTerminationBoundary:
         mp = mk(0.5)
         wf = homogeneous_speed_frequency(mp)
         cfg = BvpConfig(L=20.0, n_mesh=60, collocation_order=3)
-        results, coeffs = termination_boundary(mp, wf, [0.0, 0.3], cfg=cfg)
+        results = termination_boundary(mp, wf, [0.0, 0.3], cfg=cfg)
         (c0, s0_term, _), (c3, s3_term, _) = results
         assert c0 == 0.0 and s0_term == pytest.approx(0.0, abs=1e-8)
         assert c3 == 0.3 and s3_term > 0.0
-        assert np.all(np.isfinite(coeffs))

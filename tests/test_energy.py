@@ -64,7 +64,7 @@ class TestHamiltonian:
         back_to_start.direction = -1
         traj = integrate(ChartState(math.pi, 1.75, 0.0), (0.0, 30.0),
                          MP_C, WF_C, tol=1e-12, events=[back_to_start])
-        crossings = [t for t in traj.diagnostics["events"][0] if t > 0.1]
+        crossings = [t for t in traj.events[0] if t > 0.1]
         assert len(crossings) >= 1
         state_T = traj.at(float(crossings[0]))
         assert abs(state_T[1] - 1.75) < 1e-6 and abs(state_T[2]) < 1e-6

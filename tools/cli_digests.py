@@ -1,0 +1,77 @@
+"""SHA-256 of every data file that a fixed set of dwlab CLI runs writes.
+
+Runs the seven commands in-process on fixed configs, among them a
+continuation in h, a ``--seed-profile`` run and a run that exits 3, and
+prints one line per data file: run, exit code, file name, SHA-256.
+``manifest.json`` is left out, since it records the wall-clock time.
+Comparing the output of two source trees checks that their files are
+byte-identical:
+
+    python tools/cli_digests.py > new.txt
+    python tools/cli_digests.py --src ../other/src > old.txt
+    diff old.txt new.txt
+"""
+
+import argparse
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+MAT = {"alpha": 0.5, "beta": 0.1, "mu": -1.0}
+SMALL = {"L": 20.0, "n_mesh": 60, "collocation_order": 3}
+FREEZE = {**MAT, "h": 0.5, "T": 0.2, "n_nodes": 512}
+
+#: (run name, command, config, name of an earlier run whose profile seeds it)
+RUNS = [
+    ("classify", "classify", {**MAT, "h": 5.0, "c_cp": 0.3}, None),
+    ("melnikov", "melnikov", {**MAT, "h": 0.5}, None),
+    ("map", "stability-map", {**MAT, "n_h": 200, "n_ccp": 200}, None),
+    ("shoot", "shoot", {**MAT, "h": 0.5}, None),
+    ("freeze-ccp0", "freeze", FREEZE, None),
+    ("freeze-ccp0.5", "freeze", {**FREEZE, "c_cp": 0.5}, None),
+    ("cont-ccp", "continue", {**MAT, "h": 0.5, "cont": "c_cp",
+                              "target": 0.5}, None),
+    ("cont-ccp-h10.1", "continue", {**MAT, "h": 10.1, "cont": "c_cp",
+                                    "target": -0.5}, None),
+    ("center-h", "center", {**MAT, "sweep": "h", "values": [10.05, 10.35]},
+     None),
+    ("center-s", "center", {**MAT, "sweep": "s", "values": [4.1, 4.3]}, None),
+    ("center-ccp", "center", {**MAT, "sweep": "c_cp",
+                              "values": [0.05, -0.05]}, None),
+    ("cont-h", "continue", {**MAT, "h": 50.0, "cont": "h", "target": 45.0,
+                            "L": 20.0, "n_mesh": 80}, None),
+    ("cont-exit3", "continue", {**MAT, "h": 0.5, "cont": "c_cp",
+                                "target": 0.999, "step0": 0.05, **SMALL},
+     None),
+    ("cont-seeded", "continue", {**MAT, "h": 0.5, "cont": "c_cp",
+                                 "target": 0.52}, "cont-ccp"),
+]
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", help="source tree to import dwlab from "
+                        "(default: src/ of this checkout)",
+                        default=str(Path(__file__).parents[1] / "src"))
+    sys.path.insert(0, parser.parse_args().src)
+    from dwlab.cli import main as dwlab
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, command, cfg, seed in RUNS:
+            out = Path(tmp, name)
+            path = Path(tmp, name + ".json")
+            path.write_text(json.dumps(cfg))
+            argv = [command, "--config", str(path), "--out", str(out)]
+            if seed:
+                argv += ["--seed-profile", f"{tmp}/{seed}/profile.json"]
+            code = dwlab(argv)
+            for f in sorted(out.glob("*")):
+                if f.name != "manifest.json":
+                    digest = hashlib.sha256(f.read_bytes()).hexdigest()
+                    print(name, code, f.name, digest)
+
+
+if __name__ == "__main__":
+    main()
