@@ -15,7 +15,6 @@ family with its selected speed and frequency.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 

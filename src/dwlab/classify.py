@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .charts import PI, ZERO, ChartId, chart_coefficients, \
     homogeneous_speed_frequency
 from .errors import CurvePole, OrientationError

@@ -12,14 +12,22 @@ state whose selected speed and frequency are read off directly.  Time
 stepping is semi-implicit Euler: the exchange diffusion with coefficient
 1/(1 + alpha^2) is treated implicitly (one tridiagonal solve per component),
 everything else explicitly, followed by nodewise renormalization.
+
+The arithmetic works on component rows: the (3, n) transpose of the (n, 3)
+magnetization.  Cross products are written out term by term as ``np.cross``
+evaluates them, the nine tridiagonal right-hand sides of a step share one
+buffer that LAPACK's ``dgtsv`` solves in place, and the phase inner products
+add their terms in the order the (n, 3) layout gave them, so every bit of a
+run matches the straightforward (n, 3) evaluation.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .charts import homogeneous_profile, homogeneous_speed_frequency
 from .errors import PhaseDegeneracy
@@ -58,8 +66,10 @@ class LineState:
         if self.m.shape != (len(self.grid), 3):
             raise ValueError("m must be (n_nodes, 3)")
         norms = np.linalg.norm(self.m, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-9:
-            raise ValueError("m must be unit-norm per node (within 1e-9)")
+        # written so that a NaN norm fails too
+        if not np.max(np.abs(norms - 1.0)) <= 1e-9:
+            raise ValueError("m must be finite and unit-norm per node "
+                             "(within 1e-9)")
 
     @property
     def dx(self) -> float:
@@ -111,22 +121,40 @@ def check_schedule(dt: float, dx: float, alpha: float, T: float = None):
         raise ValueError(f"T must be at least dt = {dt}, got T = {T}")
 
 
-def _laplacian(m: np.ndarray, dx: float) -> np.ndarray:
-    """Second-order central Laplacian with Neumann (reflected-ghost) ends."""
-    lap = np.empty_like(m)
-    lap[1:-1] = (m[2:] - 2.0 * m[1:-1] + m[:-2]) / (dx * dx)
-    lap[0] = 2.0 * (m[1] - m[0]) / (dx * dx)
-    lap[-1] = 2.0 * (m[-2] - m[-1]) / (dx * dx)
+def _laplacian(M: np.ndarray, dx: float) -> np.ndarray:
+    """Second-order central Laplacian of component rows (3, n) with Neumann
+    (reflected-ghost) ends."""
+    lap = np.empty_like(M)
+    lap[:, 1:-1] = (M[:, 2:] - 2.0 * M[:, 1:-1] + M[:, :-2]) / (dx * dx)
+    lap[:, 0] = 2.0 * (M[:, 1] - M[:, 0]) / (dx * dx)
+    lap[:, -1] = 2.0 * (M[:, -2] - M[:, -1]) / (dx * dx)
     return lap
 
 
-def _gradient(m: np.ndarray, dx: float) -> np.ndarray:
-    """Central first derivative; Neumann ends have zero slope."""
-    grad = np.empty_like(m)
-    grad[1:-1] = (m[2:] - m[:-2]) / (2.0 * dx)
-    grad[0] = 0.0
-    grad[-1] = 0.0
+def _gradient(M: np.ndarray, dx: float) -> np.ndarray:
+    """Central first derivative of component rows; Neumann ends have zero
+    slope."""
+    grad = np.empty_like(M)
+    grad[:, 1:-1] = (M[:, 2:] - M[:, :-2]) / (2.0 * dx)
+    grad[:, 0] = 0.0
+    grad[:, -1] = 0.0
     return grad
+
+
+def _cross(a, b) -> np.ndarray:
+    """a x b for vectors given as three component rows (arrays or scalars),
+    term by term as ``np.cross`` evaluates it.  Zero components stay in
+    the terms: they fix the signs of zero results."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
+                     a0 * b1 - a1 * b0])
+
+
+def _rows(m: np.ndarray) -> np.ndarray:
+    """Component rows (3, n) of an (n, 3) magnetization; a view when m is
+    Fortran-ordered, as every stepped state is."""
+    return np.ascontiguousarray(m.T)
 
 
 def pde_rhs(state: LineState, mp: MaterialParams) -> np.ndarray:
@@ -141,27 +169,50 @@ def pde_rhs(state: LineState, mp: MaterialParams) -> np.ndarray:
         J = beta / (1 + c_cp m3) e3,
 
     with second-order central differences and homogeneous Neumann ends.
+    The result is the (n, 3) transpose of component rows.
     """
-    m = state.m
-    dx = state.dx
-    heff = _laplacian(m, dx)
-    heff[:, 2] += mp.h - mp.mu * m[:, 2]
-    jz = mp.beta / (1.0 + mp.c_cp * m[:, 2])
-    J = np.zeros_like(m)
-    J[:, 2] = jz
-    G = -np.cross(m, heff) + np.cross(m, np.cross(m, J))
-    return (G + mp.alpha * np.cross(m, G)) / (1.0 + mp.alpha ** 2)
+    M = _rows(state.m)
+    heff = _laplacian(M, state.dx)
+    heff[2] += mp.h - mp.mu * M[2]
+    jz = mp.beta / (1.0 + mp.c_cp * M[2])
+    G = -_cross(M, heff) + _cross(M, _cross(M, (0.0, 0.0, jz)))
+    return ((G + mp.alpha * _cross(M, G)) / (1.0 + mp.alpha ** 2)).T
 
 
-def _banded_operator(n: int, kappa: float) -> np.ndarray:
-    """Banded form of I - kappa * Laplacian (Neumann) for solve_banded."""
-    ab = np.zeros((3, n))
-    ab[1, :] = 1.0 + 2.0 * kappa
-    ab[0, 1:] = -kappa
-    ab[2, :-1] = -kappa
-    ab[0, 1] = -2.0 * kappa
-    ab[2, -2] = -2.0 * kappa
-    return ab
+@functools.lru_cache(maxsize=8)
+def _tridiagonal(n: int, kappa: float):
+    """Sub-, main and super-diagonal of I - kappa * Laplacian (Neumann), as
+    read-only arrays (``dgtsv`` overwrites copies of them)."""
+    dl = np.full(n - 1, -kappa)
+    d = np.full(n, 1.0 + 2.0 * kappa)
+    du = np.full(n - 1, -kappa)
+    dl[-1] = du[0] = -2.0 * kappa
+    for diag in (dl, d, du):
+        diag.flags.writeable = False
+    return dl, d, du
+
+
+@functools.lru_cache(maxsize=8)
+def _trapezoid_weights(n: int, dx: float) -> np.ndarray:
+    """Trapezoid-rule weights of the n-node grid, read-only."""
+    w = np.full(n, dx)
+    w[0] = w[-1] = 0.5 * dx
+    w.flags.writeable = False
+    return w
+
+
+def _inner(WU: np.ndarray, V: np.ndarray, order: str) -> list:
+    """Inner products <U_k, V> of component rows from the weighted rows
+    WU[k] = w U_k.  Each sum adds its terms as ``np.sum`` adds an (n, 3)
+    array of memory order ``order``: 'F' takes all x components, then y,
+    then z; 'C' goes node by node."""
+    if order == "F":
+        P = WU * V
+    else:
+        k, _, n = WU.shape
+        P = np.empty((k, n, 3))
+        np.multiply(WU, V, out=P.transpose(0, 2, 1))
+    return [float(p.sum()) for p in P]
 
 
 def freeze_step(state: LineState, mp: MaterialParams, dt: float,
@@ -176,48 +227,63 @@ def freeze_step(state: LineState, mp: MaterialParams, dt: float,
     phase conditions and steps with that fixed frame instead.  Raises
     ``PhaseDegeneracy`` when the phase Gram determinant falls below 1e-12
     (e.g. a uniform state).
+
+    Everything is evaluated on component rows.  The update is linear in
+    the frame, m_new = a + s b + Omega c, and a, b and c are nine rows of
+    one buffer: their transpose is the Fortran-ordered (n, 9) right-hand
+    side that one ``dgtsv`` call overwrites with the nine solutions.  The
+    inner products with d/dx mhat add their terms in the memory order of
+    ``state.m``, those with e3 x mhat node by node, as the (n, 3)
+    evaluation did.  The returned ``m`` is the Fortran-ordered (n, 3) view
+    of the new rows.
     """
     check_schedule(dt, state.dx, mp.alpha)
-    m = state.m
     dx = state.dx
     n = len(state.grid)
     Dc = 1.0 / (1.0 + mp.alpha ** 2)
     kappa = dt * Dc / (dx * dx)
-    ab = _banded_operator(n, kappa)
 
-    f_exp = pde_rhs(state, mp) - Dc * _laplacian(m, dx)
-    mx = _gradient(m, dx)
-    e3m = np.cross(np.array([0.0, 0.0, 1.0]), m)
-    # m_new = a + s*b + Omega*c; batch all nine tridiagonal solves
-    rhs = np.hstack([m + dt * f_exp, dt * mx, -dt * e3m])
-    sol = solve_banded((1, 1), ab, rhs)
-    a, b, c = sol[:, 0:3], sol[:, 3:6], sol[:, 6:9]
+    M = _rows(state.m)
+    f_exp = pde_rhs(state, mp).T - Dc * _laplacian(M, dx)
+    mx = _gradient(M, dx)
+    e3m = _cross((0.0, 0.0, 1.0), M)
+    # rows 0-8 hold the right-hand sides of a, b and c, and after the solve
+    # the solutions; rows 9-11 receive a - mhat for the phase conditions
+    X = np.empty((12, n))
+    np.add(M, dt * f_exp, out=X[0:3])
+    np.multiply(dt, mx, out=X[3:6])
+    np.multiply(-dt, e3m, out=X[6:9])
+    info = dgtsv(*_tridiagonal(n, kappa), X[0:9].T, overwrite_b=True)[-1]
+    if info:
+        raise np.linalg.LinAlgError(f"dgtsv failed with info = {info}")
+    a, b, c = X[0:3], X[3:6], X[6:9]
 
     if frame is not None:
         s_new, omega_new = frame
     else:
         # the reference mhat is the incoming m, so its tangents d/dx mhat
         # and e3 x mhat are mx and e3m
-        w = np.full(n, dx)
-        w[0] = w[-1] = 0.5 * dx
-
-        def ip(u, v):
-            return float(np.sum(w[:, None] * u * v))
-
-        # <a + s b + Om c - mhat, T> = 0 for T in {mx, e3m}
-        A = np.array([[ip(b, mx), ip(c, mx)],
-                      [ip(b, e3m), ip(c, e3m)]])
+        np.subtract(a, M, out=X[9:12])
+        WU = _trapezoid_weights(n, dx) * X[3:12].reshape(3, 3, n)
+        order = "F" if state.m.flags.f_contiguous else "C"
+        # <a + s b + Om c - mhat, T> = 0 for T in {mx, e3m}; each list
+        # holds <b, T>, <c, T> and <a - mhat, T>
+        ipx = _inner(WU, mx, order)
+        ipe = _inner(WU, e3m, "C")
+        A = np.array([ipx[:2], ipe[:2]])
         det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
         if abs(det) < PHASE_DET_GUARD * dt * dt:
             raise PhaseDegeneracy(
                 f"phase Gram determinant {det:.3e} below guard")
-        rvec = -np.array([ip(a - m, mx), ip(a - m, e3m)])
+        rvec = -np.array([ipx[2], ipe[2]])
         s_new, omega_new = np.linalg.solve(A, rvec)
     m_new = a + s_new * b + omega_new * c
-    norms = np.linalg.norm(m_new, axis=1)
+    # (x^2 + y^2) + z^2, as np.linalg.norm adds a Fortran-ordered (n, 3) m
+    sq = m_new * m_new
+    norms = np.sqrt(sq[0] + sq[1] + sq[2])
     deviation = float(np.max(np.abs(norms - 1.0)))
-    m_new = m_new / norms[:, None]
-    return LineState(grid=state.grid, m=m_new, t=state.t + dt,
+    m_new /= norms
+    return LineState(grid=state.grid, m=m_new.T, t=state.t + dt,
                      s_est=float(s_new), omega_est=float(omega_new),
                      norm_deviation=deviation)
 

@@ -6,12 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from dwlab import (FreezeSeries, LineState, MaterialParams, PhaseDegeneracy,
                    dt_max, freeze_step, homogeneous_profile,
                    homogeneous_speed_frequency, initial_wall, pde_rhs,
                    run_selection)
-from dwlab.freezing import grid_spacing
+from dwlab.freezing import PHASE_DET_GUARD, grid_spacing
 
 MP = MaterialParams(alpha=0.5, beta=0.1, mu=-1.0, h=0.5, c_cp=0.0)
 
@@ -21,6 +22,63 @@ def uniform_state(n=64, up=True):
     m = np.zeros((n, 3))
     m[:, 2] = 1.0 if up else -1.0
     return LineState(grid=grid, m=m)
+
+
+def reference_rhs(m, dx, mp):
+    """pde_rhs in its (n, 3) form with np.cross."""
+    heff = np.empty_like(m)
+    heff[1:-1] = (m[2:] - 2.0 * m[1:-1] + m[:-2]) / (dx * dx)
+    heff[0] = 2.0 * (m[1] - m[0]) / (dx * dx)
+    heff[-1] = 2.0 * (m[-2] - m[-1]) / (dx * dx)
+    lap = heff.copy()
+    heff[:, 2] += mp.h - mp.mu * m[:, 2]
+    J = np.zeros_like(m)
+    J[:, 2] = mp.beta / (1.0 + mp.c_cp * m[:, 2])
+    G = -np.cross(m, heff) + np.cross(m, np.cross(m, J))
+    return (G + mp.alpha * np.cross(m, G)) / (1.0 + mp.alpha ** 2), lap
+
+
+def reference_step(state, mp, dt, frame=None):
+    """freeze_step in its (n, 3) form: np.cross, solve_banded and
+    w[:, None] * u * v."""
+    m, dx, n = state.m, state.dx, len(state.grid)
+    Dc = 1.0 / (1.0 + mp.alpha ** 2)
+    kappa = dt * Dc / (dx * dx)
+    ab = np.zeros((3, n))
+    ab[1, :] = 1.0 + 2.0 * kappa
+    ab[0, 1:] = -kappa
+    ab[2, :-1] = -kappa
+    ab[0, 1] = -2.0 * kappa
+    ab[2, -2] = -2.0 * kappa
+    rhs, lap = reference_rhs(m, dx, mp)
+    f_exp = rhs - Dc * lap
+    mx = np.empty_like(m)
+    mx[1:-1] = (m[2:] - m[:-2]) / (2.0 * dx)
+    mx[0] = mx[-1] = 0.0
+    e3m = np.cross(np.array([0.0, 0.0, 1.0]), m)
+    sol = solve_banded((1, 1), ab,
+                       np.hstack([m + dt * f_exp, dt * mx, -dt * e3m]))
+    a, b, c = sol[:, 0:3], sol[:, 3:6], sol[:, 6:9]
+    if frame is not None:
+        s_new, omega_new = frame
+    else:
+        w = np.full(n, dx)
+        w[0] = w[-1] = 0.5 * dx
+
+        def ip(u, v):
+            return float(np.sum(w[:, None] * u * v))
+
+        A = np.array([[ip(b, mx), ip(c, mx)], [ip(b, e3m), ip(c, e3m)]])
+        det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+        assert abs(det) >= PHASE_DET_GUARD * dt * dt
+        rvec = -np.array([ip(a - m, mx), ip(a - m, e3m)])
+        s_new, omega_new = np.linalg.solve(A, rvec)
+    m_new = a + s_new * b + omega_new * c
+    norms = np.linalg.norm(m_new, axis=1)
+    return LineState(grid=state.grid, m=m_new / norms[:, None],
+                     t=state.t + dt, s_est=float(s_new),
+                     omega_est=float(omega_new),
+                     norm_deviation=float(np.max(np.abs(norms - 1.0))))
 
 
 class TestLineState:
@@ -34,6 +92,14 @@ class TestLineState:
         m[:, 2] = 1.01
         with pytest.raises(ValueError):
             LineState(grid=grid, m=m)
+
+    def test_nan_node_rejected(self):
+        """A NaN norm used to pass the unit-norm check."""
+        st = uniform_state(n=8)
+        m = st.m.copy()
+        m[3] = np.nan
+        with pytest.raises(ValueError, match="finite and unit-norm"):
+            LineState(grid=st.grid, m=m)
 
     def test_dx(self):
         st = uniform_state(n=21)
@@ -73,6 +139,54 @@ class TestPdeRhs:
             errs.append(np.max(np.abs(resid[2:-2])))
         ratio = errs[0] / errs[1]
         assert 3.0 < ratio < 5.0
+
+
+class TestBitIdentity:
+    """The component-row evaluation reproduces every bit of the (n, 3)
+    evaluation with np.cross, solve_banded and the (n, 3) inner products."""
+
+    @pytest.mark.parametrize("c_cp", [0.0, 0.5])
+    def test_pde_rhs(self, c_cp):
+        mp = MP.replace(c_cp=c_cp)
+        st0 = initial_wall(mp, Lx=100.0, n_nodes=2048)
+        st2 = freeze_step(freeze_step(st0, mp, 1e-3), mp, 1e-3)
+        for state in (st0, st2, LineState(grid=st2.grid,
+                                          m=np.ascontiguousarray(st2.m))):
+            ref, _ = reference_rhs(state.m, state.dx, mp)
+            new = pde_rhs(state, mp)
+            assert np.array_equal(new, ref)
+            assert np.array_equal(np.signbit(new), np.signbit(ref))
+
+    @pytest.mark.parametrize("c_cp", [0.0, 0.5])
+    @pytest.mark.parametrize("fixed_frame", [False, True])
+    def test_fifty_steps(self, c_cp, fixed_frame):
+        """The benchmark's grid, from a C-ordered initial wall; the steps
+        after the first see the Fortran-ordered m that a step returns."""
+        mp = MP.replace(c_cp=c_cp)
+        rng = np.random.default_rng(3)
+        pert = np.zeros((2048, 3))
+        pert[900:1150] = 1e-3 * rng.standard_normal((250, 3))
+        new = ref = initial_wall(mp, Lx=100.0, n_nodes=2048,
+                                 perturbation=pert)
+        frame = (new.s_est, new.omega_est) if fixed_frame else None
+        for _ in range(50):
+            new = freeze_step(new, mp, 1e-3, frame=frame)
+            ref = reference_step(ref, mp, 1e-3, frame=frame)
+            assert np.array_equal(new.m, ref.m)
+            assert np.array_equal(np.signbit(new.m), np.signbit(ref.m))
+            assert (new.s_est, new.omega_est, new.norm_deviation) == (
+                ref.s_est, ref.omega_est, ref.norm_deviation)
+
+    def test_run_selection(self):
+        mp = MP.replace(c_cp=0.5)
+        st = initial_wall(mp, Lx=100.0, n_nodes=2048)
+        series = run_selection(mp, init=st, T=0.05, dt=1e-3)
+        ref = st
+        for _ in range(50):
+            ref = reference_step(ref, mp, 1e-3)
+        assert np.array_equal(series.terminal.m, ref.m)
+        assert series.s[-1] == ref.s_est
+        assert series.omega[-1] == ref.omega_est
 
 
 class TestInitialWall:

@@ -42,7 +42,10 @@ class TestClosedForms:
         with pytest.raises(MelnikovDomainError):
             melnikov_integrals_closed(0.5, -1.0, 4.0)  # 2 sqrt(-mu)/alpha = 4
 
+    @pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
     @given(draw=codim2_draws())
+    # the oracle's first pass hits QUADPACK roundoff in I_CS here
+    @example(draw=(0.5, -1.0, 0.75))
     @settings(max_examples=25, deadline=None)
     def test_closed_vs_quadrature(self, draw):
         """I_C, I_S, I_CC match the quadrature oracle to 1e-9 relative; the
@@ -59,6 +62,7 @@ class TestClosedForms:
         assert closed.i_cc == pytest.approx(quad.i_cc, rel=1e-9, abs=1e-15)
         assert corrected.i_cs == pytest.approx(quad.i_cs, rel=1e-9, abs=1e-15)
 
+    @pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("s0", [1e-16, 1e-12, 1e-8, 1e-4])
     @pytest.mark.parametrize("alpha,mu", [(0.5, -1.0), (1.3, -2.0)])
     def test_closed_vs_quadrature_near_zero_speed(self, alpha, mu, s0):

@@ -1,8 +1,9 @@
 """SHA-256 of every data file that a fixed set of dwlab CLI runs writes.
 
 Runs the seven commands in-process on fixed configs, among them a
-continuation in h, a ``--seed-profile`` run and a run that exits 3, and
-prints one line per data file: run, exit code, file name, SHA-256.
+continuation in h, a ``--seed-profile`` run, a run that exits 3 and a
+freezing run on the benchmark's 2048-node grid, and prints one line per
+data file: run, exit code, file name, SHA-256.
 ``manifest.json`` is left out, since it records the wall-clock time.
 Comparing the output of two source trees checks that their files are
 byte-identical:
@@ -31,6 +32,8 @@ RUNS = [
     ("shoot", "shoot", {**MAT, "h": 0.5}, None),
     ("freeze-ccp0", "freeze", FREEZE, None),
     ("freeze-ccp0.5", "freeze", {**FREEZE, "c_cp": 0.5}, None),
+    ("freeze-n2048", "freeze", {**MAT, "h": 0.5, "c_cp": 0.5, "T": 0.5,
+                                "n_nodes": 2048, "Lx": 100.0}, None),
     ("cont-ccp", "continue", {**MAT, "h": 0.5, "cont": "c_cp",
                               "target": 0.5}, None),
     ("cont-ccp-h10.1", "continue", {**MAT, "h": 10.1, "cont": "c_cp",
