@@ -62,11 +62,15 @@ class ChartId:
     @property
     def A(self) -> float:
         """Quadratic coefficient A = -cos(theta); -1 at theta=0, +1 at pi."""
-        if self.is_zero:
-            return -1.0
-        if self.is_pi:
-            return 1.0
         return -math.cos(self.theta)
+
+    @property
+    def sign(self) -> float:
+        """A = -/+1 on theta = 0/pi, the chart sign of the laws that hold
+        there only; raises ``ValueError`` on an interior chart."""
+        if not (self.is_zero or self.is_pi):
+            raise ValueError("this law holds on the theta=0/pi charts only")
+        return self.A
 
     @classmethod
     def fixed(cls, theta: float) -> "ChartId":
@@ -123,8 +127,8 @@ def chart_coefficients(chart: ChartId, mp: MaterialParams,
     """Coefficients of the complex chart ODE for the given chart angle."""
     A = chart.A
     B = -(mp.alpha + 1j) * wf.s
-    C = (mp.h - wf.omega + A * mp.mu
-         + 1j * (mp.alpha * wf.omega - mp.beta / (1.0 - A * mp.c_cp)))
+    C = mp.h - wf.omega + A * mp.mu + 1j * (mp.alpha * wf.omega
+                                             - mp.torque(A))
     gamma = np.sqrt(complex(4.0 * A * C - B * B))
     return ChartCoefficients(A=A, B=complex(B), C=complex(C),
                              gamma=complex(gamma))
@@ -134,23 +138,22 @@ def chart_equilibria(chart: ChartId, mp: MaterialParams, wf: WaveFrame):
     """The two equilibria (plus, minus) of the chart ODE on theta = 0 or pi.
 
     On theta = 0: z_+/- = (B -/+ i gamma)/2; on theta = pi:
-    z_+/- = (-B +/- i gamma)/2.  Tangent eigenvalues are sigma*i*gamma and its
-    conjugate; the transverse eigenvalue is -A*Re(z).
+    z_+/- = (-B +/- i gamma)/2.  Both are z = A (nu1 - B)/2, the root with
+    tangent eigenvalue 2Az + B = nu1 = sigma*i*gamma; nu2 is its conjugate,
+    and the transverse eigenvalue is -A*Re(z).
     """
-    if not (chart.is_zero or chart.is_pi):
-        raise ValueError("equilibria are provided only on the theta=0/pi charts")
+    A = chart.sign
     co = chart_coefficients(chart, mp, wf)
     out = []
     for sigma in (+1, -1):
-        if chart.is_zero:
-            z = 0.5 * (co.B - sigma * 1j * co.gamma)
-        else:
-            z = 0.5 * (-co.B + sigma * 1j * co.gamma)
         nu1 = sigma * 1j * co.gamma
-        nu3 = -co.A * z.real
+        # A nu1 - A B part by part: exact for A = -/+1, where the complex
+        # product (A + 0j) * x can flip the sign of a zero part
+        z = 0.5 * complex(A * nu1.real - A * co.B.real,
+                          A * nu1.imag - A * co.B.imag)
         out.append(ChartEquilibrium(chart=chart, sigma=sigma, z=z,
                                     nu1=nu1, nu2=nu1.conjugate(),
-                                    nu3=float(nu3)))
+                                    nu3=float(-A * z.real)))
     return tuple(out)
 
 

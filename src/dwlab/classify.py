@@ -173,17 +173,9 @@ def standing_wall_condition(chart: ChartId, mp: MaterialParams,
     theta = pi: Omega != beta-/alpha, or Omega = beta-/alpha and Omega >= h+mu;
     equality is up to STANDING_TOL.
     """
-    if chart.is_zero:
-        crit = mp.beta_plus / mp.alpha
-        if abs(omega - crit) > STANDING_TOL:
-            return True
-        return omega <= mp.h - mp.mu
-    if chart.is_pi:
-        crit = mp.beta_minus / mp.alpha
-        if abs(omega - crit) > STANDING_TOL:
-            return True
-        return omega >= mp.h + mp.mu
-    raise ValueError("standing-wall condition refers to the theta=0/pi charts")
+    A = chart.sign
+    return (abs(omega - mp.torque(A) / mp.alpha) > STANDING_TOL
+            or A * omega >= A * (mp.h + A * mp.mu))
 
 
 def simultaneous_center(mp: MaterialParams, wf: WaveFrame) -> bool:

@@ -8,6 +8,9 @@ theta = pi) the in-chart (p, q) flow is integrable with first integral
     H^pi  =  (p^2 + q^2 - alpha*s*p - s*q + h - beta-/alpha + mu)/(q - s/2)
 
 and a neighborhood of the center equilibrium is filled with periodic orbits.
+In the chart sign A = -/+1 of theta = 0/pi both are one fraction
+H = A num/den, den = q - A s/2, which ``_fraction`` evaluates for
+``hamiltonian``, ``hamiltonian_gradient`` and ``energy_gap`` alike.
 The gap Htilde between the energy of the far-field orbit of a wall and the
 energy of the shifted equilibrium measures flatness: Htilde = 0 for a flat
 (point-to-point) wall, Htilde != 0 for a non-flat (point-to-cycle) wall.  Its
@@ -50,11 +53,6 @@ CENTER_CONDITION_TOL = 1e-10
 #: largest |theta - pi| at the right end of a profile whose gap is measured
 CHART_TOL = 1e-6
 
-#: |Htilde| above this value classifies a wall as non-flat ...
-NONFLAT_THRESHOLD = 1e-7
-#: ... and below this one as flat; in between is undetermined
-FLAT_THRESHOLD = 1e-9
-
 
 @dataclass(frozen=True)
 class QuadraticForm2:
@@ -77,11 +75,8 @@ def center_frequency(chart: ChartId, mp: MaterialParams, s: float) -> float:
     """Frequency satisfying the chart's center condition:
     theta = pi: Omega = beta-/alpha + s^2/2; theta = 0:
     Omega = beta+/alpha - s^2/2."""
-    if chart.is_pi:
-        return mp.beta_minus / mp.alpha + 0.5 * s * s
-    if chart.is_zero:
-        return mp.beta_plus / mp.alpha - 0.5 * s * s
-    raise ValueError("center condition refers to the theta=0/pi charts")
+    A = chart.sign
+    return mp.torque(A) / mp.alpha + A * (0.5 * s * s)
 
 
 def hamiltonian(chart: ChartId, p: float, q: float, mp: MaterialParams,
@@ -100,47 +95,46 @@ def hamiltonian(chart: ChartId, p: float, q: float, mp: MaterialParams,
             f"frequency {omega} violates the center condition {omega_c}; "
             "H is not a first integral here", CenterConditionViolated,
             stacklevel=2)
-    sign, num, den, _ = _fraction(chart, p, q, mp, s)
-    if abs(den) < INVARIANT_LINE_GUARD:
-        raise InvariantLine("q is on the invariant line q = -/+ s/2 of "
-                            "H^0/H^pi, where H is undefined")
-    return sign * num / den
+    A = chart.sign
+    num, den, _ = _fraction(A, p, q, mp, s)
+    return A * num / den
 
 
 def hamiltonian_gradient(chart: ChartId, p: float, q: float,
                          mp: MaterialParams, wf: WaveFrame):
-    """Analytic gradient (dH/dp, dH/dq) of the chart Hamiltonian."""
-    sign, num, den, lin = _fraction(chart, p, q, mp, wf.s)
-    dp = sign * (2.0 * p + lin[0]) / den
-    dq = sign * ((2.0 * q + lin[1]) / den - num / (den * den))
+    """Analytic gradient (dH/dp, dH/dq) of the chart Hamiltonian; raises
+    ``InvariantLine`` where ``hamiltonian`` does."""
+    A = chart.sign
+    num, den, (a, b) = _fraction(A, p, q, mp, wf.s)
+    dp = A * (2.0 * p + a) / den
+    dq = A * ((2.0 * q + b) / den - num / (den * den))
     return dp, dq
 
 
-def _fraction(chart: ChartId, p, q, mp: MaterialParams, s: float):
-    """H = sign * num / den on the chart: (sign, num, den, (a, b)), where
-    num = p^2 + q^2 + a p + b q + const and den is the distance to the
-    invariant line."""
-    if chart.is_zero:
-        num = (p * p + q * q + mp.alpha * s * p + s * q - mp.h
-               + mp.beta_plus / mp.alpha + mp.mu)
-        return -1.0, num, q + 0.5 * s, (mp.alpha * s, s)
-    if chart.is_pi:
-        num = (p * p + q * q - mp.alpha * s * p - s * q + mp.h
-               - mp.beta_minus / mp.alpha + mp.mu)
-        return 1.0, num, q - 0.5 * s, (-(mp.alpha * s), -s)
-    raise ValueError("Hamiltonian is defined on the theta=0/pi charts")
+def _fraction(A: float, p, q, mp: MaterialParams, s: float):
+    """H = A * num / den on the chart of sign A: (num, den, (a, b)), where
+    num = p^2 + q^2 + a p + b q + const and den = q - A s/2 is the distance
+    to the invariant line.  Raises ``InvariantLine`` when |den| < 1e-12."""
+    den = q - A * (0.5 * s)
+    if abs(den) < INVARIANT_LINE_GUARD:
+        raise InvariantLine("q is on the invariant line q = -/+ s/2 of "
+                            "H^0/H^pi, where H is undefined")
+    num = (p * p + q * q - A * (mp.alpha * s * p) - A * (s * q) + A * mp.h
+           - A * (mp.torque(A) / mp.alpha) + mp.mu)
+    return num, den, (-A * (mp.alpha * s), -A * s)
 
 
 def energy_gap(p: float, q: float, mp: MaterialParams,
                wf: WaveFrame) -> float:
     """The energy gap H^pi(p, q) - H^pi(Z^pi_-) of a state on the
-    theta = pi chart.  Off the center condition H^pi is not conserved, and
-    the gap is returned without the ``CenterConditionViolated`` warning."""
+    theta = pi chart.  Off the center condition H^pi is not conserved; the
+    gap is still returned, without the ``CenterConditionViolated``
+    warning."""
     z = chart_equilibria(PI, mp, wf)[1].z
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CenterConditionViolated)
-        return (hamiltonian(PI, p, q, mp, wf)
-                - hamiltonian(PI, z.real, z.imag, mp, wf))
+    # the sign of theta = pi is A = 1, so H^pi = num/den
+    num, den, _ = _fraction(1.0, p, q, mp, wf.s)
+    num_z, den_z, _ = _fraction(1.0, z.real, z.imag, mp, wf.s)
+    return num / den - num_z / den_z
 
 
 def periodic_neighborhood(chart: ChartId, mp: MaterialParams,
@@ -149,12 +143,10 @@ def periodic_neighborhood(chart: ChartId, mp: MaterialParams,
     equilibrium filled with periodic orbits:
     theta = 0: Omega > h - mu + (s^2/4)(alpha^2 - 1);
     theta = pi: Omega < h + mu + (s^2/4)(1 + alpha^2)."""
-    s, omega = wf.s, wf.omega
-    if chart.is_zero:
-        return omega > mp.h - mp.mu + 0.25 * s * s * (mp.alpha ** 2 - 1.0)
-    if chart.is_pi:
-        return omega < mp.h + mp.mu + 0.25 * s * s * (1.0 + mp.alpha ** 2)
-    raise ValueError("periodic neighborhood refers to the theta=0/pi charts")
+    A = chart.sign
+    s = wf.s
+    return A * wf.omega < A * (mp.h + A * mp.mu
+                               + 0.25 * s * s * (mp.alpha ** 2 + A))
 
 
 def htilde_quadratic(alpha: float, beta: float, mu: float) -> QuadraticForm2:

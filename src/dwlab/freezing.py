@@ -24,7 +24,7 @@ run matches the straightforward (n, 3) evaluation.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -75,6 +75,20 @@ class LineState:
     def dx(self) -> float:
         return float(self.grid[1] - self.grid[0])
 
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        """Component rows (3, n) of m; a view when m is Fortran-ordered, as
+        every stepped state is."""
+        return np.ascontiguousarray(self.m.T)
+
+    @functools.cached_property
+    def laplacian(self) -> np.ndarray:
+        """Laplacian of the component rows, computed once per state for
+        ``pde_rhs`` and ``freeze_step`` alike; read-only."""
+        lap = _laplacian(self.rows, self.dx)
+        lap.flags.writeable = False
+        return lap
+
 
 @dataclass(frozen=True)
 class FreezeSeries:
@@ -84,7 +98,6 @@ class FreezeSeries:
     s: np.ndarray
     omega: np.ndarray
     terminal: LineState
-    diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not (len(self.times) == len(self.s) == len(self.omega)):
@@ -151,12 +164,6 @@ def _cross(a, b) -> np.ndarray:
                      a0 * b1 - a1 * b0])
 
 
-def _rows(m: np.ndarray) -> np.ndarray:
-    """Component rows (3, n) of an (n, 3) magnetization; a view when m is
-    Fortran-ordered, as every stepped state is."""
-    return np.ascontiguousarray(m.T)
-
-
 def pde_rhs(state: LineState, mp: MaterialParams) -> np.ndarray:
     """Per-node time derivative of the magnetization.
 
@@ -171,9 +178,9 @@ def pde_rhs(state: LineState, mp: MaterialParams) -> np.ndarray:
     with second-order central differences and homogeneous Neumann ends.
     The result is the (n, 3) transpose of component rows.
     """
-    M = _rows(state.m)
-    heff = _laplacian(M, state.dx)
-    heff[2] += mp.h - mp.mu * M[2]
+    M = state.rows
+    lap = state.laplacian
+    heff = (lap[0], lap[1], lap[2] + (mp.h - mp.mu * M[2]))
     jz = mp.beta / (1.0 + mp.c_cp * M[2])
     G = -_cross(M, heff) + _cross(M, _cross(M, (0.0, 0.0, jz)))
     return ((G + mp.alpha * _cross(M, G)) / (1.0 + mp.alpha ** 2)).T
@@ -243,8 +250,8 @@ def freeze_step(state: LineState, mp: MaterialParams, dt: float,
     Dc = 1.0 / (1.0 + mp.alpha ** 2)
     kappa = dt * Dc / (dx * dx)
 
-    M = _rows(state.m)
-    f_exp = pde_rhs(state, mp).T - Dc * _laplacian(M, dx)
+    M = state.rows
+    f_exp = pde_rhs(state, mp).T - Dc * state.laplacian
     mx = _gradient(M, dx)
     e3m = _cross((0.0, 0.0, 1.0), M)
     # rows 0-8 hold the right-hand sides of a, b and c, and after the solve
@@ -332,7 +339,5 @@ def run_selection(mp: MaterialParams, init: LineState = None, T: float = 20.0,
             times.append(state.t)
             ss.append(state.s_est)
             oms.append(state.omega_est)
-    series = FreezeSeries(times=np.array(times), s=np.array(ss),
-                          omega=np.array(oms), terminal=state,
-                          diagnostics={"dt": dt, "n_steps": n_steps})
-    return series
+    return FreezeSeries(times=np.array(times), s=np.array(ss),
+                        omega=np.array(oms), terminal=state)

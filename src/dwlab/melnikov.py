@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad
 
 from .classify import CODIM2, classify_regime
 from .errors import MelnikovDomainError, RegimeError
@@ -180,34 +179,25 @@ def melnikov_integrals_quadrature(alpha: float, mu: float, s0: float,
                      / ((1 + e^{2r xi})(1 + e^{-2r xi})) dxi
         I_S  = the same with sin(-s0 xi)
 
-    The interval is split at xi = 0: the I_CC integrand is odd at s0 = 0,
-    and on the symmetric interval its odd part cancels out of the
-    Gauss-Kronrod error estimate, which then accepts an unresolved remainder
-    (I_CC off by 1e-13 at s0 = 1e-12).
-
-    SciPy's ``IntegrationWarning`` is raised as an error.  An integral that
-    warns (roundoff at alpha = 0.5, mu = -1, s0 = 3, where the tail decays
-    at rate 0.5 under 95 periods of the oscillation) is done once more, half
-    by half, with QUADPACK's rule for cos and sin weights; a warning from
-    that retry propagates.
+    Each integral is done half by half, on [-X, 0] and [0, X], with
+    QUADPACK's rule for cos and sin weights (``weight=``, ``wvar=-s0``).
+    The split at xi = 0 matters: the I_CC integrand is odd at s0 = 0, and
+    on the symmetric interval its odd part cancels out of the error
+    estimate, which then accepts an unresolved remainder.  The weighted
+    rule integrates the oscillation exactly, where a plain Gauss-Kronrod
+    rule warns of roundoff (alpha = 0.5, mu = -1, s0 = 3: the tail decays
+    at rate 0.5 under 95 periods).  SciPy's ``IntegrationWarning``
+    propagates.
     """
     r = _check_domain(alpha, mu, s0)
     a_s0 = alpha * s0
     X = max(50.0 / r, 50.0 / (2.0 * r - a_s0))
     opts = dict(limit=400, epsabs=1e-14, epsrel=1e-12)
-    trig = {"cos": math.cos, "sin": math.sin}
 
     def do(f, weight):
         """int_{-X}^{X} f(x) weight(-s0 x) dx"""
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", IntegrationWarning)
-            try:
-                return quad(lambda x: f(x) * trig[weight](-s0 * x), -X, X,
-                            points=[0.0], **opts)[0]
-            except IntegrationWarning:
-                return sum(quad(f, lo, hi, weight=weight, wvar=-s0,
-                                **opts)[0]
-                           for lo, hi in ((-X, 0.0), (0.0, X)))
+        return sum(quad(f, lo, hi, weight=weight, wvar=-s0, **opts)[0]
+                   for lo, hi in ((-X, 0.0), (0.0, X)))
 
     bump = functools.partial(_bump, r=r, a_s0=a_s0)
     sech_weight = functools.partial(_sech_weight, r=r, a_s0=a_s0)

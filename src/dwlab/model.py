@@ -65,15 +65,20 @@ class MaterialParams:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
+    def torque(self, A: float) -> float:
+        """beta / (1 - A c_cp): effective torque strength on the chart with
+        quadratic coefficient A = -cos(theta), i.e. at m3 = -A."""
+        return self.beta / (1.0 - A * self.c_cp)
+
     @property
     def beta_plus(self) -> float:
         """beta / (1 + c_cp): effective torque strength at m = +e3."""
-        return self.beta / (1.0 + self.c_cp)
+        return self.torque(-1.0)
 
     @property
     def beta_minus(self) -> float:
         """beta / (1 - c_cp): effective torque strength at m = -e3."""
-        return self.beta / (1.0 - self.c_cp)
+        return self.torque(1.0)
 
     def replace(self, **kw) -> "MaterialParams":
         d = dict(alpha=self.alpha, beta=self.beta, mu=self.mu, h=self.h,
@@ -111,9 +116,6 @@ class ChartState:
 
     def __post_init__(self):
         _check_theta(self.theta)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.theta, self.p, self.q], dtype=float)
 
 
 @dataclass(frozen=True)

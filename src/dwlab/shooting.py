@@ -137,15 +137,21 @@ def unstable_seed(eq: ChartEquilibrium,
     """
     if not eq.chart.is_zero:
         raise ValueError("unstable seeding starts on the theta = 0 chart")
-    eigs = [eq.nu1, eq.nu2, complex(eq.nu3)]
-    n_unstable = sum(1 for nu in eigs if nu.real > 0)
-    if n_unstable != 1 or not eq.nu3 > 0:
+    n_unstable, accepted = _spectral_test(eq)
+    if not accepted:
         raise SpectralMismatch(
             f"need exactly one unstable eigenvalue (transverse); got "
             f"{n_unstable} unstable, nu3 = {eq.nu3}")
     if not (0 < epsilon <= EPSILON_MAX):
         raise ValueError(f"epsilon must lie in (0, {EPSILON_MAX}]")
     return ChartState(theta=epsilon, p=eq.p, q=eq.q)
+
+
+def _spectral_test(eq: ChartEquilibrium):
+    """(number of eigenvalues with positive real part, whether that is
+    exactly one, the transverse one)"""
+    n = sum(1 for nu in eq.eigenvalues if complex(nu).real > 0)
+    return n, n == 1 and eq.nu3 > 0
 
 
 def classify_tail(xs: np.ndarray, qs: np.ndarray) -> TailVerdict:
@@ -175,13 +181,18 @@ def shoot_to_pi_chart(mp: MaterialParams, wf: WaveFrame,
     """Shoot along the unstable manifold of the theta = 0 "minus" equilibrium
     toward the theta = pi chart.
 
+    The label [1] is the transversally unstable root for s > 0.  At s = 0
+    it can be the stable one, and the shot starts from [0] when
+    ``unstable_seed`` accepts that root instead.
+
     Integrates until theta > pi - 1e-4 or the xi-budget 400/sqrt(-mu) is
     exhausted, then classifies the q-tail on the trailing quarter of the run.
     Raises ``NoConnection`` when theta stalls below pi - 1e-2.
     Returns (Trajectory, TailVerdict).
     """
-    eq_minus = chart_equilibria(ZERO, mp, wf)[1]
-    seed = unstable_seed(eq_minus, epsilon)
+    eqs = chart_equilibria(ZERO, mp, wf)
+    eq = next((e for e in (eqs[1], eqs[0]) if _spectral_test(e)[1]), eqs[1])
+    seed = unstable_seed(eq, epsilon)
     budget = 400.0 / math.sqrt(-mp.mu)
 
     def arrival(xi, y):

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from dwlab import (PI, ZERO, ChartId, ChartState, EquilibriumInput,
-                   MaterialParams, PoleCrossing, WaveFrame,
+                   MaterialParams, PoleCrossing, WaveFrame, center_frequency,
                    chart_coefficients, chart_equilibria, chart_flow,
-                   desingularized_rhs, homogeneous_profile,
-                   homogeneous_speed_frequency)
+                   desingularized_rhs, hamiltonian, hamiltonian_gradient,
+                   homogeneous_profile, homogeneous_speed_frequency,
+                   periodic_neighborhood, standing_wall_condition)
 
 MP = MaterialParams(alpha=0.5, beta=0.1, mu=-1.0, h=5.0, c_cp=0.3)
 WF = WaveFrame(s=1.2, omega=3.4)
@@ -38,12 +39,34 @@ class TestChartId:
         assert ZERO.A == -1.0
         assert PI.A == 1.0
         assert ChartId.fixed(math.pi / 2).A == pytest.approx(0.0, abs=1e-16)
+        assert (ZERO.sign, PI.sign) == (-1.0, 1.0)
 
     def test_domain(self):
         with pytest.raises(ValueError):
             ChartId(-0.1)
         with pytest.raises(ValueError):
             ChartId.fixed(0.0)
+
+
+#: the laws that hold on the theta = 0/pi charts only, each called on a chart
+END_CHART_LAWS = {
+    "chart_equilibria": lambda c: chart_equilibria(c, MP, WF),
+    "center_frequency": lambda c: center_frequency(c, MP, WF.s),
+    "hamiltonian": lambda c: hamiltonian(c, 0.3, 0.1, MP, WF),
+    "hamiltonian_gradient": lambda c: hamiltonian_gradient(c, 0.3, 0.1, MP,
+                                                           WF),
+    "periodic_neighborhood": lambda c: periodic_neighborhood(c, MP, WF),
+    "standing_wall_condition": lambda c: standing_wall_condition(
+        c, MP, WF.omega),
+}
+
+
+@pytest.mark.parametrize("law", END_CHART_LAWS.values(),
+                         ids=END_CHART_LAWS.keys())
+def test_end_chart_law_rejects_interior_chart(law):
+    with pytest.raises(ValueError, match="^this law holds on the "
+                       r"theta=0/pi charts only$"):
+        law(ChartId.fixed(1.0))
 
 
 class TestEquilibria:

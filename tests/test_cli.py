@@ -368,6 +368,20 @@ class TestCliShootAndFreeze:
         doc = json.loads((out / "shoot.json").read_text())
         assert doc["tail"] == "flat"
 
+    def test_shoot_zero_speed_edge(self, tmp_path):
+        """At h = beta/alpha the wall stands (s = 0), and label [1] of the
+        theta = 0 equilibria is the transversally stable root z = -1.  The
+        shot starts from the unstable root z = 1 and follows the standing
+        wall p = 1, q = 0 to the pi chart; it exited 3 from [1]."""
+        code, out = run_cli(tmp_path, "shoot", dict(BASE, h=0.2))
+        assert code == 0
+        doc = json.loads((out / "shoot.json").read_text())
+        assert doc["tail"] == "flat" and doc["s"] == 0.0
+        rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+        assert rows[-1, 1] > math.pi - 1e-3
+        assert np.max(np.abs(rows[:, 2] - 1.0)) < 1e-12
+        assert np.max(np.abs(rows[:, 3])) < 1e-12
+
     def test_freeze_polarized(self, tmp_path):
         """The initial frame estimate comes from the unpolarized wall, so a
         run at c_cp != 0 starts."""

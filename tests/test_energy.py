@@ -41,6 +41,12 @@ class TestHamiltonian:
         with pytest.raises(InvariantLine):
             hamiltonian(PI, 1.0, 2.0, MP_C, WF_C)  # q = s/2
 
+    def test_gradient_invariant_line(self):
+        """The gradient is guarded like the value: at q = s/2 on the pi
+        chart it raises, where it divided by zero before."""
+        with pytest.raises(InvariantLine):
+            hamiltonian_gradient(PI, 1.0, 2.0, MP_C, WF_C)
+
     def test_off_center_warning(self):
         with pytest.warns(CenterConditionViolated):
             hamiltonian(PI, 1.0, 0.0, MP_C, WaveFrame(s=4.0, omega=9.0))
@@ -77,7 +83,7 @@ class TestHamiltonian:
                           (ZERO, WaveFrame(s=4.0, omega=-7.8))):
             try:
                 gp, gq = hamiltonian_gradient(chart, p, q, MP_C, wf)
-            except ZeroDivisionError:
+            except InvariantLine:
                 continue
             den = q + 0.5 * wf.s if chart.is_zero else q - 0.5 * wf.s
             if abs(den) < 0.05:

@@ -44,7 +44,7 @@ class TestClosedForms:
 
     @pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
     @given(draw=codim2_draws())
-    # the oracle's first pass hits QUADPACK roundoff in I_CS here
+    # an unweighted Gauss-Kronrod rule hits QUADPACK roundoff in I_CS here
     @example(draw=(0.5, -1.0, 0.75))
     @settings(max_examples=25, deadline=None)
     def test_closed_vs_quadrature(self, draw):

@@ -1,9 +1,11 @@
 """SHA-256 of every data file that a fixed set of dwlab CLI runs writes.
 
 Runs the seven commands in-process on fixed configs, among them a
-continuation in h, a ``--seed-profile`` run, a run that exits 3 and a
-freezing run on the benchmark's 2048-node grid, and prints one line per
-data file: run, exit code, file name, SHA-256.
+continuation in h, a ``--seed-profile`` run, a run that exits 3, a
+freezing run on the benchmark's 2048-node grid, a shot at the zero-speed
+edge h = beta/alpha and a classification of a left-moving wall
+(h < beta/alpha), and prints one line per data file: run, exit code,
+file name, SHA-256.
 ``manifest.json`` is left out, since it records the wall-clock time.
 Comparing the output of two source trees checks that their files are
 byte-identical:
@@ -27,9 +29,11 @@ FREEZE = {**MAT, "h": 0.5, "T": 0.2, "n_nodes": 512}
 #: (run name, command, config, name of an earlier run whose profile seeds it)
 RUNS = [
     ("classify", "classify", {**MAT, "h": 5.0, "c_cp": 0.3}, None),
+    ("classify-left", "classify", {**MAT, "h": 0.1}, None),
     ("melnikov", "melnikov", {**MAT, "h": 0.5}, None),
     ("map", "stability-map", {**MAT, "n_h": 200, "n_ccp": 200}, None),
     ("shoot", "shoot", {**MAT, "h": 0.5}, None),
+    ("shoot-s0", "shoot", {**MAT, "h": 0.2}, None),
     ("freeze-ccp0", "freeze", FREEZE, None),
     ("freeze-ccp0.5", "freeze", {**FREEZE, "c_cp": 0.5}, None),
     ("freeze-n2048", "freeze", {**MAT, "h": 0.5, "c_cp": 0.5, "T": 0.5,
