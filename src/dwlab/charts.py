@@ -100,7 +100,6 @@ class ChartEquilibrium:
     nu1, nu2 = conj(nu1) tangent to the chart, nu3 transverse."""
 
     chart: ChartId
-    sigma: int
     z: complex
     nu1: complex
     nu2: complex
@@ -151,8 +150,8 @@ def chart_equilibria(chart: ChartId, mp: MaterialParams, wf: WaveFrame):
         # product (A + 0j) * x can flip the sign of a zero part
         z = 0.5 * complex(A * nu1.real - A * co.B.real,
                           A * nu1.imag - A * co.B.imag)
-        out.append(ChartEquilibrium(chart=chart, sigma=sigma, z=z,
-                                    nu1=nu1, nu2=nu1.conjugate(),
+        out.append(ChartEquilibrium(chart=chart, z=z, nu1=nu1,
+                                    nu2=nu1.conjugate(),
                                     nu3=float(-A * z.real)))
     return tuple(out)
 
@@ -206,18 +205,19 @@ def chart_flow(z0: complex, xi0: float, xi, coeffs: ChartCoefficients):
         out = (z0 + C / B) * np.exp(B * (xi_arr - xi0)) - C / B
         return out if out.shape else complex(out)
 
-    disc = gamma  # sqrt(4AC - B^2)
-    for z_eq in ((-B + 1j * disc) / (2 * A), (-B - 1j * disc) / (2 * A)):
-        if abs(z0 - z_eq) < EQUILIBRIUM_GUARD:
-            raise EquilibriumInput("z0 is at a chart equilibrium")
+    # u = 2 A z + B obeys u' = (u^2 + gamma^2)/2; the roots of
+    # chart_equilibria are its rest points u = +/- i gamma
+    u0 = 2 * A * z0 + B
+    if min(abs(u0 - 1j * gamma),
+           abs(u0 + 1j * gamma)) < 2 * abs(A) * EQUILIBRIUM_GUARD:
+        raise EquilibriumInput("z0 is at a chart equilibrium")
     if gamma == 0:
-        # degenerate double root: z(xi) = z* - 1/(A (xi - xi*))
-        z_star = -B / (2 * A)
-        inv0 = 1.0 / (z0 - z_star)
-        out = z_star + 1.0 / (inv0 - A * (xi_arr - xi0))
+        # degenerate double root: 1/u falls linearly, at rate 1/2
+        out = np.asarray((1.0 / (1.0 / u0 - (xi_arr - xi0) / 2.0) - B)
+                         / (2 * A))
         return out if out.shape else complex(out)
 
-    delta0 = np.arctan((2 * A * z0 + B) / gamma) - gamma * xi0 / 2.0
+    delta0 = np.arctan(u0 / gamma) - gamma * xi0 / 2.0
     # pole proximity on the swept segment of the tangent argument
     xi_min = float(np.min(xi_arr))
     xi_max = float(np.max(xi_arr))

@@ -67,13 +67,11 @@ CODIM0 = "codim0"
 
 @dataclass(frozen=True)
 class Regime:
-    """Classification result with the selected (s0, omega0) and thresholds."""
+    """Classification result with the selected (s0, omega0)."""
 
     kind: str
     s0: float
     omega0: float
-    h_star_low: float
-    h_star_high: float
 
 
 @dataclass(frozen=True)
@@ -133,7 +131,6 @@ def classify_regime(mp: MaterialParams, reflected: bool = False) -> Regime:
     if s0 < 0:
         raise OrientationError(
             "h < beta/alpha describes a left-moving wall; reflect first")
-    h_lo, h_hi = thresholds(mp.alpha, mp.beta, mp.mu)
     gap = s0 - 2.0 * math.sqrt(-mp.mu) / mp.alpha
     if abs(gap) <= REGIME_BOUNDARY_TOL:
         kind = CENTER
@@ -141,8 +138,7 @@ def classify_regime(mp: MaterialParams, reflected: bool = False) -> Regime:
         kind = CODIM2
     else:
         kind = CODIM0
-    return Regime(kind=kind, s0=s0, omega0=wf.omega,
-                  h_star_low=h_lo, h_star_high=h_hi)
+    return Regime(kind=kind, s0=s0, omega0=wf.omega)
 
 
 def eigenvalues_homogeneous(alpha: float, beta: float, mu: float, h: float):

@@ -23,7 +23,7 @@ from .charts import homogeneous_speed_frequency
 from .classify import (classify_regime, eigenvalues_homogeneous,
                        reflect_parameters, stability_verdict, thresholds)
 from .continuation import (BvpConfig, build_bvp, check_step0,
-                           continue_branch, newton_solve, solve_regime)
+                           continue_branch, solve_regime)
 from .energy import htilde_quadratic
 from .errors import ConfigError, CurvePole, DwlabError
 from .freezing import (check_schedule, grid_spacing, initial_wall,
@@ -61,8 +61,11 @@ def _bvp(cfg) -> BvpConfig:
 
 
 def _swept(cfg):
-    # every value swept or continued to gives a valid material
-    for value in cfg.get("values", [cfg.get("target")]):
+    # every value swept or continued to gives a valid material, once
+    values = cfg.get("values", [cfg.get("target")])
+    if len(set(values)) < len(values):
+        raise ValueError(f"values must be distinct, got {values}")
+    for value in values:
         _material({**cfg, cfg.get("sweep", cfg.get("cont")): value})
 
 
@@ -228,7 +231,7 @@ def cmd_stability_map(cfg, out: Path):
             try:
                 region = stability_verdict(
                     mp0.replace(h=float(h), c_cp=float(c))).region
-            except DwlabError:
+            except CurvePole:
                 region = "pole"
             rows.append((float(h), float(c), region))
     return [_write(out, "stability_map.csv", ["h", "c_cp", "region"], rows)]
@@ -254,32 +257,35 @@ def cmd_melnikov(cfg, out: Path):
     return [_write(out, "melnikov.json", doc)]
 
 
-def _center_point(mp, sweep, value, cfgb, step0):
+def _center_sweep(mp, sweep, values, cfgb, step0):
+    """The gap's quadratic form at the center field of ``mp``, and (value,
+    measured gap, quadratic prediction, termination) per value, ascending:
+    each value is continued to from the one base wall solved at ``mp``."""
     regime = classify_regime(mp)
-    wf = WaveFrame(s=regime.s0, omega=regime.omega0)
     qf = htilde_quadratic(mp.alpha, mp.beta, mp.mu)
-    if sweep == "c_cp":
-        pred = 0.0
-    elif sweep == "s":
-        pred = qf.value(value - regime.s0, 0.0)
-    else:
-        pred = qf.value(0.0, value - mp.h)
-    bvp = build_bvp(regime, mp, wf, cfgb)
+    bvp = build_bvp(regime, mp, WaveFrame(s=regime.s0, omega=regime.omega0),
+                    cfgb)
     u, sc = solve_regime(bvp)
-    br = continue_branch(bvp, u, sc, sweep, value, step0=step0)
-    return (value, float(br.end.scalars.get("htilde", 0.0)), pred,
-            br.terminated)
+    results = []
+    for value in sorted(values):
+        if sweep == "c_cp":
+            pred = 0.0
+        elif sweep == "s":
+            pred = qf.value(value - regime.s0, 0.0)
+        else:
+            pred = qf.value(0.0, value - mp.h)
+        br = continue_branch(bvp, u, sc, sweep, value, step0=step0)
+        results.append((value, float(br.end.scalars.get("htilde", 0.0)),
+                        pred, br.terminated))
+    return qf, results
 
 
 def cmd_center(cfg, out: Path):
     sweep = cfg["sweep"]
-    alpha, beta, mu = cfg["alpha"], cfg["beta"], cfg["mu"]
-    _, h_star = thresholds(alpha, beta, mu)
-    mp = _material(cfg).replace(h=h_star)
-    results = sorted((_center_point(mp, sweep, v, _bvp(cfg), cfg["step0"])
-                      for v in cfg["values"]), key=lambda r: r[0])
+    _, h_star = thresholds(cfg["alpha"], cfg["beta"], cfg["mu"])
+    qf, results = _center_sweep(_material(cfg).replace(h=h_star), sweep,
+                                cfg["values"], _bvp(cfg), cfg["step0"])
     rows = [(v, meas, pred) for v, meas, pred, _ in results]
-    qf = htilde_quadratic(alpha, beta, mu)
     doc = {"sweep": sweep, "h_center": h_star,
            "quadratic": {"a_ss": qf.a_ss, "a_sh": qf.a_sh, "a_hh": qf.a_hh},
            "terminations": {str(v): term for v, _, _, term in results}}
@@ -320,9 +326,8 @@ def _solve_seed(bvp, seed):
     if missing:
         raise ConfigError(f"seed profile lacks the {bvp.mode} regime's free "
                           f"scalar(s) {', '.join(missing)}")
-    scalars = {n: float(scalars[n]) for n in bvp.free_scalars}
-    bvp.set_reference(seed.states, scalars)
-    return newton_solve(bvp, seed.states, scalars)
+    return solve_regime(bvp, seed.states,
+                        {n: float(scalars[n]) for n in bvp.free_scalars})
 
 
 def cmd_continue(cfg, out: Path, seed_profile=None):
@@ -371,10 +376,9 @@ def cmd_freeze(cfg, out: Path):
     # poles, where both are written as 0
     den = 1.0 - m[:, 2] ** 2
     core = den > 1e-10
-    ps = np.zeros(len(m))
+    ps, qs = np.zeros((2, len(m)))
     ps[core] = -mx[core, 2] / den[core]
-    qs = [local_wavenumber(m[i], mx[i]) if core[i] else 0.0
-          for i in range(len(m))]
+    qs[core] = local_wavenumber(m[core].T, mx[core].T)
     rows_p = np.column_stack([term.grid, np.arccos(np.clip(m[:, 2], -1, 1)),
                               ps, qs, *m.T])
     doc = {"asymptotic_s": s_a, "asymptotic_omega": o_a, "T": cfg["T"],

@@ -710,9 +710,7 @@ def termination_boundary(mp: MaterialParams, wf: WaveFrame,
         wf_c = WaveFrame(s=sc["s"], omega=sc["omega"])
         bvp = HeteroclinicBVP(CODIM2, mp_c, wf_c, cfg,
                               free_scalars=("omega", "h"))
-        sc2 = {"omega": sc["omega"], "h": mp.h}
-        bvp.set_reference(u, sc2)
-        u2, sc2 = newton_solve(bvp, u, sc2)
+        u2, sc2 = solve_regime(bvp, u, {"omega": sc["omega"], "h": mp.h})
         br = continue_branch(bvp, u2, sc2, "s", 0.0)
         end = br.end
         results.append((float(ccp), float(end.param),

@@ -31,7 +31,7 @@ from scipy.linalg.lapack import dgtsv
 
 from .charts import homogeneous_profile, homogeneous_speed_frequency
 from .errors import PhaseDegeneracy
-from .model import MaterialParams
+from .model import MaterialParams, sphere_rows
 
 __all__ = [
     "LineState",
@@ -302,8 +302,7 @@ def initial_wall(mp: MaterialParams, Lx: float = 100.0, n_nodes: int = 2048,
     Raises ``ValueError`` unless Lx > 0 and n_nodes >= 2."""
     grid_spacing(Lx, n_nodes)
     grid = np.linspace(-Lx, Lx, n_nodes)
-    theta = homogeneous_profile(grid, mp.mu)[:, 0]
-    m = np.stack([np.sin(theta), np.zeros_like(theta), np.cos(theta)], axis=1)
+    m = sphere_rows(homogeneous_profile(grid, mp.mu)[:, 0], 0.0).T.copy()
     # snap the far tails to the exact poles: the uniform far states can be
     # convectively unstable, and seeding them with rounding-level noise
     # (sin(pi) != 0 in floating point) triggers a spurious global flip

@@ -16,6 +16,7 @@ by the boundary-value solvers.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -31,6 +32,7 @@ __all__ = [
     "SphereState",
     "desingularized_rhs",
     "singular_rhs",
+    "sphere_rows",
     "blow_down",
     "local_wavenumber",
 ]
@@ -81,10 +83,7 @@ class MaterialParams:
         return self.torque(1.0)
 
     def replace(self, **kw) -> "MaterialParams":
-        d = dict(alpha=self.alpha, beta=self.beta, mu=self.mu, h=self.h,
-                 c_cp=self.c_cp)
-        d.update(kw)
-        return MaterialParams(**d)
+        return dataclasses.replace(self, **kw)
 
 
 @dataclass(frozen=True)
@@ -240,27 +239,33 @@ def singular_rhs(state: SingularState, mp: MaterialParams,
     return np.array([psi, dpsi, dq], dtype=float)
 
 
+def sphere_rows(theta, phi) -> np.ndarray:
+    """The blow-down m = (cos(phi) sin(theta), sin(phi) sin(theta),
+    cos(theta)) as (3, ...) component rows over the broadcast angles;
+    theta = 0 maps to +e3 and theta = pi to -e3 for any azimuth phi."""
+    st = np.sin(theta)
+    return np.array([np.cos(phi) * st, np.sin(phi) * st, np.cos(theta)])
+
+
 def blow_down(state: ChartState, phi: float) -> SphereState:
-    """Map a chart state to the sphere: m = (cos(phi) sin(theta),
-    sin(phi) sin(theta), cos(theta)); q is passed through.
-
-    theta = 0 maps to +e3 and theta = pi to -e3 for any azimuth phi.
-    """
-    st = math.sin(state.theta)
-    m = (math.cos(phi) * st, math.sin(phi) * st, math.cos(state.theta))
-    return SphereState(m=m, q=state.q)
+    """Map a chart state to the sphere by ``sphere_rows``; q is passed
+    through."""
+    return SphereState(m=tuple(sphere_rows(state.theta, phi).tolist()),
+                       q=state.q)
 
 
-def local_wavenumber(m, m_prime) -> float:
-    """Local wavenumber q = <(m1', m2'), (-m2, m1)> / (1 - m3^2).
+def local_wavenumber(m, m_prime):
+    """Local wavenumber q = <(m1', m2'), (-m2, m1)> / (1 - m3^2) of a
+    3-vector m, as a float, or of each column of (3, n) component rows.
 
     Undefined at the poles; raises ``PoleEvaluation`` when
-    1 - m3^2 < WAVENUMBER_GUARD.
+    1 - m3^2 < WAVENUMBER_GUARD at any node.
     """
     m = np.asarray(m, dtype=float)
     mp_ = np.asarray(m_prime, dtype=float)
     den = 1.0 - m[2] * m[2]
-    if den < WAVENUMBER_GUARD:
-        raise PoleEvaluation(
-            f"1 - m3^2 = {den:.3e} below guard {WAVENUMBER_GUARD:.3e}")
-    return float((mp_[0] * (-m[1]) + mp_[1] * m[0]) / den)
+    if np.any(den < WAVENUMBER_GUARD):
+        raise PoleEvaluation(f"1 - m3^2 = {np.min(den):.3e} below guard "
+                             f"{WAVENUMBER_GUARD:.3e}")
+    q = (mp_[0] * (-m[1]) + mp_[1] * m[0]) / den
+    return float(q) if q.ndim == 0 else q

@@ -12,11 +12,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 
 from .continuation import Profile
-from .model import MaterialParams, WaveFrame
+from .model import MaterialParams, WaveFrame, sphere_rows
 
 __all__ = [
     "fmt",
@@ -129,10 +130,8 @@ def profile_to_dict(profile: Profile) -> dict:
     return {
         "schema": "profile/1",
         "regime": profile.regime,
-        "material": {"alpha": profile.mp.alpha, "beta": profile.mp.beta,
-                     "mu": profile.mp.mu, "h": profile.mp.h,
-                     "c_cp": profile.mp.c_cp},
-        "frame": {"s": profile.wf.s, "omega": profile.wf.omega},
+        "material": asdict(profile.mp),
+        "frame": asdict(profile.wf),
         "mesh": profile.mesh,
         "states": profile.states,
         "diagnostics": diag,
@@ -174,13 +173,11 @@ def branch_to_dict(branch) -> dict:
 
 
 def profile_rows(mesh, states):
-    """CSV rows (xi, theta, p, q, m1, m2, m3); the azimuth is recovered by
-    integrating the local wavenumber (zero at the left end)."""
+    """CSV rows (xi, theta, p, q, m1, m2, m3): m is the ``sphere_rows``
+    blow-down, at the azimuth that integrates q from zero at the left end."""
     mesh = np.asarray(mesh, dtype=float)
     states = np.asarray(states, dtype=float)
     theta, p, q = states[:, 0], states[:, 1], states[:, 2]
     phi = np.concatenate([[0.0], np.cumsum(
         0.5 * (q[1:] + q[:-1]) * np.diff(mesh))])
-    st = np.sin(theta)
-    m1, m2, m3 = np.cos(phi) * st, np.sin(phi) * st, np.cos(theta)
-    return np.column_stack([mesh, theta, p, q, m1, m2, m3])
+    return np.column_stack([mesh, theta, p, q, *sphere_rows(theta, phi)])

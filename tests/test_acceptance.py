@@ -31,7 +31,7 @@ from dwlab import (PI, ZERO, BvpConfig, ChartState, MaterialParams, WaveFrame,
                    melnikov_integrals_quadrature, run_selection,
                    shoot_to_pi_chart, solve_regime, splitting_matrix,
                    splitting_value, tail_oscillation_coefficients, thresholds)
-from dwlab.cli import _center_point
+from dwlab.cli import _center_sweep as center_sweep
 
 LINES = []
 
@@ -137,32 +137,42 @@ def test_criterion_04b_kernel_direction_and_zero_speed():
     finish(ok1, ok2)
 
 
-def _grid_worst(closed_fn):
-    worst = 0.0
+@pytest.fixture(scope="session")
+def quadrature_grid():
+    """The quadrature oracle on the 5x5x5 grid of (alpha, mu, s0), computed
+    once for criteria 4c and 4d: (alpha, mu, s0, integrals) per point."""
+    grid = []
     for a in np.linspace(0.3, 1.5, 5):
         for mu in np.linspace(-2.0, -0.5, 5):
             r = math.sqrt(-mu)
             for f in np.linspace(0.1, 0.6, 5):
                 s0 = f * 2.0 * r / a
-                q = melnikov_integrals_quadrature(a, mu, s0)
-                c = closed_fn(a, mu, s0)
-                worst = max(worst, max(
-                    abs(x - y) / abs(y)
-                    for x, y in zip(c.as_tuple(), q.as_tuple())))
+                grid.append((a, mu, s0,
+                             melnikov_integrals_quadrature(a, mu, s0)))
+    return grid
+
+
+def _grid_worst(closed_fn, grid):
+    worst = 0.0
+    for a, mu, s0, q in grid:
+        c = closed_fn(a, mu, s0)
+        worst = max(worst, max(abs(x - y) / abs(y)
+                               for x, y in zip(c.as_tuple(), q.as_tuple())))
     return worst
 
 
-def test_criterion_04c_quadrature_grid_primary_convention():
+def test_criterion_04c_quadrature_grid_primary_convention(quadrature_grid):
     """Honest red: the primary I_CS convention disagrees with the quadrature
     oracle everywhere on the grid (sign of its first coefficient)."""
-    worst = _grid_worst(melnikov_integrals_closed)
+    worst = _grid_worst(melnikov_integrals_closed, quadrature_grid)
     finish(check("criterion 4c", worst < 1e-9,
                  f"primary closed forms vs quadrature, 5x5x5 grid: worst "
                  f"rel {worst:.2e} (tol 1e-9)"))
 
 
-def test_criterion_04d_quadrature_grid_corrected_supplement():
-    worst = _grid_worst(melnikov_integrals_closed_corrected)
+def test_criterion_04d_quadrature_grid_corrected_supplement(
+        quadrature_grid):
+    worst = _grid_worst(melnikov_integrals_closed_corrected, quadrature_grid)
     finish(check("criterion 4d", worst < 1e-9,
                  f"corrected closed forms vs quadrature, 5x5x5 grid: worst "
                  f"rel {worst:.2e} (tol 1e-9)"))
@@ -299,13 +309,8 @@ def test_criterion_08_continuation_endpoints():
 # -- criterion 9 ------------------------------------------------------------
 
 def _center_sweep(sweep, values):
-    mp = mk(10.2)
-    out = {}
-    for v in values:
-        val, meas, pred, term = _center_point(mp, sweep, v, BvpConfig(),
-                                              0.01)
-        out[v] = (meas, pred, term)
-    return out
+    _, rows = center_sweep(mk(10.2), sweep, values, BvpConfig(), 0.01)
+    return {v: (meas, pred, term) for v, meas, pred, term in rows}
 
 
 def test_criterion_09a_energy_gap_critical_at_zero_polarization():

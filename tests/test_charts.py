@@ -135,11 +135,27 @@ class TestChartFlow:
         oracle = self._ivp_oracle(co, z0, xis)
         assert np.max(np.abs(exact - oracle)) < 1e-9
 
-    def test_equilibrium_input_rejected(self):
-        co = chart_coefficients(PI, MP, WF)
-        eq = chart_equilibria(PI, MP, WF)[0]
+    def test_double_root(self):
+        """At gamma = 0 the roots merge and the flow is rational; a scalar
+        xi gives the array's value."""
+        from dwlab import ChartCoefficients
+        co0 = chart_coefficients(PI, MP, WF)
+        co = ChartCoefficients(A=co0.A, B=co0.B,
+                               C=co0.B * co0.B / (4.0 * co0.A), gamma=0j)
+        z0 = 0.3 + 0.2j
+        xis = np.linspace(0.0, 0.4, 21)
+        exact = chart_flow(z0, 0.0, xis, co)
+        assert np.max(np.abs(exact - self._ivp_oracle(co, z0, xis))) < 1e-8
+        assert chart_flow(z0, 0.0, 0.4, co) == exact[-1]
         with pytest.raises(EquilibriumInput):
-            chart_flow(eq.z, 0.0, [0.0, 1.0], co)
+            chart_flow(-co.B / (2.0 * co.A), 0.0, xis, co)
+
+    def test_equilibrium_input_rejected(self):
+        for chart in (ZERO, PI):
+            co = chart_coefficients(chart, MP, WF)
+            for eq in chart_equilibria(chart, MP, WF):
+                with pytest.raises(EquilibriumInput):
+                    chart_flow(eq.z, 0.0, [0.0, 1.0], co)
 
     def test_pole_crossing_detected(self):
         """On a real-center chart the tangent argument is real and must hit a

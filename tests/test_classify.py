@@ -95,6 +95,30 @@ class TestEigenvalues:
             for g, w in zip(gotpi, wantpi):
                 assert abs(complex(g) - complex(w)) < 1e-10
 
+    @given(alpha=st.floats(min_value=0.05, max_value=5),
+           beta=st.floats(min_value=0, max_value=2),
+           mu=st.floats(min_value=-10, max_value=-0.01),
+           h=st.floats(min_value=-20, max_value=60))
+    @settings(max_examples=200, deadline=None)
+    def test_chart_spectra_agree(self, alpha, beta, mu, h):
+        """The closed-form end-state spectrum and the chart equilibria's,
+        at the homogeneous frame, agree within 1e-12 (5.9e-14 worst over
+        80 000 roots of random fields) but not bit for bit.  The matching
+        root is the wall's end state z = sqrt(-mu), label [1] or [0]
+        depending on the field; the conjugate pair may come in either
+        order."""
+        mp = MaterialParams(alpha=alpha, beta=beta, mu=mu, h=h)
+        wf = homogeneous_speed_frequency(mp)
+        nus = eigenvalues_homogeneous(alpha, beta, mu, h)
+        r = math.sqrt(-mu)
+        for chart, (w1, w2, w3) in ((ZERO, nus[:3]), (PI, nus[3:])):
+            eq = min(chart_equilibria(chart, mp, wf),
+                     key=lambda e: abs(e.z - r))
+            assert abs(eq.z - r) < 1e-12
+            assert min(max(abs(eq.nu1 - w1), abs(eq.nu2 - w2)),
+                       max(abs(eq.nu1 - w2), abs(eq.nu2 - w1))) < 1e-12
+            assert abs(eq.nu3 - w3) < 1e-12
+
     def test_transverse_signs(self):
         nus = eigenvalues_homogeneous(ALPHA, BETA, MU, 5.0)
         assert nus[2].real > 0 and nus[5].real < 0

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dwlab.cli
 from dwlab import (BvpConfig, MaterialParams, Profile, WaveFrame,
-                   classify_regime, build_bvp, solve_regime)
+                   NoConvergence, classify_regime, build_bvp, solve_regime)
 from dwlab.cli import (INTEGER, NUMBER, NUMBERS, REQUIRED, _TABLES,
                        _load_config, main)
 from dwlab.freezing import dt_max, grid_spacing
@@ -167,6 +168,19 @@ class TestCliClassify:
         assert doc["stability"] == {"plus_e3": None, "minus_e3": None,
                                     "region": "pole"}
         assert doc["regime"] == "codim2"
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("classify", BASE),
+    ("stability-map", {"alpha": 0.5, "beta": 0.1, "mu": -1.0, "n_h": 2,
+                       "n_ccp": 2})])
+def test_only_a_pole_is_labelled_pole(tmp_path, monkeypatch, command, cfg):
+    """Only CurvePole is labelled a pole; any other library error from
+    stability_verdict is a solver failure."""
+    def fail(mp):
+        raise NoConvergence("unexpected")
+    monkeypatch.setattr(dwlab.cli, "stability_verdict", fail)
+    assert run_cli(tmp_path, command, cfg)[0] == 3
 
 
 #: one config per command that computes walls, all on an easy plane
@@ -414,6 +428,27 @@ class TestCliShootAndFreeze:
         assert np.max(np.abs(rows[core, 2] - math.sqrt(-BASE["mu"]))) < 0.02
 
 
+def test_center_solves_the_base_wall_once(tmp_path, monkeypatch):
+    """A sweep continues to every value from one base center wall; the
+    rows ascend whatever the order of the values."""
+    solves = []
+
+    def counting(*args, **kwargs):
+        solves.append(args)
+        return solve_regime(*args, **kwargs)
+    monkeypatch.setattr(dwlab.cli, "solve_regime", counting)
+    cfg = {"alpha": 0.5, "beta": 0.1, "mu": -1.0, "sweep": "h",
+           "values": [10.25, 10.15, 10.2], "L": 20.0, "n_mesh": 60,
+           "collocation_order": 3}
+    code, out = run_cli(tmp_path, "center", cfg)
+    assert code == 0
+    assert len(solves) == 1
+    rows = np.loadtxt(out / "center_sweep.csv", delimiter=",", skiprows=1)
+    assert list(rows[:, 0]) == [10.15, 10.2, 10.25]
+    doc = json.loads((out / "center.json").read_text())
+    assert set(doc["terminations"].values()) == {"reached_target"}
+
+
 #: a valid config per command; every key the table allows is then replaced
 #: by a bad value in turn
 VALID = {
@@ -498,6 +533,8 @@ REJECTED = [
                  id="continue-c_cp-target-outside-material"),
     pytest.param("center", dict(sweep="c_cp", values=[0.05, 1.0]),
                  id="center-c_cp-value-outside-material"),
+    pytest.param("center", dict(sweep="h", values=[10.2, 10.2]),
+                 id="center-values-repeated"),
     pytest.param("continue", dict(h=0.5, cont="c_cp", target=0.1, step0=0),
                  id="continue-step0-zero"),
     pytest.param("center", dict(sweep="h", values=[10.2], step0=0),

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from dwlab import (ChartState, MaterialParams, PoleEvaluation, SingularEvaluation,
                    SingularState, WaveFrame, blow_down, desingularized_rhs,
                    local_wavenumber, singular_rhs)
-from dwlab.model import (rhs_jacobian_raw, rhs_param_derivatives_raw, rhs_raw)
+from dwlab.model import (rhs_jacobian_raw, rhs_param_derivatives_raw, rhs_raw,
+                         sphere_rows)
 
 MP = MaterialParams(alpha=0.5, beta=0.1, mu=-1.0, h=5.0, c_cp=0.3)
 WF = WaveFrame(s=1.2, omega=3.4)
@@ -157,3 +158,17 @@ class TestLocalWavenumber:
     def test_pole_guard(self):
         with pytest.raises(PoleEvaluation):
             local_wavenumber([0.0, 0.0, 1.0], [0.0, 0.0, 0.0])
+
+    def test_rows_match_vectors(self):
+        """(3, n) component rows give each column's value bit for bit, and
+        one node at a pole raises."""
+        rng = np.random.default_rng(0)
+        m = sphere_rows(rng.uniform(0.1, 3.0, 50), rng.uniform(-3, 3, 50))
+        m_prime = rng.normal(size=(3, 50))
+        q = local_wavenumber(m, m_prime)
+        assert q.shape == (50,)
+        assert list(q) == [local_wavenumber(m[:, i], m_prime[:, i])
+                           for i in range(50)]
+        with pytest.raises(PoleEvaluation):
+            local_wavenumber(sphere_rows(np.array([1.0, 0.0]), 0.0),
+                             np.zeros((3, 2)))

@@ -3,9 +3,9 @@
 Runs the seven commands in-process on fixed configs, among them a
 continuation in h, a ``--seed-profile`` run, a run that exits 3, a
 freezing run on the benchmark's 2048-node grid, a shot at the zero-speed
-edge h = beta/alpha and a classification of a left-moving wall
-(h < beta/alpha), and prints one line per data file: run, exit code,
-file name, SHA-256.
+edge h = beta/alpha, a classification of a left-moving wall
+(h < beta/alpha) and a center sweep over three unsorted values, and prints
+one line per data file: run, exit code, file name, SHA-256.
 ``manifest.json`` is left out, since it records the wall-clock time.
 Comparing the output of two source trees checks that their files are
 byte-identical:
@@ -47,6 +47,8 @@ RUNS = [
     ("center-s", "center", {**MAT, "sweep": "s", "values": [4.1, 4.3]}, None),
     ("center-ccp", "center", {**MAT, "sweep": "c_cp",
                               "values": [0.05, -0.05]}, None),
+    ("center-h3", "center", {**MAT, "sweep": "h",
+                             "values": [10.35, 10.05, 10.2]}, None),
     ("cont-h", "continue", {**MAT, "h": 50.0, "cont": "h", "target": 45.0,
                             "L": 20.0, "n_mesh": 80}, None),
     ("cont-exit3", "continue", {**MAT, "h": 0.5, "cont": "c_cp",
