@@ -13,9 +13,8 @@ __version__ = "0.1.0"
 from .charts import (PI, ZERO, ChartCoefficients, ChartEquilibrium, ChartId,
                      chart_coefficients, chart_equilibria, chart_flow,
                      homogeneous_profile, homogeneous_speed_frequency)
-from .classify import (Regime, ReflectedParams, StabilityVerdict,
-                       classify_regime, eigenvalues_homogeneous,
-                       reflect_frame, reflect_parameters,
+from .classify import (Regime, StabilityVerdict, classify_regime,
+                       eigenvalues_homogeneous, reflect_frame,
                        reflect_profile_state, simultaneous_center,
                        stability_verdict, standing_wall_condition,
                        thresholds)

@@ -25,21 +25,18 @@ from dataclasses import dataclass
 
 from .charts import PI, ZERO, ChartId, chart_coefficients, \
     homogeneous_speed_frequency
-from .errors import CurvePole, OrientationError
+from .errors import CurvePole
 from .model import ChartState, MaterialParams, WaveFrame
 
 __all__ = [
     "Regime",
     "StabilityVerdict",
-    "ReflectedParams",
     "thresholds",
-    "resolve_zero_speed",
     "classify_regime",
     "eigenvalues_homogeneous",
     "standing_wall_condition",
     "simultaneous_center",
     "stability_verdict",
-    "reflect_parameters",
     "reflect_frame",
     "reflect_profile_state",
 ]
@@ -67,11 +64,14 @@ CODIM0 = "codim0"
 
 @dataclass(frozen=True)
 class Regime:
-    """Classification result with the selected (s0, omega0)."""
+    """Classification result: the regime kind, the selected speed s0 >= 0
+    and frequency omega0 of the right-moving problem, and whether that
+    problem is the reflection of the given one (a left-moving wall)."""
 
     kind: str
     s0: float
     omega0: float
+    reflected: bool
 
 
 @dataclass(frozen=True)
@@ -84,16 +84,6 @@ class StabilityVerdict:
     region: str
 
 
-@dataclass(frozen=True)
-class ReflectedParams:
-    """Parameters together with a reflection flag.  When ``reflected`` is
-    true the problem is treated in the reflected frame: profiles map back via
-    xi -> -xi, (p, q) -> (-p, -q), and the wave speed flips sign."""
-
-    mp: MaterialParams
-    reflected: bool
-
-
 def thresholds(alpha: float, beta: float, mu: float):
     """Field thresholds h_* = beta/alpha + (2 mu/alpha^2)(1 + alpha^2) and
     h^* = beta/alpha - (2 mu/alpha^2)(1 + alpha^2); h_* < h^* for mu < 0."""
@@ -103,34 +93,23 @@ def thresholds(alpha: float, beta: float, mu: float):
     return beta / alpha + shift, beta / alpha - shift
 
 
-def resolve_zero_speed(s0: float) -> float:
-    """The selected speed with the zero-speed tie resolved: |s0| <=
-    ZERO_SPEED_TOL counts as s0 = 0 and returns exactly 0.0, which belongs to
-    the right-moving convention; any other s0 is returned unchanged, and a
-    negative one describes a left-moving wall."""
-    return 0.0 if abs(s0) <= ZERO_SPEED_TOL else s0
-
-
-def classify_regime(mp: MaterialParams, reflected: bool = False) -> Regime:
+def classify_regime(mp: MaterialParams) -> Regime:
     """Classify the regime of the homogeneous family at c_cp = 0, mu < 0.
 
-    Requires the right-moving convention h >= beta/alpha (equivalently
-    s0 >= 0); raises ``OrientationError`` otherwise — callers should use
-    ``reflect_parameters`` and pass ``reflected=True`` to classify the
-    reflected (right-moving) problem.  The tie s0 = 0 is decided by
-    ``resolve_zero_speed``, the same rule ``reflect_parameters`` uses: within
-    ZERO_SPEED_TOL of zero the wall counts as right-moving and ``Regime.s0``
-    is exactly 0.0.
+    This is the one place where the sign of the selected speed s0 is
+    decided.  A wall with h < beta/alpha moves left (s0 < 0); the profile
+    ODE is symmetric under (theta, p, q)(xi) -> (theta, -p, -q)(-xi) with
+    s -> -s (``reflect_profile_state``, ``reflect_frame``), so such a wall
+    is classified in the reflected frame: ``Regime.s0`` is |s0| and
+    ``Regime.reflected`` is true.  Within ZERO_SPEED_TOL of zero the wall
+    stands: ``Regime.s0`` is exactly 0.0 and it is not reflected.
     """
     if mp.c_cp != 0.0:
         raise ValueError("classification refers to the c_cp = 0 family")
     if not (mp.mu < 0):
         raise ValueError("classification requires mu < 0")
     wf = homogeneous_speed_frequency(mp)
-    s0 = resolve_zero_speed(-wf.s if reflected else wf.s)
-    if s0 < 0:
-        raise OrientationError(
-            "h < beta/alpha describes a left-moving wall; reflect first")
+    s0 = 0.0 if abs(wf.s) <= ZERO_SPEED_TOL else abs(wf.s)
     gap = s0 - 2.0 * math.sqrt(-mp.mu) / mp.alpha
     if abs(gap) <= REGIME_BOUNDARY_TOL:
         kind = CENTER
@@ -138,19 +117,18 @@ def classify_regime(mp: MaterialParams, reflected: bool = False) -> Regime:
         kind = CODIM2
     else:
         kind = CODIM0
-    return Regime(kind=kind, s0=s0, omega0=wf.omega)
+    return Regime(kind, s0, wf.omega, wf.s < -ZERO_SPEED_TOL)
 
 
-def eigenvalues_homogeneous(alpha: float, beta: float, mu: float, h: float):
-    """Spatial eigenvalues of the homogeneous-family end states.
+def eigenvalues_homogeneous(alpha: float, mu: float, s0: float):
+    """Spatial eigenvalues of the homogeneous-family end states at the
+    selected speed s0 (the ``Regime.s0`` of ``classify_regime``).
 
     Returns (nu0_1, nu0_2, nu0_3, nupi_1, nupi_2, nupi_3) with
 
         nu0_k  = -alpha*s0 - 2 sqrt(-mu) - (-1)^k i s0,   nu0_3  =  sqrt(-mu)
         nupi_k = -alpha*s0 + 2 sqrt(-mu) - (-1)^k i s0,   nupi_3 = -sqrt(-mu)
     """
-    mp = MaterialParams(alpha=alpha, beta=beta, mu=mu, h=h, c_cp=0.0)
-    s0 = resolve_zero_speed(homogeneous_speed_frequency(mp).s)
     r = math.sqrt(-mu)
     nu0 = (-alpha * s0 - 2.0 * r + 1j * s0,
            -alpha * s0 - 2.0 * r - 1j * s0,
@@ -209,25 +187,6 @@ def stability_verdict(mp: MaterialParams) -> StabilityVerdict:
     else:
         region = "unstable"
     return StabilityVerdict(plus_e3=plus, minus_e3=minus, region=region)
-
-
-def reflect_parameters(mp: MaterialParams) -> ReflectedParams:
-    """Map a left-moving problem (h < beta/alpha) to the right-moving
-    convention.
-
-    The governing system is invariant under the spatial reflection
-    (theta, p, q)(xi) -> (theta, -p, -q)(-xi) combined with s -> -s, with all
-    material parameters unchanged; the returned flag records whether this
-    reflection is active, so profiles and frames can be mapped back.
-    Applying the map twice reproduces the original statement (involution).
-
-    The problem counts as left-moving when the selected speed s0 of the
-    c_cp = 0 family is negative after ``resolve_zero_speed``, the same tie
-    rule ``classify_regime`` applies: |s0| <= ZERO_SPEED_TOL is the
-    right-moving zero-speed edge and is not reflected.  Requires mu < 0.
-    """
-    s0 = homogeneous_speed_frequency(mp.replace(c_cp=0.0)).s
-    return ReflectedParams(mp=mp, reflected=resolve_zero_speed(s0) < 0)
 
 
 def reflect_frame(wf: WaveFrame) -> WaveFrame:

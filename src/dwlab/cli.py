@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .charts import homogeneous_speed_frequency
 from .classify import (classify_regime, eigenvalues_homogeneous,
-                       reflect_parameters, stability_verdict, thresholds)
+                       stability_verdict, thresholds)
 from .continuation import (BvpConfig, build_bvp, check_step0,
                            continue_branch, solve_regime)
 from .energy import htilde_quadratic
@@ -199,11 +199,8 @@ def _write(out: Path, name: str, *content):
 
 def cmd_classify(cfg, out: Path):
     mp = _material(cfg)
-    ref = reflect_parameters(mp.replace(c_cp=0.0))
-    regime = classify_regime(ref.mp, reflected=ref.reflected)
-    eigs = eigenvalues_homogeneous(mp.alpha, mp.beta, mp.mu,
-                                   ref.mp.h if not ref.reflected
-                                   else 2 * mp.beta / mp.alpha - mp.h)
+    regime = classify_regime(mp.replace(c_cp=0.0))
+    eigs = eigenvalues_homogeneous(mp.alpha, mp.mu, regime.s0)
     try:
         verdict = stability_verdict(mp)
         stability = {"plus_e3": verdict.plus_e3,
@@ -214,7 +211,7 @@ def cmd_classify(cfg, out: Path):
     h_lo, h_hi = thresholds(mp.alpha, mp.beta, mp.mu)
     doc = {"regime": regime.kind, "s0": regime.s0, "omega0": regime.omega0,
            "h_star_low": h_lo, "h_star_high": h_hi,
-           "reflected": ref.reflected,
+           "reflected": regime.reflected,
            "eigenvalues": {"zero_chart": [complex(e) for e in eigs[:3]],
                            "pi_chart": [complex(e) for e in eigs[3:]]},
            "stability": stability}

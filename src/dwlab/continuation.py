@@ -42,7 +42,8 @@ from scipy.sparse.linalg import lsmr, splu
 from .charts import PI, ZERO, chart_equilibria, homogeneous_profile
 from .classify import CENTER, CODIM0, CODIM2, Regime
 from .energy import center_frequency, energy_gap, hamiltonian_gradient
-from .errors import NoConvergence, RegimeError, SingularJacobian
+from .errors import (NoConvergence, OrientationError, RegimeError,
+                     SingularJacobian)
 from .model import (MaterialParams, WaveFrame, rhs_jacobian_raw,
                     rhs_param_derivatives_raw, rhs_raw)
 
@@ -467,8 +468,12 @@ def build_bvp(regime: Regime, mp: MaterialParams, wf: WaveFrame,
     """Discretized heteroclinic system for the given regime, with its
     default free scalars.
 
-    Raises ``RegimeError`` when ``REGIMES`` has no entry for the regime
+    Raises ``OrientationError`` when the regime is reflected (a left-moving
+    wall), and ``RegimeError`` when ``REGIMES`` has no entry for the regime
     kind."""
+    if regime.reflected:
+        raise OrientationError("h < beta/alpha: the wall moves left, and "
+                               "walls are solved moving right")
     return HeteroclinicBVP(regime.kind, mp, wf, cfg)
 
 
@@ -507,14 +512,14 @@ def _newton_directions(J, r):
 
 
 def newton_solve(bvp: HeteroclinicBVP, states: np.ndarray, scalars: dict,
-                 extra_row=None, return_iters: bool = False):
+                 extra_row=None):
     """Damped Newton iteration on the discretized system, to a max-norm
     residual below NEWTON_TOL within MAX_NEWTON iterations.
 
     ``extra_row`` optionally appends one dense equation (value, gradient)
     callback pair used by the pseudo-arclength driver.  Returns the solved
-    (states, scalars) pair (plus the iteration count when requested).
-    Raises ``NoConvergence`` / ``SingularJacobian``.
+    (states, scalars) and the number of iterations taken.  Raises
+    ``NoConvergence`` / ``SingularJacobian``.
     """
     def res_norm_at(z):
         r = bvp.residual(z)
@@ -528,8 +533,7 @@ def newton_solve(bvp: HeteroclinicBVP, states: np.ndarray, scalars: dict,
         if not math.isfinite(res_norm):
             raise NoConvergence("residual is not finite")
         if res_norm < NEWTON_TOL:
-            u, sc = bvp.unpack(x)
-            return (u, sc, it) if return_iters else (u, sc)
+            return (*bvp.unpack(x), it)
         if it == MAX_NEWTON:
             break
         J = bvp.jacobian(x, None if extra_row is None else extra_row[1](x))
@@ -554,8 +558,7 @@ def solve_regime(bvp: HeteroclinicBVP, guess_states=None, scalars=None):
     if scalars is None:
         scalars = {n: bvp.base[n] for n in bvp.free_scalars}
     bvp.set_reference(guess_states, scalars)
-    u, sc = newton_solve(bvp, guess_states, scalars)
-    return u, sc
+    return newton_solve(bvp, guess_states, scalars)[:2]
 
 
 def _weighted_dot(bvp, a, b):
@@ -645,8 +648,8 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
 
         u_pred, sc_pred = cbvp.unpack(x_pred)
         try:
-            u_new, sc_new, iters = newton_solve(
-                cbvp, u_pred, sc_pred, extra_row=row, return_iters=True)
+            u_new, sc_new, iters = newton_solve(cbvp, u_pred, sc_pred,
+                                                extra_row=row)
         except (NoConvergence, SingularJacobian):
             successes = 0
             step *= 0.5
@@ -689,15 +692,17 @@ def termination_boundary(mp: MaterialParams, wf: WaveFrame,
                          c_cp_values, cfg: BvpConfig = BvpConfig()):
     """Existence-boundary estimate: for each c_cp, continue the codim-2 wall
     in s toward 0 (h and Omega free) and record the last converged point.
+    The c_cp = 0 wall is solved once and each c_cp is walked to from it.
 
     Returns a list of (c_cp, s_terminal, omega_terminal), with NaN for s
     and omega where the walk to c_cp failed.
     """
+    bvp0 = HeteroclinicBVP(CODIM2, mp, wf, cfg)
+    u0, sc0 = solve_regime(bvp0)
     results = []
     for ccp in c_cp_values:
         # first walk c_cp from 0 to its target at fixed h
-        bvp0 = HeteroclinicBVP(CODIM2, mp, wf, cfg)
-        u, sc = solve_regime(bvp0)
+        u, sc = u0, sc0
         if ccp != 0.0:
             br = continue_branch(bvp0, u, sc, "c_cp", ccp)
             if br.terminated != "reached_target":

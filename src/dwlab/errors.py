@@ -26,8 +26,8 @@ class PoleCrossing(DwlabError):
 
 
 class OrientationError(DwlabError):
-    """Parameters describe a left-moving wall; reflect to the right-moving
-    convention first (see ``classify.reflect_parameters``)."""
+    """Parameters describe a left-moving wall (``Regime.reflected``), and
+    the operation needs a right-moving one, h >= beta/alpha."""
 
 
 class CurvePole(DwlabError):

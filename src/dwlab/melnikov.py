@@ -32,7 +32,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .classify import CODIM2, classify_regime
-from .errors import MelnikovDomainError, RegimeError
+from .errors import MelnikovDomainError, OrientationError, RegimeError
 from .model import MaterialParams
 
 __all__ = [
@@ -242,11 +242,15 @@ def splitting_matrix(mp: MaterialParams) -> SplittingMatrix:
     regime's, so the zero-speed tie of ``classify_regime`` selects the limit
     matrix.
 
-    Raises ``RegimeError`` outside the codim-2 regime.
+    Raises ``OrientationError`` for a left-moving wall (h < beta/alpha) and
+    ``RegimeError`` outside the codim-2 regime.
     """
     if mp.c_cp != 0.0:
         raise ValueError("the splitting matrix is computed about c_cp = 0")
     regime = classify_regime(mp)
+    if regime.reflected:
+        raise OrientationError("h < beta/alpha: the wall moves left, and "
+                               "the matrix is stated for right-moving walls")
     if regime.kind != CODIM2:
         raise RegimeError(
             f"splitting matrix requires the codim-2 regime, got {regime.kind}")

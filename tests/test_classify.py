@@ -6,15 +6,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dwlab import (PI, ZERO, ChartState, CurvePole, MaterialParams,
-                   OrientationError, WaveFrame, chart_equilibria,
-                   classify_regime, desingularized_rhs,
+from dwlab import (PI, ZERO, BvpConfig, ChartState, CurvePole,
+                   MaterialParams, OrientationError, WaveFrame, build_bvp,
+                   chart_equilibria, classify_regime, desingularized_rhs,
                    eigenvalues_homogeneous, homogeneous_speed_frequency,
-                   reflect_frame, reflect_parameters, reflect_profile_state,
-                   simultaneous_center, stability_verdict,
+                   reflect_frame, reflect_profile_state, simultaneous_center,
+                   splitting_matrix, stability_verdict,
                    standing_wall_condition, thresholds)
 
 ALPHA, BETA, MU = 0.5, 0.1, -1.0
@@ -62,8 +62,16 @@ class TestRegime:
                 assert reg.kind == "codim2"
 
     def test_left_moving_rejected(self):
+        """h < beta/alpha is classified reflected; the consumers that need
+        a right-moving wall reject it."""
+        mp = mk(0.1)
+        reg = classify_regime(mp)
+        assert reg.reflected
         with pytest.raises(OrientationError):
-            classify_regime(mk(0.1))
+            build_bvp(reg, mp, WaveFrame(s=reg.s0, omega=reg.omega0),
+                      BvpConfig(L=20.0, n_mesh=60, collocation_order=3))
+        with pytest.raises(OrientationError):
+            splitting_matrix(mp)
 
     def test_polarized_rejected(self):
         with pytest.raises(ValueError):
@@ -79,7 +87,7 @@ class TestEigenvalues:
         for h in (0.5, 5.0, 10.2):
             mp = mk(h)
             wf = homogeneous_speed_frequency(mp)
-            nus = eigenvalues_homogeneous(ALPHA, BETA, MU, h)
+            nus = eigenvalues_homogeneous(ALPHA, MU, classify_regime(mp).s0)
             r = math.sqrt(-MU)
             eq0 = min(chart_equilibria(ZERO, mp, wf),
                       key=lambda e: abs(e.z - r))
@@ -100,16 +108,18 @@ class TestEigenvalues:
            mu=st.floats(min_value=-10, max_value=-0.01),
            h=st.floats(min_value=-20, max_value=60))
     @settings(max_examples=200, deadline=None)
+    @example(alpha=3.0, beta=1e-9, mu=-1.0, h=0.0)
     def test_chart_spectra_agree(self, alpha, beta, mu, h):
         """The closed-form end-state spectrum and the chart equilibria's,
         at the homogeneous frame, agree within 1e-12 (5.9e-14 worst over
         80 000 roots of random fields) but not bit for bit.  The matching
         root is the wall's end state z = sqrt(-mu), label [1] or [0]
         depending on the field; the conjugate pair may come in either
-        order."""
+        order.  Both sides take the frame's own signed speed; the example
+        has s0 = -1e-10, which the zero-speed tie would round to 0."""
         mp = MaterialParams(alpha=alpha, beta=beta, mu=mu, h=h)
         wf = homogeneous_speed_frequency(mp)
-        nus = eigenvalues_homogeneous(alpha, beta, mu, h)
+        nus = eigenvalues_homogeneous(alpha, mu, wf.s)
         r = math.sqrt(-mu)
         for chart, (w1, w2, w3) in ((ZERO, nus[:3]), (PI, nus[3:])):
             eq = min(chart_equilibria(chart, mp, wf),
@@ -120,7 +130,7 @@ class TestEigenvalues:
             assert abs(eq.nu3 - w3) < 1e-12
 
     def test_transverse_signs(self):
-        nus = eigenvalues_homogeneous(ALPHA, BETA, MU, 5.0)
+        nus = eigenvalues_homogeneous(ALPHA, MU, classify_regime(mk(5.0)).s0)
         assert nus[2].real > 0 and nus[5].real < 0
 
 
@@ -206,18 +216,22 @@ class TestStandingWall:
 
 class TestReflection:
     def test_flag(self):
-        assert not reflect_parameters(mk(5.0)).reflected
-        assert reflect_parameters(mk(0.1)).reflected
-
-    def test_involution(self):
-        rp = reflect_parameters(mk(0.1))
-        rp2 = reflect_parameters(rp.mp)
-        assert rp2.mp == rp.mp
+        """Only a left-moving wall is reflected; the standing one at
+        h = beta/alpha is not."""
+        assert not classify_regime(mk(5.0)).reflected
+        assert not classify_regime(mk(0.2)).reflected
+        assert classify_regime(mk(0.1)).reflected
 
     def test_left_moving_classifies_after_reflection(self):
-        rp = reflect_parameters(mk(0.1))
-        reg = classify_regime(rp.mp, reflected=rp.reflected)
-        assert reg.s0 >= 0
+        """At h = 0.1 the wall moves left at s = -0.04; the regime is that
+        of the reflected wall, with s0 = |s| exactly and the same
+        frequency."""
+        mp = mk(0.1)
+        wf = homogeneous_speed_frequency(mp)
+        reg = classify_regime(mp)
+        assert wf.s < 0
+        assert reg.s0 == -wf.s and reg.omega0 == wf.omega
+        assert reg.kind == "codim2"
 
     def test_reflected_profile_solves_reflected_system(self):
         """(theta, -p, -q)(-xi) with s -> -s satisfies the same equations:

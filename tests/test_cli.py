@@ -240,6 +240,20 @@ def test_zero_speed_edge(tmp_path, cfg):
     assert doc["determinant_identity"] is None
 
 
+def test_classify_left_moving_wall(tmp_path):
+    """At h = 0.1 < beta/alpha the wall moves left at s = -0.04.  classify
+    reports the reflected wall: s0 = 0.04, and end-state eigenvalues whose
+    imaginary parts are +/- s0 exactly."""
+    code, out = run_cli(tmp_path, "classify", dict(BASE, h=0.1))
+    assert code == 0
+    doc = json.loads((out / "classify.json").read_text())
+    assert doc["reflected"] and doc["regime"] == "codim2"
+    s0 = doc["s0"]
+    assert s0 == pytest.approx(0.04, abs=1e-15)
+    for chart in ("zero_chart", "pi_chart"):
+        assert [e["im"] for e in doc["eigenvalues"][chart]] == [s0, -s0, 0.0]
+
+
 class TestCliContinue:
     CFG = dict(BASE, h=0.5, cont="c_cp", target=0.1, L=20.0, n_mesh=60,
                collocation_order=3)
@@ -291,6 +305,20 @@ class TestCliContinue:
         cfg = dict(self.CFG, h=10.2, flat_constrained=True)
         code, _ = run_cli(tmp_path, "continue", cfg)
         assert code == 2
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("melnikov", dict(BASE, h=0.1)),
+    ("continue", dict(TestCliContinue.CFG, h=0.1))])
+def test_left_moving_wall_is_solver_error(tmp_path, capsys, command, cfg):
+    """A left-moving wall (h < beta/alpha) has neither a splitting matrix
+    nor a boundary-value system: the run exits 3 with OrientationError and
+    leaves no output directory."""
+    capsys.readouterr()
+    code, out = run_cli(tmp_path, command, cfg)
+    assert code == 3
+    assert "OrientationError" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, cfg", [("classify", BASE),

@@ -129,7 +129,7 @@ class TestNewton:
         u = homogeneous_profile(bvp.mesh, mp.mu)
         sc = {n: bvp.base[n] for n in bvp.free_scalars}
         bvp.set_reference(u, sc)
-        _, _, iters = newton_solve(bvp, u, sc, return_iters=True)
+        _, _, iters = newton_solve(bvp, u, sc)
         assert iters <= 2
 
     def test_perturbed_speed_converges_back(self):
@@ -137,7 +137,7 @@ class TestNewton:
         u = homogeneous_profile(bvp.mesh, mp.mu)
         sc = {"s": wf.s + 1e-3, "omega": wf.omega}
         bvp.set_reference(u, sc)
-        u2, sc2 = newton_solve(bvp, u, sc)
+        u2, sc2, _ = newton_solve(bvp, u, sc)
         assert sc2["s"] == pytest.approx(wf.s, abs=1e-8)
         assert sc2["omega"] == pytest.approx(wf.omega, abs=1e-8)
 
@@ -323,3 +323,20 @@ class TestTerminationBoundary:
         (c0, s0_term, _), (c3, s3_term, _) = results
         assert c0 == 0.0 and s0_term == pytest.approx(0.0, abs=1e-8)
         assert c3 == 0.3 and s3_term > 0.0
+
+    def test_solves_the_base_wall_once(self, monkeypatch):
+        """Every c_cp is walked to from one solved c_cp = 0 wall, and each
+        result is bit-identical to a call for that c_cp alone."""
+        mp = mk(0.5)
+        wf = homogeneous_speed_frequency(mp)
+        cfg = BvpConfig(L=20.0, n_mesh=60, collocation_order=3)
+        alone = [termination_boundary(mp, wf, [c], cfg=cfg)[0]
+                 for c in (0.05, 0.0)]
+        solves = []
+
+        def counting(bvp, *args, **kwargs):
+            solves.append(bvp.free_scalars)
+            return solve_regime(bvp, *args, **kwargs)
+        monkeypatch.setattr(continuation, "solve_regime", counting)
+        assert termination_boundary(mp, wf, [0.05, 0.0], cfg=cfg) == alone
+        assert solves.count(("s", "omega")) == 1

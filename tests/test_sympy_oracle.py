@@ -1,0 +1,120 @@
+"""Symbolic oracle for the analytic derivatives.
+
+The desingularized right-hand side and the chart Hamiltonians are written
+out here as sympy expressions and differentiated symbolically.  The
+library's ``rhs_jacobian_raw``, ``rhs_param_derivatives_raw`` and
+``hamiltonian_gradient`` are compared with those derivatives at random
+points.  That each Hamiltonian is conserved by its chart flow on the center
+condition is checked symbolically, so the expression compared against is
+the first integral and not a copy of the library's formula."""
+
+import math
+
+import numpy as np
+import pytest
+import sympy as sp
+
+from dwlab import (PI, ZERO, MaterialParams, WaveFrame, center_frequency,
+                   hamiltonian, hamiltonian_gradient)
+from dwlab.model import rhs_jacobian_raw, rhs_param_derivatives_raw, rhs_raw
+
+THETA, P, Q, ALPHA, BETA, MU, H, CCP, S, OMEGA = ARGS = sp.symbols(
+    "theta p q alpha beta mu h c_cp s omega", real=True)
+PARAMS = {"c_cp": CCP, "s": S, "omega": OMEGA, "h": H}
+
+
+def chart_rates(ct):
+    """(p', q') of the profile ODE at cos(theta) = ct."""
+    return (H - OMEGA - ALPHA * S * P + S * Q - (P ** 2 - Q ** 2 + MU) * ct,
+            ALPHA * OMEGA - BETA / (1 + CCP * ct) - S * P - ALPHA * S * Q
+            - 2 * P * Q * ct)
+
+
+#: the desingularized right-hand side (theta', p', q')
+RHS = sp.Matrix([sp.sin(THETA) * P, *chart_rates(sp.cos(THETA))])
+
+
+def chart_hamiltonian(A):
+    """H on the chart of sign A = -cos(theta) (-1 on theta = 0, +1 on
+    theta = pi), with the torque beta/(1 - A c_cp) of that chart."""
+    torque = BETA / (1 - A * CCP)
+    return A * (P ** 2 + Q ** 2 - A * ALPHA * S * P - A * S * Q + A * H
+                - A * torque / ALPHA + MU) / (Q - A * S / 2)
+
+
+def center_condition(A):
+    return {OMEGA: BETA / (1 - A * CCP) / ALPHA + A * S ** 2 / 2}
+
+
+def random_points(n=60, seed=20191):
+    """n random values of each of ARGS, off the poles and |c_cp| < 1."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform
+    return (u(0.05, math.pi - 0.05, n), u(-3, 3, n), u(-3, 3, n),
+            u(0.05, 3, n), u(0, 2, n), u(-5, 5, n), u(-10, 10, n),
+            u(-0.9, 0.9, n), u(-5, 5, n), u(-5, 5, n))
+
+
+def evaluate(exprs, x):
+    """Each expression at the points x, broadcast to their count."""
+    n = len(x[0])
+    return np.array([np.broadcast_to(np.asarray(sp.lambdify(ARGS, e)(*x),
+                                                dtype=float), n)
+                     for e in exprs])
+
+
+def test_rhs_is_the_stated_system():
+    x = random_points()
+    np.testing.assert_allclose(np.array(rhs_raw(*x)), evaluate(RHS, x),
+                               rtol=1e-13, atol=1e-13)
+
+
+def test_state_jacobian():
+    x = random_points()
+    n = len(x[0])
+    got = np.array([[np.broadcast_to(e, n) for e in row]
+                    for row in rhs_jacobian_raw(*x)])
+    want = evaluate(RHS.jacobian([THETA, P, Q]), x).reshape(3, 3, n)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(PARAMS))
+def test_parameter_derivatives(name):
+    x = random_points()
+    got = np.array(rhs_param_derivatives_raw(*x)[name])
+    np.testing.assert_allclose(got, evaluate(RHS.diff(PARAMS[name]), x),
+                               rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("A", [-1, 1])
+def test_hamiltonian_is_a_first_integral(A):
+    """dH/dxi = H_p p' + H_q q' vanishes identically on the chart's center
+    condition, with the chart flow at cos(theta) = -A."""
+    Hc = chart_hamiltonian(A)
+    dp, dq = chart_rates(-A)
+    rate = (Hc.diff(P) * dp + Hc.diff(Q) * dq).subs(center_condition(A))
+    assert sp.simplify(rate) == 0
+
+
+@pytest.mark.parametrize("chart", [ZERO, PI], ids=["zero", "pi"])
+def test_hamiltonian_and_gradient(chart):
+    """``hamiltonian`` and ``hamiltonian_gradient`` against H and its
+    symbolic gradient, on the center condition and at least 0.1 off the
+    invariant line."""
+    A = int(chart.sign)
+    Hc = chart_hamiltonian(A)
+    exprs = [e.subs(center_condition(A))
+             for e in (Hc, Hc.diff(P), Hc.diff(Q))]
+    x = random_points()
+    want = evaluate(exprs, x)
+    checked = 0
+    for k, (_, p, q, alpha, beta, mu, h, ccp, s, _) in enumerate(zip(*x)):
+        if abs(q - A * s / 2) < 0.1:
+            continue
+        mp = MaterialParams(alpha=alpha, beta=beta, mu=mu, h=h, c_cp=ccp)
+        wf = WaveFrame(s=s, omega=center_frequency(chart, mp, s))
+        got = (hamiltonian(chart, p, q, mp, wf),
+               *hamiltonian_gradient(chart, p, q, mp, wf))
+        np.testing.assert_allclose(got, want[:, k], rtol=1e-11, atol=1e-11)
+        checked += 1
+    assert checked >= 40

@@ -4,9 +4,11 @@ Runs the seven commands in-process on fixed configs, among them a
 continuation in h, a ``--seed-profile`` run, a run that exits 3, a
 freezing run on the benchmark's 2048-node grid, a shot at the zero-speed
 edge h = beta/alpha, a classification of a left-moving wall
-(h < beta/alpha) and a center sweep over three unsorted values, and prints
-one line per data file: run, exit code, file name, SHA-256.
-``manifest.json`` is left out, since it records the wall-clock time.
+(h < beta/alpha), a melnikov and a continue run that reject that wall, and a
+center sweep over three unsorted values, and prints one line per data file:
+run, exit code, file name, SHA-256.  A run that writes no data file prints
+one line with ``-`` for the file name and digest.  ``manifest.json`` is left
+out, since it records the wall-clock time.
 Comparing the output of two source trees checks that their files are
 byte-identical:
 
@@ -31,6 +33,7 @@ RUNS = [
     ("classify", "classify", {**MAT, "h": 5.0, "c_cp": 0.3}, None),
     ("classify-left", "classify", {**MAT, "h": 0.1}, None),
     ("melnikov", "melnikov", {**MAT, "h": 0.5}, None),
+    ("melnikov-left", "melnikov", {**MAT, "h": 0.1}, None),
     ("map", "stability-map", {**MAT, "n_h": 200, "n_ccp": 200}, None),
     ("shoot", "shoot", {**MAT, "h": 0.5}, None),
     ("shoot-s0", "shoot", {**MAT, "h": 0.2}, None),
@@ -51,6 +54,8 @@ RUNS = [
                              "values": [10.35, 10.05, 10.2]}, None),
     ("cont-h", "continue", {**MAT, "h": 50.0, "cont": "h", "target": 45.0,
                             "L": 20.0, "n_mesh": 80}, None),
+    ("continue-left", "continue", {**MAT, "h": 0.1, "cont": "c_cp",
+                                   "target": 0.1}, None),
     ("cont-exit3", "continue", {**MAT, "h": 0.5, "cont": "c_cp",
                                 "target": 0.999, "step0": 0.05, **SMALL},
      None),
@@ -76,10 +81,13 @@ def main():
             if seed:
                 argv += ["--seed-profile", f"{tmp}/{seed}/profile.json"]
             code = dwlab(argv)
-            for f in sorted(out.glob("*")):
-                if f.name != "manifest.json":
-                    digest = hashlib.sha256(f.read_bytes()).hexdigest()
-                    print(name, code, f.name, digest)
+            files = [f for f in sorted(out.glob("*"))
+                     if f.name != "manifest.json"]
+            for f in files:
+                digest = hashlib.sha256(f.read_bytes()).hexdigest()
+                print(name, code, f.name, digest)
+            if not files:
+                print(name, code, "-", "-")
 
 
 if __name__ == "__main__":
