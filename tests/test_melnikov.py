@@ -46,6 +46,10 @@ class TestClosedForms:
     @given(draw=codim2_draws())
     # an unweighted Gauss-Kronrod rule hits QUADPACK roundoff in I_CS here
     @example(draw=(0.5, -1.0, 0.75))
+    # a slow oscillatory tail cancels I_CS far below int |f|: a fixed
+    # 1e-14 absolute tolerance ends in a QUADPACK roundoff warning here
+    @example(draw=(0.5625, -0.25, 0.75))
+    @example(draw=(2.0, -0.25, 0.75))
     @settings(max_examples=25, deadline=None)
     def test_closed_vs_quadrature(self, draw):
         """I_C, I_S, I_CC match the quadrature oracle to 1e-9 relative; the
