@@ -28,8 +28,7 @@ from .energy import htilde_quadratic
 from .errors import ConfigError, CurvePole, DwlabError
 from .freezing import (check_schedule, grid_spacing, initial_wall,
                        run_selection)
-from .melnikov import (determinant_identity_check, melnikov_integrals_closed,
-                       splitting_matrix)
+from .melnikov import determinant_identity_check, splitting_matrix
 from .model import MaterialParams, WaveFrame, local_wavenumber
 from .runio import (branch_to_dict, manifest_entry, profile_from_dict,
                     profile_rows, profile_to_dict, write_csv, write_json)
@@ -237,8 +236,7 @@ def cmd_stability_map(cfg, out: Path):
 def cmd_melnikov(cfg, out: Path):
     mp = _material(cfg)
     sm = splitting_matrix(mp)
-    regime = classify_regime(mp)
-    ints = melnikov_integrals_closed(mp.alpha, mp.mu, regime.s0)
+    regime, ints = sm.regime, sm.integrals
     # the identity is stated for s0 > 0 only; null at the zero-speed edge
     identity = None
     if regime.s0 > 0.0:

@@ -26,7 +26,10 @@ per mesh interval) bordered by the scalar columns and the boundary, phase
 and continuation rows.  Its CSC structure is built once per bordering, with
 every border entry kept even where its value is zero, so each iteration only
 writes values.  It is factored by sparse LU ordered by minimum degree on the
-pattern of J^T + J, which keeps the fill near nnz(J).
+pattern of J^T + J, which keeps the fill near nnz(J).  That ordering depends
+on the structure only, so it is computed once per structure, at its first
+factorization, and kept with it; each later Newton iteration factors its
+matrix numerically only, with the columns already in that order.
 """
 
 from __future__ import annotations
@@ -295,19 +298,17 @@ class HeteroclinicBVP:
     # -- Jacobian -----------------------------------------------------------
 
     def _build_pattern(self):
-        """Static sparsity pattern (rows/cols) of the collocation block and
-        of the state entries of the boundary rows."""
+        """Static sparsity pattern (rows/cols) of the collocation block, as
+        broadcast views, and of the state entries of the boundary rows."""
         N, m = self.N, self.m
         # rows: (N, m, 3) row index 3*(i*m+g)+a, broadcast over (j, b)
         ig = (np.arange(N)[:, None] * m + np.arange(m)[None, :])  # (N, m)
         row = (3 * ig[..., None, None, None]
                + np.arange(3)[None, None, :, None, None])
-        self._rows_coll = np.broadcast_to(
-            row, (N, m, 3, m + 1, 3)).ravel()
+        self._rows_coll = np.broadcast_to(row, (N, m, 3, m + 1, 3))
         col = (3 * self.loc_idx[:, None, None, :, None]
                + np.arange(3)[None, None, None, None, :])
-        self._cols_coll = np.broadcast_to(
-            col, (N, m, 3, m + 1, 3)).ravel()
+        self._cols_coll = np.broadcast_to(col, (N, m, 3, m + 1, 3))
         self._eye_D = np.einsum("gj,ab->gjab", self.D, np.eye(3)) / self.h_mesh
         state_cols = [self._state_cols(row) for row in self.bc_rows]
         self._rows_bc = np.repeat(self.n_colloc + np.arange(self.n_bc),
@@ -321,26 +322,26 @@ class HeteroclinicBVP:
         node, comps = (RIGHT, (P, Q)) if row == GAP else (row[0], row[1:])
         return [3 * (node % self.n_nodes) + comp for comp in comps]
 
-    def _newton_pattern(self, with_row: bool):
+    def _newton_pattern(self, with_row: bool) -> "_NewtonPattern":
         """CSC structure of the Newton matrix, with a dense last row when
-        ``with_row``; built once per structure.
+        ``with_row``; built once per structure, and carrying the column
+        order of its LU once the first matrix has been factored.
 
-        Returns (order, indices, indptr, shape), where ``order`` takes the
-        concatenated value blocks of ``jacobian`` (collocation block, scalar
-        columns, boundary state entries, boundary scalar entries, phase row,
-        extra row) to CSC data order.  Every entry of the boundary rows is
-        kept, also where its value is zero, so the structure never changes
-        between Newton iterations."""
+        Its ``order`` takes the concatenated value blocks of ``jacobian``
+        (collocation block, scalar columns, boundary state entries, boundary
+        scalar entries, phase row, extra row) to CSC data order.  Every entry
+        of the boundary rows is kept, also where its value is zero, so the
+        structure never changes between Newton iterations."""
         if with_row in self._patterns:
             return self._patterns[with_row]
         nc, nb, nU = self.n_colloc, self.n_bc, self.nU
         n_scal = len(self.free_scalars)
         n_x = nU + n_scal
         scal_cols = nU + np.arange(n_scal)
-        rows = [self._rows_coll, np.tile(np.arange(nc), n_scal),
+        rows = [self._rows_coll.ravel(), np.tile(np.arange(nc), n_scal),
                 self._rows_bc, np.repeat(nc + np.arange(nb), n_scal),
                 np.full(nU, nc + nb)]
-        cols = [self._cols_coll, np.repeat(scal_cols, nc),
+        cols = [self._cols_coll.ravel(), np.repeat(scal_cols, nc),
                 self._cols_bc, np.tile(scal_cols, nb), np.arange(nU)]
         if with_row:
             rows.append(np.full(n_x, nc + nb + 1))
@@ -349,8 +350,8 @@ class HeteroclinicBVP:
         order = np.lexsort((rows, cols))
         indptr = np.zeros(n_x + 1, dtype=np.int32)
         np.cumsum(np.bincount(cols, minlength=n_x), out=indptr[1:])
-        pattern = (order, rows[order].astype(np.int32), indptr,
-                   (nc + nb + 1 + int(with_row), n_x))
+        pattern = _NewtonPattern(order, rows[order].astype(np.int32), indptr,
+                                 (nc + nb + 1 + int(with_row), n_x))
         self._patterns[with_row] = pattern
         return pattern
 
@@ -437,10 +438,9 @@ class HeteroclinicBVP:
                    (self.phase_w[:, None] * self.uhat_prime).ravel()]
         if extra_grad is not None:
             blocks.append(extra_grad)
-        order, indices, indptr, shape = self._newton_pattern(
-            extra_grad is not None)
-        return csc_matrix((np.concatenate(blocks)[order], indices, indptr),
-                          shape=shape)
+        pat = self._newton_pattern(extra_grad is not None)
+        return csc_matrix((np.concatenate(blocks)[pat.order], pat.indices,
+                           pat.indptr), shape=pat.shape)
 
     # -- profile plumbing ---------------------------------------------------
 
@@ -479,27 +479,75 @@ def build_bvp(regime: Regime, mp: MaterialParams, wf: WaveFrame,
 
 def _factorize(J):
     """Sparse LU of the Newton matrix, ordered by minimum degree on the
-    pattern of J^T + J.
+    pattern of J^T + J: the symbolic analysis and the numeric factorization
+    in one call.
 
     Apart from its border (boundary, phase and extra rows, scalar columns),
     the matrix is almost block diagonal, one block per mesh interval, and a
     symmetric ordering keeps its fill near its own nonzero count.  COLAMD,
     which orders by the columns alone, spreads fill from the dense border
-    rows across the whole factor (about 20 times more nonzeros)."""
+    rows across the whole factor (about 20 times more nonzeros).
+
+    The ordering depends on the pattern only, so it runs once per pattern:
+    ``_NewtonPattern.lu_solver`` calls this for the pattern's first matrix,
+    keeps the column order, and each later Newton iteration only factors
+    numerically."""
     return splu(J, permc_spec="MMD_AT_PLUS_A")
 
 
-def _newton_directions(J, r):
+class _NewtonPattern:
+    """CSC structure of one Newton matrix (``order``, ``indices``,
+    ``indptr``, ``shape``, see ``HeteroclinicBVP._newton_pattern``) and,
+    once its first matrix has been factored, the column order of that LU.
+
+    SuperLU's column order is the minimum-degree ordering post-ordered along
+    the column elimination tree.  A matrix whose columns are already in that
+    order needs no further ordering or post-ordering, so factoring it with
+    ``permc_spec="NATURAL"`` runs the same numeric factorization over the
+    same columns in the same order: L, U, the row pivots and every solution
+    are bit-identical to those of ``_factorize``.  One case can differ: when
+    a pivot column's largest entry ties exactly in magnitude with another of
+    its entries, SuperLU prefers the diagonal one, and the diagonal of the
+    pre-ordered matrix (row k in column k) is not that of the original
+    (row columns[k] in column k)."""
+
+    def __init__(self, order, indices, indptr, shape):
+        self.order, self.indices, self.indptr = order, indices, indptr
+        self.shape = shape
+        # LU column order: column k of the factored matrix is column
+        # columns[k] of J
+        self.columns = None
+
+    def lu_solver(self, J):
+        """A function solving J x = b, for a matrix J of this pattern.  The
+        first call orders and factors J by ``_factorize``; later calls reuse
+        its column order.  Raises ``RuntimeError`` when J is singular."""
+        if self.columns is None:
+            lu = _factorize(J)
+            self.columns = np.argsort(lu.perm_c)
+            return lu.solve
+        columns = self.columns
+        lu = splu(J[:, columns], permc_spec="NATURAL")
+
+        def solve(b):
+            x = np.empty(len(columns))
+            x[columns] = lu.solve(b)
+            return x
+        return solve
+
+
+def _newton_directions(J, r, pattern):
     """The Newton directions for J dx = -r, in the order they are tried.
 
     First the sparse LU step, when J factors and the step is finite; then a
     regularized least-squares step, solved only when the LU step is missing
     or cannot be damped into a residual decrease (the codim-0 truncation is
     exponentially ill-conditioned, with a near-kernel along the decayed
-    left-chart modes, and needs the minimal-norm direction).  Raises
-    ``SingularJacobian`` when that step is not finite."""
+    left-chart modes, and needs the minimal-norm direction).  ``pattern`` is
+    J's ``_NewtonPattern``.  Raises ``SingularJacobian`` when that step is
+    not finite."""
     try:
-        dx = _factorize(J).solve(-r)
+        dx = pattern.lu_solver(J)(-r)
     except RuntimeError:
         dx = None
     if dx is not None and np.all(np.isfinite(dx)):
@@ -518,18 +566,19 @@ def newton_solve(bvp: HeteroclinicBVP, states: np.ndarray, scalars: dict,
 
     ``extra_row`` optionally appends one dense equation (value, gradient)
     callback pair used by the pseudo-arclength driver.  Returns the solved
-    (states, scalars) and the number of iterations taken.  Raises
-    ``NoConvergence`` / ``SingularJacobian``.
+    (states, scalars) and the number of iterations taken.  The residual is
+    evaluated once per point: an accepted step carries its own into the next
+    iteration.  Raises ``NoConvergence`` / ``SingularJacobian``.
     """
-    def res_norm_at(z):
+    def with_residual(z):
         r = bvp.residual(z)
         if extra_row is not None:
             r = np.append(r, extra_row[0](z))
-        return r, float(np.max(np.abs(r)))
+        return z, r, float(np.max(np.abs(r)))
 
-    x = bvp.pack(states, scalars)
+    pattern = bvp._newton_pattern(extra_row is not None)
+    x, r, res_norm = with_residual(bvp.pack(states, scalars))
     for it in range(MAX_NEWTON + 1):
-        r, res_norm = res_norm_at(x)
         if not math.isfinite(res_norm):
             raise NoConvergence("residual is not finite")
         if res_norm < NEWTON_TOL:
@@ -539,12 +588,14 @@ def newton_solve(bvp: HeteroclinicBVP, states: np.ndarray, scalars: dict,
         J = bvp.jacobian(x, None if extra_row is None else extra_row[1](x))
         # the first direction whose step, halved up to nine times, lowers the
         # residual norm (a NaN norm compares false)
-        trials = (x + 0.5 ** k * dx for dx in _newton_directions(J, r)
+        trials = (with_residual(x + 0.5 ** k * dx)
+                  for dx in _newton_directions(J, r, pattern)
                   for k in range(10))
-        x = next((z for z in trials if res_norm_at(z)[1] < res_norm), None)
-        if x is None:
+        accepted = next((t for t in trials if t[2] < res_norm), None)
+        if accepted is None:
             raise NoConvergence(
                 f"damping failed at residual {res_norm:.3e}")
+        x, r, res_norm = accepted
     raise NoConvergence(
         f"no convergence after {MAX_NEWTON} iterations "
         f"(residual {res_norm:.3e})")

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .classify import CODIM2, classify_regime
+from .classify import CODIM2, Regime, classify_regime
 from .errors import MelnikovDomainError, OrientationError, RegimeError
 from .model import MaterialParams
 
@@ -64,10 +64,13 @@ class MelnikovIntegrals:
 class SplittingMatrix:
     """2x3 splitting matrix with column order (c_cp, s - s0, Omega - Omega0)
     and its unit kernel direction (sign fixed by a non-negative first
-    component, falling back to a non-negative second component)."""
+    component, falling back to a non-negative second component), with the
+    regime and the closed-form integrals it was built from."""
 
     m: np.ndarray
     kernel: np.ndarray
+    regime: Regime
+    integrals: MelnikovIntegrals
 
     @property
     def kernel_per_unit_ccp(self):
@@ -258,13 +261,14 @@ def splitting_matrix(mp: MaterialParams) -> SplittingMatrix:
             f"splitting matrix requires the codim-2 regime, got {regime.kind}")
     s0 = regime.s0
     r = math.sqrt(-mp.mu)
+    ints = melnikov_integrals_closed(mp.alpha, mp.mu, s0)
     if s0 == 0.0:
         m = np.array([[0.0, -0.5, mp.alpha / (2.0 * r)],
                       [0.0, -0.5 * mp.alpha, -1.0 / (2.0 * r)]])
     else:
-        ints = melnikov_integrals_closed(mp.alpha, mp.mu, s0)
         m = assemble_matrix(mp.alpha, mp.beta, mp.mu, ints)
-    return SplittingMatrix(m=m, kernel=_kernel(m))
+    return SplittingMatrix(m=m, kernel=_kernel(m), regime=regime,
+                           integrals=ints)
 
 
 def splitting_value(sm: SplittingMatrix, deviation) -> np.ndarray:

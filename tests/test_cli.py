@@ -214,6 +214,28 @@ class TestCliMelnikov:
         code, _ = run_cli(tmp_path, "melnikov", dict(BASE, h=50.0))
         assert code == 3
 
+    def test_classifies_once(self, tmp_path, monkeypatch):
+        """The regime, s0 and the integrals written come from the splitting
+        matrix, which classifies the wall once."""
+        import dwlab.melnikov
+        regimes = []
+        classify = dwlab.melnikov.classify_regime
+
+        def counted(mp):
+            regimes.append(classify(mp))
+            return regimes[-1]
+        monkeypatch.setattr(dwlab.melnikov, "classify_regime", counted)
+        monkeypatch.setattr(dwlab.cli, "classify_regime", counted)
+        code, out = run_cli(tmp_path, "melnikov", dict(BASE, h=0.5))
+        assert code == 0 and len(regimes) == 1
+        doc = json.loads((out / "melnikov.json").read_text())
+        sm = dwlab.melnikov.splitting_matrix(
+            MaterialParams(alpha=BASE["alpha"], beta=BASE["beta"],
+                           mu=BASE["mu"], h=0.5))
+        assert doc["s0"] == regimes[0].s0 == sm.regime.s0
+        assert doc["integrals"] == dict(zip(("i_c", "i_s", "i_cc", "i_cs"),
+                                            sm.integrals.as_tuple()))
+
 
 #: h = beta/alpha, where alpha*h - beta is exactly 0, -1 ulp and +1 ulp
 ZERO_SPEED_EDGES = [

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from dwlab import (BvpConfig, MaterialParams, NoConvergence, WaveFrame,
                    build_bvp, classify_regime, continue_branch,
@@ -113,6 +114,100 @@ class TestStructure:
         assert np.max(np.abs(J @ lu.solve(b) - b)) < 1e-10
 
 
+def bits(a):
+    """The bit patterns of a float array, so equality includes signbits."""
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def same_sparse(a, b):
+    return (np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices)
+            and np.array_equal(bits(a.data), bits(b.data)))
+
+
+def counting_splu(monkeypatch):
+    """Wrap ``continuation.splu``; returns the list of (permc_spec, LU) of
+    every call made from then on."""
+    calls = []
+
+    def wrapper(A, permc_spec):
+        lu = splu(A, permc_spec=permc_spec)
+        calls.append((permc_spec, lu))
+        return lu
+    monkeypatch.setattr(continuation, "splu", wrapper)
+    return calls
+
+
+class TestOrderingOncePerPattern:
+    @staticmethod
+    def _matrices(h, bordered):
+        """Two Newton matrices of one pattern, at two states, in the regime
+        at h; bordered as in a continuation corrector (c_cp free, one dense
+        extra row)."""
+        bvp, mp, wf = setup(h)
+        if bordered:
+            bvp = continuation.HeteroclinicBVP(
+                bvp.mode, mp, wf, bvp.cfg,
+                free_scalars=bvp.free_scalars + ("c_cp",))
+        rng = np.random.default_rng(7)
+        u = homogeneous_profile(bvp.mesh, mp.mu)
+        sc = {n: bvp.base[n] for n in bvp.free_scalars}
+        bvp.set_reference(u, sc)
+        out = []
+        for amp in (0.01, 0.02):
+            v = u.copy()
+            v[:, 1] += amp * np.cos(bvp.mesh)
+            x = bvp.pack(v, dict(sc, c_cp=amp) if bordered else sc)
+            out.append(bvp.jacobian(
+                x, rng.normal(size=len(x)) if bordered else None))
+        return bvp._newton_pattern(bordered), out
+
+    @pytest.mark.parametrize("bordered", [False, True],
+                             ids=["plain", "bordered"])
+    @pytest.mark.parametrize("h", [0.5, 10.2, 50.0],
+                             ids=["codim2", "center", "codim0"])
+    def test_second_factorization_is_bit_identical(self, monkeypatch, h,
+                                                   bordered):
+        """The second factorization of a pattern reuses the first one's
+        column order, and its L, U, row pivots, combined column order and
+        solution equal those of a fresh minimum-degree LU bit for bit."""
+        pattern, (J1, J2) = self._matrices(h, bordered)
+        calls = counting_splu(monkeypatch)
+        pattern.lu_solver(J1)
+        solve = pattern.lu_solver(J2)
+        assert [spec for spec, _ in calls] == ["MMD_AT_PLUS_A", "NATURAL"]
+        lu = calls[1][1]
+        fresh = splu(J2, permc_spec="MMD_AT_PLUS_A")
+        assert same_sparse(lu.L, fresh.L) and same_sparse(lu.U, fresh.U)
+        assert np.array_equal(lu.perm_r, fresh.perm_r)
+        columns = pattern.columns
+        assert np.array_equal(columns[np.argsort(lu.perm_c)],
+                              np.argsort(fresh.perm_c))
+        b = np.random.default_rng(3).normal(size=J2.shape[0])
+        assert np.array_equal(bits(solve(b)), bits(fresh.solve(b)))
+
+    def test_branch_orders_its_pattern_once(self, monkeypatch):
+        """A branch's correctors share one pattern: the minimum-degree
+        ordering runs once, and every other iteration factors numerically
+        only."""
+        bvp, mp, wf = setup(0.5)
+        u, sc = solve_regime(bvp)
+        jacobians = []
+        jacobian = continuation.HeteroclinicBVP.jacobian
+
+        def counted(self, *args):
+            jacobians.append(1)
+            return jacobian(self, *args)
+        monkeypatch.setattr(continuation.HeteroclinicBVP, "jacobian",
+                            counted)
+        calls = counting_splu(monkeypatch)
+        br = continue_branch(bvp, u, sc, "c_cp", 0.1, step0=0.02)
+        assert br.terminated == "reached_target"
+        assert len(jacobians) > 1
+        assert [spec for spec, _ in calls] == (
+            ["MMD_AT_PLUS_A"] + ["NATURAL"] * (len(jacobians) - 1))
+
+
 class TestNewton:
     @pytest.mark.parametrize("h", [0.5, 5.0, 10.2, 50.0])
     def test_recovers_analytic_family(self, h):
@@ -140,6 +235,25 @@ class TestNewton:
         u2, sc2, _ = newton_solve(bvp, u, sc)
         assert sc2["s"] == pytest.approx(wf.s, abs=1e-8)
         assert sc2["omega"] == pytest.approx(wf.omega, abs=1e-8)
+
+    def test_each_point_has_one_residual(self, monkeypatch):
+        """An accepted step carries its residual into the next iteration, so
+        no point's residual is evaluated twice."""
+        bvp, mp, wf = setup(0.5)
+        u = homogeneous_profile(bvp.mesh, mp.mu)
+        sc = {"s": wf.s + 1e-3, "omega": wf.omega}
+        bvp.set_reference(u, sc)
+        points = []
+        residual = continuation.HeteroclinicBVP.residual
+
+        def recorded(self, x):
+            points.append(x.tobytes())
+            return residual(self, x)
+        monkeypatch.setattr(continuation.HeteroclinicBVP, "residual",
+                            recorded)
+        _, _, iters = newton_solve(bvp, u, sc)
+        assert iters >= 2
+        assert len(points) == len(set(points)) >= iters + 1
 
     @staticmethod
     def _noise_guess():

@@ -6,7 +6,9 @@ library's ``rhs_jacobian_raw``, ``rhs_param_derivatives_raw`` and
 ``hamiltonian_gradient`` are compared with those derivatives at random
 points.  That each Hamiltonian is conserved by its chart flow on the center
 condition is checked symbolically, so the expression compared against is
-the first integral and not a copy of the library's formula."""
+the first integral and not a copy of the library's formula.  The pulled-front
+closed form for (s, Omega) is checked to make the pi-chart discriminant
+4AC - B^2 vanish identically."""
 
 import math
 
@@ -15,7 +17,7 @@ import pytest
 import sympy as sp
 
 from dwlab import (PI, ZERO, MaterialParams, WaveFrame, center_frequency,
-                   hamiltonian, hamiltonian_gradient)
+                   chart_coefficients, hamiltonian, hamiltonian_gradient)
 from dwlab.model import rhs_jacobian_raw, rhs_param_derivatives_raw, rhs_raw
 
 THETA, P, Q, ALPHA, BETA, MU, H, CCP, S, OMEGA = ARGS = sp.symbols(
@@ -118,3 +120,55 @@ def test_hamiltonian_and_gradient(chart):
         np.testing.assert_allclose(got, want[:, k], rtol=1e-11, atol=1e-11)
         checked += 1
     assert checked >= 40
+
+
+def chart_ode_coefficients(A):
+    """(B, C) of the complex chart ODE on the chart of sign A."""
+    B = -(ALPHA + sp.I) * S
+    C = (H - OMEGA + A * MU
+         + sp.I * (ALPHA * OMEGA - BETA / (1 - A * CCP)))
+    return B, C
+
+
+def pulled_front(alpha, beta_minus, mu, h):
+    """(eps, omega0) of the pulled front (s*, Omega*) = (2 sqrt(eps/alpha),
+    omega0 + eps/alpha): eps = (alpha (h + mu) - beta-)/(1 + alpha^2) and
+    omega0 = (h + mu + alpha beta-)/(1 + alpha^2)."""
+    return ((alpha * (h + mu) - beta_minus) / (1 + alpha ** 2),
+            (h + mu + alpha * beta_minus) / (1 + alpha ** 2))
+
+
+def test_pulled_front_closes_the_pi_chart_discriminant():
+    """4AC - B^2 on theta = pi (A = 1) vanishes identically at the
+    pulled-front (s*, Omega*), with beta- = beta/(1 - c_cp)."""
+    B, C = chart_ode_coefficients(1)
+    eps, omega0 = pulled_front(ALPHA, BETA / (1 - CCP), MU, H)
+    disc = (4 * C - B ** 2).subs({S: 2 * sp.sqrt(eps / ALPHA),
+                                  OMEGA: omega0 + eps / ALPHA})
+    assert sp.simplify(sp.expand(disc)) == 0
+
+
+def test_pulled_front_discriminant_in_the_library():
+    """``chart_coefficients`` has the coefficients written above, and its
+    pi-chart discriminant vanishes to roundoff at the pulled front, on
+    seeded draws with eps > 0.  At the paper's h = 50 the front is
+    (12.4964, 78.2800)."""
+    B, C = chart_ode_coefficients(1)
+    coefficients = sp.lambdify(ARGS, [B, C])
+    checked = 0
+    for _, _, _, alpha, beta, mu, h, ccp, _, _ in zip(*random_points(200)):
+        mp = MaterialParams(alpha=alpha, beta=beta, mu=mu, h=h, c_cp=ccp)
+        eps, omega0 = pulled_front(alpha, mp.torque(1.0), mu, h)
+        if eps <= 0:
+            continue
+        s, omega = 2 * math.sqrt(eps / alpha), omega0 + eps / alpha
+        co = chart_coefficients(PI, mp, WaveFrame(s=s, omega=omega))
+        want = coefficients(0.0, 0.0, 0.0, alpha, beta, mu, h, ccp, s, omega)
+        np.testing.assert_allclose([co.B, co.C], want, rtol=1e-13,
+                                   atol=1e-13)
+        assert abs(4 * co.A * co.C - co.B ** 2) <= 1e-13 * abs(co.B) ** 2
+        checked += 1
+    assert checked >= 40
+    eps, omega0 = pulled_front(0.5, 0.1, -1.0, 50.0)
+    s, omega = 2 * math.sqrt(eps / 0.5), omega0 + eps / 0.5
+    assert (s, omega) == pytest.approx((12.4964, 78.2800), abs=1e-4)
