@@ -1,12 +1,11 @@
 """Closed-form chart analysis and the explicit homogeneous wall family.
 
-On the invariant charts theta = 0, pi (and, for testing, on artificially
-fixed interior angles) the (p, q) dynamics collapses to a complex scalar
-Riccati equation
+On the invariant blow-up charts theta = 0 or pi (the poles +/-e3) the (p, q)
+dynamics collapses to a complex scalar Riccati equation
 
     z' = A z^2 + B z + C,      z = p + i q,
 
-with A = -cos(theta), B = -(alpha + i) s and
+with A = -cos(theta) = -/+1, B = -(alpha + i) s and
 C = h - Omega + A*mu + i*(alpha*Omega - beta/(1 - A*c_cp)).  This module
 provides the coefficients, the two equilibria with their spatial eigenvalues,
 the explicit tangent-function flow, and the explicit homogeneous domain-wall
@@ -43,40 +42,23 @@ POLE_GUARD = 1e-10
 
 @dataclass(frozen=True)
 class ChartId:
-    """Identifies a chart by its fixed angle: 0, pi, or an interior value."""
+    """Identifies an end chart by its angle: theta = 0 or pi."""
 
     theta: float
 
     def __post_init__(self):
-        if not (0.0 <= self.theta <= math.pi):
-            raise ValueError("chart angle must lie in [0, pi]")
+        if self.theta not in (0.0, math.pi):
+            raise ValueError("a chart angle is 0 or pi")
 
     @property
     def is_zero(self) -> bool:
         return self.theta == 0.0
 
     @property
-    def is_pi(self) -> bool:
-        return self.theta == math.pi
-
-    @property
     def A(self) -> float:
-        """Quadratic coefficient A = -cos(theta); -1 at theta=0, +1 at pi."""
-        return -math.cos(self.theta)
-
-    @property
-    def sign(self) -> float:
-        """A = -/+1 on theta = 0/pi, the chart sign of the laws that hold
-        there only; raises ``ValueError`` on an interior chart."""
-        if not (self.is_zero or self.is_pi):
-            raise ValueError("this law holds on the theta=0/pi charts only")
-        return self.A
-
-    @classmethod
-    def fixed(cls, theta: float) -> "ChartId":
-        if not (0.0 < theta < math.pi):
-            raise ValueError("a fixed interior chart requires theta in (0, pi)")
-        return cls(theta)
+        """Quadratic coefficient A = -cos(theta): -1 at theta = 0, +1 at pi,
+        the chart sign of every end-chart law."""
+        return -1.0 if self.is_zero else 1.0
 
 
 ZERO = ChartId(0.0)
@@ -141,7 +123,7 @@ def chart_equilibria(chart: ChartId, mp: MaterialParams, wf: WaveFrame):
     tangent eigenvalue 2Az + B = nu1 = sigma*i*gamma; nu2 is its conjugate,
     and the transverse eigenvalue is -A*Re(z).
     """
-    A = chart.sign
+    A = chart.A
     co = chart_coefficients(chart, mp, wf)
     out = []
     for sigma in (+1, -1):
@@ -181,35 +163,23 @@ def _pole_distance(w0: complex, w1: complex) -> float:
 def chart_flow(z0: complex, xi0: float, xi, coeffs: ChartCoefficients):
     """Exact solution z(xi) of z' = A z^2 + B z + C with z(xi0) = z0.
 
-    For A != 0 the solution is
+    The solution is
         z(xi) = (gamma/2A) tan(gamma xi / 2 + delta0) - B/(2A),
         delta0 = arctan((2 A z0 + B)/gamma) - gamma xi0 / 2,
-    with principal-branch complex tan/arctan; for A = 0 the linear equation
-    gives z(xi) = (z0 + C/B) e^{B (xi - xi0)} - C/B.
+    with principal-branch complex tan/arctan.
 
     ``xi`` may be a scalar or array.  Raises ``EquilibriumInput`` when z0 is
     within 1e-12 of an equilibrium (the constant solution applies) and
     ``PoleCrossing`` when the tangent argument passes within 1e-10 of a pole
     on the requested real interval.
     """
-    A, B, C, gamma = coeffs.A, coeffs.B, coeffs.C, coeffs.gamma
+    A, B, gamma = coeffs.A, coeffs.B, coeffs.gamma
     xi_arr = np.asarray(xi, dtype=float)
-    if A == 0.0:
-        if B == 0:
-            # z' = C: pure drift
-            out = z0 + C * (xi_arr - xi0)
-            return out if out.shape else complex(out)
-        z_eq = -C / B
-        if abs(z0 - z_eq) < EQUILIBRIUM_GUARD:
-            raise EquilibriumInput("z0 is at the equilibrium -C/B")
-        out = (z0 + C / B) * np.exp(B * (xi_arr - xi0)) - C / B
-        return out if out.shape else complex(out)
-
     # u = 2 A z + B obeys u' = (u^2 + gamma^2)/2; the roots of
     # chart_equilibria are its rest points u = +/- i gamma
     u0 = 2 * A * z0 + B
     if min(abs(u0 - 1j * gamma),
-           abs(u0 + 1j * gamma)) < 2 * abs(A) * EQUILIBRIUM_GUARD:
+           abs(u0 + 1j * gamma)) < 2 * EQUILIBRIUM_GUARD:
         raise EquilibriumInput("z0 is at a chart equilibrium")
     if gamma == 0:
         # degenerate double root: 1/u falls linearly, at rate 1/2
@@ -252,15 +222,15 @@ def homogeneous_speed_frequency(mp: MaterialParams) -> WaveFrame:
     return WaveFrame(s=s0, omega=omega0)
 
 
-def homogeneous_profile(xi, mu: float, sigma: int = +1) -> np.ndarray:
+def homogeneous_profile(xi, mu: float) -> np.ndarray:
     """Explicit homogeneous domain wall on the nodes ``xi``: the (n, 3) array
-    of (theta, p, q) = (2 arctan(e^{sigma sqrt(-mu) xi}), sigma sqrt(-mu), 0).
-    Where the exponential overflows, theta is exactly pi."""
+    of (theta, p, q) = (2 arctan(e^{sqrt(-mu) xi}), sqrt(-mu), 0).  Where the
+    exponential overflows, theta is exactly pi."""
     if not (mu < 0):
         raise ValueError("mu must be negative")
     r = math.sqrt(-mu)
     xi = np.asarray(xi, dtype=float)
     with np.errstate(over="ignore"):
-        theta = 2.0 * np.arctan(np.exp(sigma * r * xi))
-    return np.stack([theta, np.full_like(theta, sigma * r),
+        theta = 2.0 * np.arctan(np.exp(r * xi))
+    return np.stack([theta, np.full_like(theta, r),
                      np.zeros_like(theta)], axis=1)

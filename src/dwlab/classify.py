@@ -147,7 +147,7 @@ def standing_wall_condition(chart: ChartId, mp: MaterialParams,
     theta = pi: Omega != beta-/alpha, or Omega = beta-/alpha and Omega >= h+mu;
     equality is up to STANDING_TOL.
     """
-    A = chart.sign
+    A = chart.A
     return (abs(omega - mp.torque(A) / mp.alpha) > STANDING_TOL
             or A * omega >= A * (mp.h + A * mp.mu))
 

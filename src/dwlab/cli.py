@@ -240,7 +240,8 @@ def cmd_melnikov(cfg, out: Path):
     # the identity is stated for s0 > 0 only; null at the zero-speed edge
     identity = None
     if regime.s0 > 0.0:
-        lhs, rhs = determinant_identity_check(mp.alpha, mp.mu, regime.s0)
+        lhs, rhs = determinant_identity_check(mp.alpha, mp.mu, regime.s0,
+                                              ints)
         identity = {"lhs": lhs, "rhs": rhs}
     doc = {"matrix": sm.m, "kernel": sm.kernel,
            "kernel_per_unit_ccp": sm.kernel_per_unit_ccp,
@@ -257,7 +258,7 @@ def _center_sweep(mp, sweep, values, cfgb, step0):
     measured gap, quadratic prediction, termination) per value, ascending:
     each value is continued to from the one base wall solved at ``mp``."""
     regime = classify_regime(mp)
-    qf = htilde_quadratic(mp.alpha, mp.beta, mp.mu)
+    qf = htilde_quadratic(mp.alpha, mp.mu)
     bvp = build_bvp(regime, mp, WaveFrame(s=regime.s0, omega=regime.omega0),
                     cfgb)
     u, sc = solve_regime(bvp)
@@ -308,15 +309,14 @@ def cmd_shoot(cfg, out: Path):
 
 def _solve_seed(bvp, seed):
     """Newton-solve from a seed profile on the run's mesh, starting from its
-    free-scalar values (the regime's base values when it records none)."""
+    recorded free-scalar values."""
     if (seed.states.shape != (bvp.n_nodes, 3)
             or not np.array_equal(seed.mesh, bvp.mesh)):
         raise ConfigError(
             f"seed profile mesh ({seed.mesh.size} nodes) differs from the "
             f"run's ({bvp.n_nodes} nodes: L {bvp.cfg.L}, n_mesh "
             f"{bvp.N}, collocation_order {bvp.m})")
-    scalars = (seed.diagnostics.get("free_scalars")
-               or {n: bvp.base[n] for n in bvp.free_scalars})
+    scalars = seed.diagnostics.get("free_scalars") or {}
     missing = [n for n in bvp.free_scalars if n not in scalars]
     if missing:
         raise ConfigError(f"seed profile lacks the {bvp.mode} regime's free "

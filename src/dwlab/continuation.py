@@ -189,8 +189,6 @@ class HeteroclinicBVP:
                                   else free_scalars)
         # Omega is slaved to the center condition in center mode
         self.slave_omega = mode == CENTER
-        if self.slave_omega and ("omega" in self.free_scalars):
-            raise ValueError("omega cannot be both free and slaved")
         self.base = dict(alpha=mp.alpha, beta=mp.beta, mu=mp.mu, h=mp.h,
                          c_cp=mp.c_cp, s=wf.s, omega=wf.omega, htilde=0.0)
 
@@ -653,7 +651,7 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
     x = cbvp.pack(start_states, scalars)
     cbvp.set_reference(start_states, scalars)
 
-    def record(u, sc, diag):
+    def record(sc, diag):
         pt_scalars = {n: float(sc[n]) for n in bvp.free_scalars}
         par = cbvp.params_from(sc)
         pt_scalars.setdefault("s", float(par["s"]))
@@ -663,8 +661,7 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
                                   diagnostics=diag))
 
     points = []
-    u0, sc0 = cbvp.unpack(x)
-    record(u0, sc0, {"step": 0.0})
+    record(scalars, {"step": 0.0})
 
     n_x = len(x)
     tangent = np.zeros(n_x)
@@ -719,8 +716,7 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
                 fold_seen = True
             tangent = new_tangent
         cbvp.set_reference(u_new, sc_new)
-        record(u_new, sc_new,
-               {"step": ds, "newton_iters": iters, "fold": fold_seen})
+        record(sc_new, {"step": ds, "newton_iters": iters, "fold": fold_seen})
         successes += 1
         if successes >= GROW_AFTER:
             step = min(step * STEP_GROW, STEP_MAX)

@@ -75,7 +75,7 @@ def center_frequency(chart: ChartId, mp: MaterialParams, s: float) -> float:
     """Frequency satisfying the chart's center condition:
     theta = pi: Omega = beta-/alpha + s^2/2; theta = 0:
     Omega = beta+/alpha - s^2/2."""
-    A = chart.sign
+    A = chart.A
     return mp.torque(A) / mp.alpha + A * (0.5 * s * s)
 
 
@@ -95,7 +95,7 @@ def hamiltonian(chart: ChartId, p: float, q: float, mp: MaterialParams,
             f"frequency {omega} violates the center condition {omega_c}; "
             "H is not a first integral here", CenterConditionViolated,
             stacklevel=2)
-    A = chart.sign
+    A = chart.A
     num, den, _ = _fraction(A, p, q, mp, s)
     return A * num / den
 
@@ -104,7 +104,7 @@ def hamiltonian_gradient(chart: ChartId, p: float, q: float,
                          mp: MaterialParams, wf: WaveFrame):
     """Analytic gradient (dH/dp, dH/dq) of the chart Hamiltonian; raises
     ``InvariantLine`` where ``hamiltonian`` does."""
-    A = chart.sign
+    A = chart.A
     num, den, (a, b) = _fraction(A, p, q, mp, wf.s)
     dp = A * (2.0 * p + a) / den
     dq = A * ((2.0 * q + b) / den - num / (den * den))
@@ -143,13 +143,13 @@ def periodic_neighborhood(chart: ChartId, mp: MaterialParams,
     equilibrium filled with periodic orbits:
     theta = 0: Omega > h - mu + (s^2/4)(alpha^2 - 1);
     theta = pi: Omega < h + mu + (s^2/4)(1 + alpha^2)."""
-    A = chart.sign
+    A = chart.A
     s = wf.s
     return A * wf.omega < A * (mp.h + A * mp.mu
                                + 0.25 * s * s * (mp.alpha ** 2 + A))
 
 
-def htilde_quadratic(alpha: float, beta: float, mu: float) -> QuadraticForm2:
+def htilde_quadratic(alpha: float, mu: float) -> QuadraticForm2:
     """Second-order expansion of the energy gap Htilde in (ds, dh) about the
     center point; independent of beta and c_cp.
 

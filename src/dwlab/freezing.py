@@ -103,9 +103,9 @@ class FreezeSeries:
         if not (len(self.times) == len(self.s) == len(self.omega)):
             raise ValueError("series lengths must match")
 
-    def asymptotic(self, window: float = 0.1):
-        """Mean (s, omega) over the trailing ``window`` fraction."""
-        n = max(1, int(round(window * len(self.times))))
+    def asymptotic(self):
+        """Mean (s, omega) over the trailing 10% of the records."""
+        n = max(1, int(round(0.1 * len(self.times))))
         return float(np.mean(self.s[-n:])), float(np.mean(self.omega[-n:]))
 
 
@@ -318,9 +318,9 @@ def initial_wall(mp: MaterialParams, Lx: float = 100.0, n_nodes: int = 2048,
 
 
 def run_selection(mp: MaterialParams, init: LineState = None, T: float = 20.0,
-                  dt: float = 1e-3, record_every: int = 10) -> FreezeSeries:
+                  dt: float = 1e-3) -> FreezeSeries:
     """Integrate the frozen dynamics to time ``T`` and report the selected
-    frame.
+    frame, recorded every 10th step and at the last.
 
     The reference profile is the previous step (a genuinely moving frame);
     the asymptotic (s, Omega) are the series means over the final 10% of the
@@ -334,7 +334,7 @@ def run_selection(mp: MaterialParams, init: LineState = None, T: float = 20.0,
     times, ss, oms = [], [], []
     for k in range(n_steps):
         state = freeze_step(state, mp, dt)
-        if (k + 1) % record_every == 0 or k == n_steps - 1:
+        if (k + 1) % 10 == 0 or k == n_steps - 1:
             times.append(state.t)
             ss.append(state.s_est)
             oms.append(state.omega_est)

@@ -276,9 +276,11 @@ def splitting_value(sm: SplittingMatrix, deviation) -> np.ndarray:
     return sm.m @ np.asarray(deviation, dtype=float)
 
 
-def determinant_identity_check(alpha: float, mu: float, s0: float):
+def determinant_identity_check(alpha: float, mu: float, s0: float,
+                               ints: MelnikovIntegrals):
     """Evaluate both sides of the determinant identity for the second and
-    third splitting-matrix columns:
+    third splitting-matrix columns, from the integrals ``ints`` at
+    (alpha, mu, s0):
 
         lhs = (alpha*I_S - I_C)^2 + (I_S + alpha*I_C)^2
         rhs = (1 + alpha^2)^2 pi^2 s0^2 e^{pi s0 / sqrt(-mu)}
@@ -290,7 +292,6 @@ def determinant_identity_check(alpha: float, mu: float, s0: float):
     """
     if not (0.0 < s0):
         raise ValueError("requires s0 > 0")
-    ints = melnikov_integrals_closed(alpha, mu, s0)
     lhs = ((alpha * ints.i_s - ints.i_c) ** 2
            + (ints.i_s + alpha * ints.i_c) ** 2)
     rhs = ((1.0 + alpha ** 2) ** 2 * math.pi ** 2 * s0 ** 2

@@ -120,13 +120,6 @@ def manifest_entry(name: str, data: bytes) -> dict:
 
 def profile_to_dict(profile: Profile) -> dict:
     """JSON-schema form of a computed profile (exact round trip)."""
-    diag = {}
-    for k, v in (profile.diagnostics or {}).items():
-        if isinstance(v, (int, float, str, bool)) or v is None:
-            diag[k] = v
-        elif isinstance(v, dict):
-            diag[k] = {kk: float(vv) for kk, vv in v.items()
-                       if isinstance(vv, (int, float))}
     return {
         "schema": "profile/1",
         "regime": profile.regime,
@@ -134,7 +127,7 @@ def profile_to_dict(profile: Profile) -> dict:
         "frame": asdict(profile.wf),
         "mesh": profile.mesh,
         "states": profile.states,
-        "diagnostics": diag,
+        "diagnostics": profile.diagnostics,
     }
 
 
@@ -164,10 +157,9 @@ def branch_to_dict(branch) -> dict:
         if pt.profile is not None:
             digest = sha256_bytes(dumps_json(
                 profile_to_dict(pt.profile)).encode())
-        diag = {k: v for k, v in pt.diagnostics.items()
-                if isinstance(v, (int, float, str, bool)) or v is None}
         pts.append({"param": pt.param, "scalars": pt.scalars,
-                    "profile_sha256": digest, "diagnostics": diag})
+                    "profile_sha256": digest,
+                    "diagnostics": pt.diagnostics})
     return {"schema": "branch/1", "cont_name": branch.cont_name,
             "terminated": branch.terminated, "points": pts}
 

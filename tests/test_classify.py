@@ -195,6 +195,14 @@ class TestStability:
         with pytest.raises(CurvePole):
             stability_verdict(mk(1.0))  # h = -mu
 
+    def test_monostable_minus(self):
+        """Just above the pole h = -mu, Gamma- lies far below -1, so -e3 is
+        stable, and c_cp = -0.95 lies below Gamma+ = -0.9005, so +e3 is
+        not."""
+        v = stability_verdict(mk(1.01, c_cp=-0.95))
+        assert (v.plus_e3, v.minus_e3, v.region) == ("unstable", "stable",
+                                                     "monostable-")
+
     def test_region_labels(self):
         assert stability_verdict(mk(0.5, c_cp=0.0)).region in (
             "bistable", "monostable-", "monostable+", "unstable")

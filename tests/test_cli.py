@@ -236,6 +236,26 @@ class TestCliMelnikov:
         assert doc["integrals"] == dict(zip(("i_c", "i_s", "i_cc", "i_cs"),
                                             sm.integrals.as_tuple()))
 
+    def test_evaluates_the_integrals_once(self, tmp_path, monkeypatch):
+        """The determinant identity reads the splitting matrix's integrals
+        instead of evaluating the closed forms again."""
+        import dwlab.melnikov
+        calls = []
+        closed = dwlab.melnikov.melnikov_integrals_closed
+
+        def counted(*args):
+            calls.append(args)
+            return closed(*args)
+        monkeypatch.setattr(dwlab.melnikov, "melnikov_integrals_closed",
+                            counted)
+        code, out = run_cli(tmp_path, "melnikov", dict(BASE, h=0.5))
+        assert code == 0 and len(calls) == 1
+        doc = json.loads((out / "melnikov.json").read_text())
+        alpha, mu, s0 = calls[0]
+        lhs, rhs = dwlab.melnikov.determinant_identity_check(
+            alpha, mu, s0, closed(alpha, mu, s0))
+        assert doc["determinant_identity"] == {"lhs": lhs, "rhs": rhs}
+
 
 #: h = beta/alpha, where alpha*h - beta is exactly 0, -1 ulp and +1 ulp
 ZERO_SPEED_EDGES = [
@@ -368,6 +388,12 @@ def _without_omega(doc):
     return doc
 
 
+def _without_free_scalars(doc):
+    doc = json.loads(json.dumps(doc))
+    del doc["diagnostics"]["free_scalars"]
+    return doc
+
+
 #: case -> (seed made from a valid one, run config, message fragments)
 BAD_SEEDS = {
     "schema-only": (lambda doc: {"schema": "profile/1"},
@@ -376,6 +402,9 @@ BAD_SEEDS = {
         lambda doc: {**doc, "material": {**doc["material"], "mu": 0.5}},
         TestCliContinue.CFG, ["mu < 0"]),
     "free-scalar-missing": (_without_omega, TestCliContinue.CFG, ["omega"]),
+    "free-scalars-absent": (_without_free_scalars, TestCliContinue.CFG,
+                            ["lacks the codim2 regime's free scalar(s) s, "
+                             "omega"]),
     "other-mesh": (lambda doc: doc,
                    dict(BASE, h=0.5, cont="c_cp", target=0.1),
                    ["181 nodes", "1601 nodes"]),

@@ -110,16 +110,11 @@ class TestPeriodicNeighborhood:
 
 
 class TestHtildeQuadratic:
-    def test_beta_independence(self):
-        a = htilde_quadratic(0.5, 0.0, -1.0)
-        b = htilde_quadratic(0.5, 1.0, -1.0)
-        assert (a.a_ss, a.a_sh, a.a_hh) == (b.a_ss, b.a_sh, b.a_hh)
-
     @given(alpha=st.floats(min_value=0.05, max_value=10),
            mu=st.floats(min_value=-10, max_value=-0.01))
     @settings(max_examples=60, deadline=None)
     def test_negative_definite(self, alpha, mu):
-        qf = htilde_quadratic(alpha, 0.1, mu)
+        qf = htilde_quadratic(alpha, mu)
         assert qf.negative_definite
         assert qf.value(0.0, 0.0) == 0.0
         assert qf.value(0.3, -0.2) < 0.0

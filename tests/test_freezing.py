@@ -260,11 +260,10 @@ class TestRunSelection:
 
     def test_series_bookkeeping(self):
         st = initial_wall(MP, Lx=20.0, n_nodes=256)
-        series = run_selection(MP, init=st, T=0.02, dt=1e-3, record_every=5)
+        series = run_selection(MP, init=st, T=0.025, dt=1e-3)
         assert len(series.times) == len(series.s) == len(series.omega)
-        assert series.times[-1] == pytest.approx(0.02)
-        # 20 steps, recorded after steps 5, 10, 15 and 20
-        assert len(series.times) == 4
+        # 25 steps, recorded after every 10th step and after the last
+        assert series.times == pytest.approx([0.01, 0.02, 0.025])
 
     @pytest.mark.parametrize("T", [-1.0, 0.04])
     def test_run_without_a_step_rejected(self, T):
@@ -287,10 +286,15 @@ class TestRunSelection:
         assert grid_spacing(Lx, n_nodes) == st.dx
 
     def test_asymptotic_window(self):
-        series = FreezeSeries(times=np.arange(10.0), s=np.arange(10.0),
-                              omega=np.zeros(10), terminal=uniform_state())
-        s_inf, om_inf = series.asymptotic(window=0.2)
-        assert s_inf == pytest.approx(8.5) and om_inf == 0.0
+        """The mean over the trailing 10% of the records, and over the last
+        record at least."""
+        series = FreezeSeries(times=np.arange(20.0), s=np.arange(20.0),
+                              omega=np.zeros(20), terminal=uniform_state())
+        s_inf, om_inf = series.asymptotic()
+        assert s_inf == pytest.approx(18.5) and om_inf == 0.0
+        short = FreezeSeries(times=np.arange(3.0), s=np.arange(3.0),
+                             omega=np.ones(3), terminal=uniform_state())
+        assert short.asymptotic() == (2.0, 1.0)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from dwlab import (MaterialParams, MelnikovDomainError, RegimeError,
                    melnikov_integrals_closed_corrected,
                    melnikov_integrals_quadrature, splitting_matrix,
                    splitting_value)
+from dwlab.melnikov import _kernel
 
 MP05 = MaterialParams(alpha=0.5, beta=0.1, mu=-1.0, h=0.5, c_cp=0.0)
 
@@ -129,6 +130,14 @@ class TestSplittingMatrix:
         assert np.linalg.norm(sm.kernel) == pytest.approx(1.0)
         assert sm.kernel[0] >= 0.0
 
+    @pytest.mark.parametrize("m", [[[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+                                   [[1.0, 0.0, 0.0], [0.0, 0.0, -1.0]]])
+    def test_kernel_sign_without_a_first_component(self, m):
+        """A kernel with k[0] == 0 is signed by its second component; the
+        SVD returns (0, -1, 0) for the first matrix and (0, 1, 0) for the
+        second."""
+        assert np.array_equal(_kernel(np.array(m)), [0.0, 1.0, 0.0])
+
     def test_regime_guard(self):
         with pytest.raises(RegimeError):
             splitting_matrix(MP05.replace(h=50.0))
@@ -148,7 +157,8 @@ class TestDeterminantIdentity:
         factor 1/(4 mu^2 D), D = 1 + E^2 - 2 E cos(pi alpha s0 / sqrt(-mu))."""
         for alpha, mu, s0 in ((0.5, -1.0, 0.12), (1.0, -1.0, 1.0),
                               (0.7, -2.0, 0.5)):
-            lhs, rhs = determinant_identity_check(alpha, mu, s0)
+            lhs, rhs = determinant_identity_check(
+                alpha, mu, s0, melnikov_integrals_closed(alpha, mu, s0))
             r = math.sqrt(-mu)
             E = math.exp(math.pi * s0 / r)
             D = 1.0 + E * E - 2.0 * E * math.cos(math.pi * alpha * s0 / r)
@@ -156,4 +166,5 @@ class TestDeterminantIdentity:
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            determinant_identity_check(0.5, -1.0, 0.0)
+            determinant_identity_check(
+                0.5, -1.0, 0.0, melnikov_integrals_closed(0.5, -1.0, 0.0))

@@ -103,7 +103,7 @@ def test_hamiltonian_and_gradient(chart):
     """``hamiltonian`` and ``hamiltonian_gradient`` against H and its
     symbolic gradient, on the center condition and at least 0.1 off the
     invariant line."""
-    A = int(chart.sign)
+    A = int(chart.A)
     Hc = chart_hamiltonian(A)
     exprs = [e.subs(center_condition(A))
              for e in (Hc, Hc.diff(P), Hc.diff(Q))]
