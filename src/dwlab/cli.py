@@ -20,9 +20,9 @@ import numpy as np
 
 from . import __version__
 from .charts import homogeneous_speed_frequency
-from .classify import (classify_regime, eigenvalues_homogeneous,
-                       stability_verdict, thresholds)
-from .continuation import (BvpConfig, build_bvp, check_step0,
+from .classify import (StabilityVerdict, classify_regime,
+                       eigenvalues_homogeneous, stability_verdict, thresholds)
+from .continuation import (STEP0, BvpConfig, build_bvp, check_step0,
                            continue_branch, solve_regime)
 from .energy import htilde_quadratic
 from .errors import ConfigError, CurvePole, DwlabError
@@ -104,7 +104,7 @@ _CONTINUATION = {
     **_keys(NUMBER, _bvp, L=BvpConfig.L),
     **_keys(INTEGER, _bvp, n_mesh=BvpConfig.n_mesh,
             collocation_order=BvpConfig.collocation_order),
-    "step0": (NUMBER, 0.01, lambda cfg: check_step0(cfg["step0"]))}
+    "step0": (NUMBER, STEP0, lambda cfg: check_step0(cfg["step0"]))}
 
 #: per command: key -> (kind, default or REQUIRED, bound).  A bound takes the
 #: typed config and raises ValueError; one that several keys share runs once.
@@ -196,24 +196,26 @@ def _write(out: Path, name: str, *content):
 # entries; continue also takes an optional seed profile
 # ---------------------------------------------------------------------------
 
+def _verdict(mp) -> StabilityVerdict:
+    """``stability_verdict`` of ``mp``, labelled "pole" (with no per-state
+    verdicts) on a pole of the stability curves."""
+    try:
+        return stability_verdict(mp)
+    except CurvePole:
+        return StabilityVerdict(None, None, "pole")
+
+
 def cmd_classify(cfg, out: Path):
     mp = _material(cfg)
     regime = classify_regime(mp.replace(c_cp=0.0))
     eigs = eigenvalues_homogeneous(mp.alpha, mp.mu, regime.s0)
-    try:
-        verdict = stability_verdict(mp)
-        stability = {"plus_e3": verdict.plus_e3,
-                     "minus_e3": verdict.minus_e3, "region": verdict.region}
-    except CurvePole:
-        # as stability-map labels it
-        stability = {"plus_e3": None, "minus_e3": None, "region": "pole"}
     h_lo, h_hi = thresholds(mp.alpha, mp.beta, mp.mu)
     doc = {"regime": regime.kind, "s0": regime.s0, "omega0": regime.omega0,
            "h_star_low": h_lo, "h_star_high": h_hi,
            "reflected": regime.reflected,
            "eigenvalues": {"zero_chart": [complex(e) for e in eigs[:3]],
                            "pi_chart": [complex(e) for e in eigs[3:]]},
-           "stability": stability}
+           "stability": asdict(_verdict(mp))}
     return [_write(out, "classify.json", doc)]
 
 
@@ -224,11 +226,7 @@ def cmd_stability_map(cfg, out: Path):
     for h in np.sort(np.linspace(cfg["h_min"], cfg["h_max"], cfg["n_h"])):
         for c in np.sort(np.linspace(cfg["ccp_min"], cfg["ccp_max"],
                                      cfg["n_ccp"])):
-            try:
-                region = stability_verdict(
-                    mp0.replace(h=float(h), c_cp=float(c))).region
-            except CurvePole:
-                region = "pole"
+            region = _verdict(mp0.replace(h=float(h), c_cp=float(c))).region
             rows.append((float(h), float(c), region))
     return [_write(out, "stability_map.csv", ["h", "c_cp", "region"], rows)]
 
@@ -257,17 +255,15 @@ def _center_sweep(mp, sweep, values, cfgb, step0):
     """The gap's quadratic form at the center field of ``mp``, and (value,
     measured gap, quadratic prediction, termination) per value, ascending:
     each value is continued to from the one base wall solved at ``mp``."""
-    regime = classify_regime(mp)
     qf = htilde_quadratic(mp.alpha, mp.mu)
-    bvp = build_bvp(regime, mp, WaveFrame(s=regime.s0, omega=regime.omega0),
-                    cfgb)
+    bvp = build_bvp(mp, cfgb)
     u, sc = solve_regime(bvp)
     results = []
     for value in sorted(values):
         if sweep == "c_cp":
             pred = 0.0
         elif sweep == "s":
-            pred = qf.value(value - regime.s0, 0.0)
+            pred = qf.value(value - bvp.base["s"], 0.0)
         else:
             pred = qf.value(0.0, value - mp.h)
         br = continue_branch(bvp, u, sc, sweep, value, step0=step0)
@@ -309,20 +305,24 @@ def cmd_shoot(cfg, out: Path):
 
 def _solve_seed(bvp, seed):
     """Newton-solve from a seed profile on the run's mesh, starting from its
-    recorded free-scalar values."""
+    recorded free-scalar values, each a finite JSON number."""
     if (seed.states.shape != (bvp.n_nodes, 3)
             or not np.array_equal(seed.mesh, bvp.mesh)):
         raise ConfigError(
             f"seed profile mesh ({seed.mesh.size} nodes) differs from the "
             f"run's ({bvp.n_nodes} nodes: L {bvp.cfg.L}, n_mesh "
             f"{bvp.N}, collocation_order {bvp.m})")
-    scalars = seed.diagnostics.get("free_scalars") or {}
+    scalars = seed.diagnostics.get("free_scalars", {})
+    if not isinstance(scalars, dict):
+        raise ConfigError(f"seed profile free_scalars must be a JSON object, "
+                          f"got {json.dumps(scalars)}")
     missing = [n for n in bvp.free_scalars if n not in scalars]
     if missing:
         raise ConfigError(f"seed profile lacks the {bvp.mode} regime's free "
                           f"scalar(s) {', '.join(missing)}")
-    return solve_regime(bvp, seed.states,
-                        {n: float(scalars[n]) for n in bvp.free_scalars})
+    return solve_regime(bvp, seed.states, {
+        n: _typed(f"seed profile free scalar {n}", NUMBER, scalars[n])
+        for n in bvp.free_scalars})
 
 
 def cmd_continue(cfg, out: Path, seed_profile=None):
@@ -337,12 +337,9 @@ def cmd_continue(cfg, out: Path, seed_profile=None):
             mp = _material(asdict(seed.mp))
         except (OSError, ValueError) as exc:
             raise ConfigError(f"bad seed profile: {exc}") from exc
-    regime = classify_regime(mp.replace(c_cp=0.0))
-    wf = (WaveFrame(s=regime.s0, omega=regime.omega0) if seed is None
-          else seed.wf)
-    bvp = build_bvp(regime, mp, wf, _bvp(cfg))
+    bvp = build_bvp(mp, _bvp(cfg), None if seed is None else seed.wf)
     if bvp.frees_or_slaves(cont):
-        raise ConfigError(f"the {regime.kind} regime already determines "
+        raise ConfigError(f"the {bvp.mode} regime already determines "
                           f"{cont}; it cannot be continued")
     u, sc = solve_regime(bvp) if seed is None else _solve_seed(bvp, seed)
     br = continue_branch(bvp, u, sc, cont, cfg["target"], step0=cfg["step0"])

@@ -43,12 +43,12 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import lsmr, splu
 
 from .charts import PI, ZERO, chart_equilibria, homogeneous_profile
-from .classify import CENTER, CODIM0, CODIM2, Regime
+from .classify import CENTER, CODIM0, CODIM2, classify_regime
 from .energy import center_frequency, energy_gap, hamiltonian_gradient
 from .errors import (NoConvergence, OrientationError, RegimeError,
                      SingularJacobian)
 from .model import (MaterialParams, WaveFrame, rhs_jacobian_raw,
-                    rhs_param_derivatives_raw, rhs_raw)
+                    rhs_param_derivatives_raw, rhs_raw, trapezoid_weights)
 
 __all__ = [
     "BvpConfig",
@@ -62,7 +62,9 @@ __all__ = [
     "termination_boundary",
 ]
 
-#: pseudo-arclength step bounds and adaptation factors
+#: pseudo-arclength steps: the default first step, the bounds and the
+#: adaptation factors
+STEP0 = 0.01
 STEP_MIN = 1e-5
 STEP_MAX = 0.05
 STEP_GROW = 1.3
@@ -203,10 +205,7 @@ class HeteroclinicBVP:
         # node indices per interval: (N, m+1)
         self.loc_idx = (np.arange(N)[:, None] * m + np.arange(m + 1)[None, :])
         # trapezoid weights on the uniform fine mesh, for the phase condition
-        dxi = self.h_mesh / m
-        w = np.full(self.n_nodes, dxi)
-        w[0] = w[-1] = 0.5 * dxi
-        self.phase_w = w
+        self.phase_w = trapezoid_weights(self.n_nodes, self.h_mesh / m)
         # reference profile for the phase condition (set via set_reference)
         self.uhat = None
         self.uhat_prime = None
@@ -461,17 +460,22 @@ class HeteroclinicBVP:
 # Public builders and solvers
 # ---------------------------------------------------------------------------
 
-def build_bvp(regime: Regime, mp: MaterialParams, wf: WaveFrame,
-              cfg: BvpConfig = BvpConfig()) -> HeteroclinicBVP:
-    """Discretized heteroclinic system for the given regime, with its
-    default free scalars.
+def build_bvp(mp: MaterialParams, cfg: BvpConfig = BvpConfig(),
+              wf: WaveFrame | None = None) -> HeteroclinicBVP:
+    """Discretized heteroclinic system of the wall of ``mp``, with its
+    regime's default free scalars.
 
-    Raises ``OrientationError`` when the regime is reflected (a left-moving
-    wall), and ``RegimeError`` when ``REGIMES`` has no entry for the regime
-    kind."""
+    The regime is that of the c_cp = 0 family of ``mp`` (``classify_regime``
+    of ``mp`` at c_cp = 0), and the wall is framed at the family's selected
+    (s0, Omega0) unless a frame ``wf`` is given, such as a seed profile's.
+    Raises ``OrientationError`` when the wall moves left (h < beta/alpha),
+    and ``ValueError`` unless mu < 0."""
+    regime = classify_regime(mp.replace(c_cp=0.0))
     if regime.reflected:
         raise OrientationError("h < beta/alpha: the wall moves left, and "
                                "walls are solved moving right")
+    if wf is None:
+        wf = WaveFrame(s=regime.s0, omega=regime.omega0)
     return HeteroclinicBVP(regime.kind, mp, wf, cfg)
 
 
@@ -620,7 +624,7 @@ def _weighted_dot(bvp, a, b):
 
 def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
                     cont_name: str, target: float,
-                    step0: float = 0.01) -> Branch:
+                    step0: float = STEP0) -> Branch:
     """Pseudo-arclength continuation of a solved profile in ``cont_name``
     toward ``target``.
 

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .charts import homogeneous_profile, homogeneous_speed_frequency
+from .charts import homogeneous_profile
 from .errors import PhaseDegeneracy
-from .model import MaterialParams, sphere_rows
+from .model import MaterialParams, sphere_rows, trapezoid_weights
 
 __all__ = [
     "LineState",
@@ -199,15 +199,6 @@ def _tridiagonal(n: int, kappa: float):
     return dl, d, du
 
 
-@functools.lru_cache(maxsize=8)
-def _trapezoid_weights(n: int, dx: float) -> np.ndarray:
-    """Trapezoid-rule weights of the n-node grid, read-only."""
-    w = np.full(n, dx)
-    w[0] = w[-1] = 0.5 * dx
-    w.flags.writeable = False
-    return w
-
-
 def _inner(WU: np.ndarray, V: np.ndarray, order: str) -> list:
     """Inner products <U_k, V> of component rows from the weighted rows
     WU[k] = w U_k.  Each sum adds its terms as ``np.sum`` adds an (n, 3)
@@ -222,18 +213,16 @@ def _inner(WU: np.ndarray, V: np.ndarray, order: str) -> list:
     return [float(p.sum()) for p in P]
 
 
-def freeze_step(state: LineState, mp: MaterialParams, dt: float,
-                frame=None) -> LineState:
+def freeze_step(state: LineState, mp: MaterialParams, dt: float) -> LineState:
     """One frozen-frame step.
 
     The diffusive part D*m_xx, D = 1/(1+alpha^2), goes implicit; the rest of
     the dynamics plus the frame terms s*m_x - Omega*e3 x m explicit, with
     (s, Omega) solved from the phase conditions <m - mhat, d/dx mhat> = 0 and
     <m - mhat, e3 x mhat> = 0 against the incoming profile ``mhat``.  The
-    result is renormalized nodewise.  Passing ``frame=(s, omega)`` skips the
-    phase conditions and steps with that fixed frame instead.  Raises
-    ``PhaseDegeneracy`` when the phase Gram determinant falls below 1e-12
-    (e.g. a uniform state).
+    result is renormalized nodewise, and the solved (s, Omega) become the
+    new state's frame estimates.  Raises ``PhaseDegeneracy`` when the phase
+    Gram determinant falls below 1e-12 (e.g. a uniform state).
 
     Everything is evaluated on component rows.  The update is linear in
     the frame, m_new = a + s b + Omega c, and a, b and c are nine rows of
@@ -265,25 +254,21 @@ def freeze_step(state: LineState, mp: MaterialParams, dt: float,
         raise np.linalg.LinAlgError(f"dgtsv failed with info = {info}")
     a, b, c = X[0:3], X[3:6], X[6:9]
 
-    if frame is not None:
-        s_new, omega_new = frame
-    else:
-        # the reference mhat is the incoming m, so its tangents d/dx mhat
-        # and e3 x mhat are mx and e3m
-        np.subtract(a, M, out=X[9:12])
-        WU = _trapezoid_weights(n, dx) * X[3:12].reshape(3, 3, n)
-        order = "F" if state.m.flags.f_contiguous else "C"
-        # <a + s b + Om c - mhat, T> = 0 for T in {mx, e3m}; each list
-        # holds <b, T>, <c, T> and <a - mhat, T>
-        ipx = _inner(WU, mx, order)
-        ipe = _inner(WU, e3m, "C")
-        A = np.array([ipx[:2], ipe[:2]])
-        det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-        if abs(det) < PHASE_DET_GUARD * dt * dt:
-            raise PhaseDegeneracy(
-                f"phase Gram determinant {det:.3e} below guard")
-        rvec = -np.array([ipx[2], ipe[2]])
-        s_new, omega_new = np.linalg.solve(A, rvec)
+    # the reference mhat is the incoming m, so its tangents d/dx mhat and
+    # e3 x mhat are mx and e3m
+    np.subtract(a, M, out=X[9:12])
+    WU = trapezoid_weights(n, dx) * X[3:12].reshape(3, 3, n)
+    order = "F" if state.m.flags.f_contiguous else "C"
+    # <a + s b + Om c - mhat, T> = 0 for T in {mx, e3m}; each list holds
+    # <b, T>, <c, T> and <a - mhat, T>
+    ipx = _inner(WU, mx, order)
+    ipe = _inner(WU, e3m, "C")
+    A = np.array([ipx[:2], ipe[:2]])
+    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+    if abs(det) < PHASE_DET_GUARD * dt * dt:
+        raise PhaseDegeneracy(f"phase Gram determinant {det:.3e} below guard")
+    rvec = -np.array([ipx[2], ipe[2]])
+    s_new, omega_new = np.linalg.solve(A, rvec)
     m_new = a + s_new * b + omega_new * c
     # (x^2 + y^2) + z^2, as np.linalg.norm adds a Fortran-ordered (n, 3) m
     sq = m_new * m_new
@@ -295,11 +280,10 @@ def freeze_step(state: LineState, mp: MaterialParams, dt: float,
                      norm_deviation=deviation)
 
 
-def initial_wall(mp: MaterialParams, Lx: float = 100.0, n_nodes: int = 2048,
-                 perturbation: np.ndarray = None) -> LineState:
-    """Blow-down of the homogeneous wall onto the grid (azimuth zero),
-    optionally perturbed (the perturbation is renormalized away in norm).
-    Raises ``ValueError`` unless Lx > 0 and n_nodes >= 2."""
+def initial_wall(mp: MaterialParams, Lx: float, n_nodes: int) -> LineState:
+    """Blow-down of the homogeneous wall of ``mp`` onto the uniform
+    ``n_nodes``-point grid on [-Lx, Lx] (azimuth zero, zero frame
+    estimates).  Raises ``ValueError`` unless Lx > 0 and n_nodes >= 2."""
     grid_spacing(Lx, n_nodes)
     grid = np.linspace(-Lx, Lx, n_nodes)
     m = sphere_rows(homogeneous_profile(grid, mp.mu)[:, 0], 0.0).T.copy()
@@ -309,18 +293,14 @@ def initial_wall(mp: MaterialParams, Lx: float = 100.0, n_nodes: int = 2048,
     snap = np.abs(m[:, 0]) < 1e-12
     m[snap, 0] = 0.0
     m[snap, 2] = np.sign(m[snap, 2])
-    if perturbation is not None:
-        m = m + perturbation
-        m /= np.linalg.norm(m, axis=1)[:, None]
-    # frame estimate of the homogeneous wall, whose shape depends on mu only
-    wf0 = homogeneous_speed_frequency(mp.replace(c_cp=0.0))
-    return LineState(grid=grid, m=m, t=0.0, s_est=wf0.s, omega_est=wf0.omega)
+    return LineState(grid=grid, m=m)
 
 
-def run_selection(mp: MaterialParams, init: LineState = None, T: float = 20.0,
-                  dt: float = 1e-3) -> FreezeSeries:
-    """Integrate the frozen dynamics to time ``T`` and report the selected
-    frame, recorded every 10th step and at the last.
+def run_selection(mp: MaterialParams, init: LineState, T: float,
+                  dt: float) -> FreezeSeries:
+    """Integrate the frozen dynamics of ``mp`` from ``init`` to time ``T``
+    in steps ``dt``, and report the selected frame, recorded every 10th
+    step and at the last.
 
     The reference profile is the previous step (a genuinely moving frame);
     the asymptotic (s, Omega) are the series means over the final 10% of the
@@ -328,7 +308,7 @@ def run_selection(mp: MaterialParams, init: LineState = None, T: float = 20.0,
     unless the step passes ``check_schedule`` with T >= dt, so that the run
     takes at least one step.
     """
-    state = init if init is not None else initial_wall(mp)
+    state = init
     check_schedule(dt, state.dx, mp.alpha, T)
     n_steps = int(round(T / dt))
     times, ss, oms = [], [], []

@@ -17,6 +17,7 @@ by the boundary-value solvers.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,6 +36,7 @@ __all__ = [
     "sphere_rows",
     "blow_down",
     "local_wavenumber",
+    "trapezoid_weights",
 ]
 
 #: guard on |sin(theta)| below which the singular system is rejected
@@ -269,3 +271,13 @@ def local_wavenumber(m, m_prime):
                              f"{WAVENUMBER_GUARD:.3e}")
     q = (mp_[0] * (-m[1]) + mp_[1] * m[0]) / den
     return float(q) if q.ndim == 0 else q
+
+
+@functools.lru_cache(maxsize=8)
+def trapezoid_weights(n: int, dx: float) -> np.ndarray:
+    """Trapezoid-rule weights of n uniformly spaced nodes dx apart, as a
+    read-only array shared between calls."""
+    w = np.full(n, dx)
+    w[0] = w[-1] = 0.5 * dx
+    w.flags.writeable = False
+    return w

@@ -23,11 +23,10 @@ import pytest
 
 from dwlab import (PI, ZERO, BvpConfig, ChartState, MaterialParams, WaveFrame,
                    build_bvp, chart_coefficients, chart_equilibria,
-                   classify_regime, continue_branch, desingularized_rhs,
-                   determinant_identity_check, freeze_step, hamiltonian,
-                   homogeneous_profile, homogeneous_speed_frequency,
-                   htilde_quadratic, initial_wall, integrate,
-                   melnikov_integrals_closed,
+                   continue_branch, determinant_identity_check, freeze_step,
+                   hamiltonian, homogeneous_profile,
+                   homogeneous_speed_frequency, htilde_quadratic,
+                   initial_wall, integrate, melnikov_integrals_closed,
                    melnikov_integrals_closed_corrected,
                    melnikov_integrals_quadrature, run_selection,
                    shoot_to_pi_chart, solve_regime, splitting_matrix,
@@ -255,9 +254,7 @@ def test_criterion_07_solvers_reproduce_the_family():
         wf = homogeneous_speed_frequency(mp)
         traj, _ = shoot_to_pi_chart(mp, wf, tol=1e-12)
         worst_shoot = max(worst_shoot, _alignment_error(traj))
-        reg = classify_regime(mp)
-        bvp = build_bvp(reg, mp, WaveFrame(s=reg.s0, omega=reg.omega0),
-                        BvpConfig())
+        bvp = build_bvp(mp, BvpConfig())
         u, _ = solve_regime(bvp)
         worst_bvp = max(worst_bvp, np.max(np.abs(
             u - homogeneous_profile(bvp.mesh, mp.mu))))
@@ -273,10 +270,7 @@ def test_criterion_07_solvers_reproduce_the_family():
 # -- criterion 8 ------------------------------------------------------------
 
 def _branch_endpoint(h, target, cfg=None):
-    mp = mk(h)
-    reg = classify_regime(mp)
-    wf = WaveFrame(s=reg.s0, omega=reg.omega0)
-    bvp = build_bvp(reg, mp, wf, cfg or BvpConfig())
+    bvp = build_bvp(mk(h), cfg or BvpConfig())
     u, sc = solve_regime(bvp)
     br = continue_branch(bvp, u, sc, "c_cp", target)
     assert br.terminated == "reached_target"

@@ -2,7 +2,6 @@
 independent oracles (root residuals, holomorphic linearization, numerical
 integration), the explicit tangent flow, and the homogeneous family."""
 
-import cmath
 import math
 import warnings
 

@@ -68,8 +68,7 @@ class TestRegime:
         reg = classify_regime(mp)
         assert reg.reflected
         with pytest.raises(OrientationError):
-            build_bvp(reg, mp, WaveFrame(s=reg.s0, omega=reg.omega0),
-                      BvpConfig(L=20.0, n_mesh=60, collocation_order=3))
+            build_bvp(mp, BvpConfig(L=20.0, n_mesh=60, collocation_order=3))
         with pytest.raises(OrientationError):
             splitting_matrix(mp)
 

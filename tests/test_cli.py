@@ -10,14 +10,14 @@ import numpy as np
 import pytest
 
 import dwlab.cli
-from dwlab import (BvpConfig, MaterialParams, Profile, WaveFrame,
-                   NoConvergence, classify_regime, build_bvp, solve_regime)
+from dwlab import (BvpConfig, MaterialParams, NoConvergence, build_bvp,
+                   solve_regime)
 from dwlab.cli import (INTEGER, NUMBER, NUMBERS, REQUIRED, _TABLES,
                        _load_config, main)
 from dwlab.freezing import dt_max, grid_spacing
 from dwlab.runio import (dumps_json, fmt, manifest_entry, profile_from_dict,
                          profile_rows, profile_to_dict, sha256_bytes,
-                         write_csv, write_json)
+                         write_csv)
 
 
 class TestFmt:
@@ -74,10 +74,7 @@ class TestManifestEntry:
 @pytest.fixture(scope="module")
 def profile():
     mp = MaterialParams(alpha=0.5, beta=0.1, mu=-1.0, h=0.5, c_cp=0.0)
-    reg = classify_regime(mp)
-    wf = WaveFrame(s=reg.s0, omega=reg.omega0)
-    bvp = build_bvp(reg, mp, wf, BvpConfig(L=20.0, n_mesh=60,
-                                           collocation_order=3))
+    bvp = build_bvp(mp, BvpConfig(L=20.0, n_mesh=60, collocation_order=3))
     u, sc = solve_regime(bvp)
     return bvp.make_profile(u, sc)
 
@@ -394,6 +391,15 @@ def _without_free_scalars(doc):
     return doc
 
 
+def _bad_s(value):
+    """A seed whose free scalar s is ``value``."""
+    def make(doc):
+        doc = json.loads(json.dumps(doc))
+        doc["diagnostics"]["free_scalars"]["s"] = value
+        return doc
+    return make
+
+
 #: case -> (seed made from a valid one, run config, message fragments)
 BAD_SEEDS = {
     "schema-only": (lambda doc: {"schema": "profile/1"},
@@ -405,6 +411,18 @@ BAD_SEEDS = {
     "free-scalars-absent": (_without_free_scalars, TestCliContinue.CFG,
                             ["lacks the codim2 regime's free scalar(s) s, "
                              "omega"]),
+    "free-scalars-not-object": (
+        lambda doc: {**doc, "diagnostics": {**doc["diagnostics"],
+                                            "free_scalars": 5}},
+        TestCliContinue.CFG, ["free_scalars must be a JSON object, got 5"]),
+    "free-scalar-text": (_bad_s("x"), TestCliContinue.CFG,
+                         ['free scalar s must be a finite number, got "x"']),
+    "free-scalar-numeric-text": (_bad_s("0.1"), TestCliContinue.CFG,
+                                 ["free scalar s", 'got "0.1"']),
+    "free-scalar-bool": (_bad_s(True), TestCliContinue.CFG,
+                         ["free scalar s", "got true"]),
+    "free-scalar-nan": (_bad_s(math.nan), TestCliContinue.CFG,
+                        ["free scalar s", "got NaN"]),
     "other-mesh": (lambda doc: doc,
                    dict(BASE, h=0.5, cont="c_cp", target=0.1),
                    ["181 nodes", "1601 nodes"]),
@@ -414,7 +432,8 @@ BAD_SEEDS = {
 @pytest.mark.parametrize("case", sorted(BAD_SEEDS))
 def test_bad_seed_profile_is_config_error(tmp_path, capsys, seed_doc, case):
     """A seed must be a whole profile of a wall material (mu < 0) on the
-    run's mesh, with a value for every free scalar of its regime."""
+    run's mesh, with a finite number for every free scalar of its
+    regime."""
     make, cfg, fragments = BAD_SEEDS[case]
     seed = tmp_path / "seed.json"
     seed.write_text(json.dumps(make(seed_doc)))

@@ -25,11 +25,10 @@ def mk(h, c_cp=0.0):
     return MaterialParams(alpha=ALPHA, beta=BETA, mu=MU, h=h, c_cp=c_cp)
 
 
-def setup(h, cfg=CFG, **kw):
+def setup(h, cfg=CFG):
     mp = mk(h)
-    regime = classify_regime(mp)
-    wf = WaveFrame(s=regime.s0, omega=regime.omega0)
-    return build_bvp(regime, mp, wf, cfg, **kw), mp, wf
+    bvp = build_bvp(mp, cfg)
+    return bvp, mp, WaveFrame(s=bvp.base["s"], omega=bvp.base["omega"])
 
 
 class TestBvpConfig:

@@ -16,7 +16,6 @@ from dwlab import (PI, ZERO, CenterConditionViolated, ChartMiss, ChartState,
                    htilde_measured, htilde_quadratic, integrate,
                    periodic_neighborhood, tail_oscillation_coefficients)
 from dwlab.continuation import BvpConfig, build_bvp
-from dwlab.classify import classify_regime
 
 MP_C = MaterialParams(alpha=0.5, beta=0.1, mu=-1.0, h=10.2, c_cp=0.0)
 WF_C = WaveFrame(s=4.0, omega=8.2)
@@ -148,8 +147,7 @@ class TestTailCoefficients:
 class TestHtildeMeasured:
     def test_zero_on_homogeneous_profile(self):
         cfg = BvpConfig(L=30.0, n_mesh=60, collocation_order=3)
-        reg = classify_regime(MP_C)
-        bvp = build_bvp(reg, MP_C, WF_C, cfg)
+        bvp = build_bvp(MP_C, cfg)
         u = homogeneous_profile(bvp.mesh, MP_C.mu)
 
         class P:

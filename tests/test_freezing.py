@@ -2,8 +2,6 @@
 traveling-rotating ansatz, grid convergence, fixed points, step mechanics and
 phase-condition behavior, and frame selection on a short run."""
 
-import math
-
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
@@ -38,7 +36,7 @@ def reference_rhs(m, dx, mp):
     return (G + mp.alpha * np.cross(m, G)) / (1.0 + mp.alpha ** 2), lap
 
 
-def reference_step(state, mp, dt, frame=None):
+def reference_step(state, mp, dt):
     """freeze_step in its (n, 3) form: np.cross, solve_banded and
     w[:, None] * u * v."""
     m, dx, n = state.m, state.dx, len(state.grid)
@@ -59,20 +57,17 @@ def reference_step(state, mp, dt, frame=None):
     sol = solve_banded((1, 1), ab,
                        np.hstack([m + dt * f_exp, dt * mx, -dt * e3m]))
     a, b, c = sol[:, 0:3], sol[:, 3:6], sol[:, 6:9]
-    if frame is not None:
-        s_new, omega_new = frame
-    else:
-        w = np.full(n, dx)
-        w[0] = w[-1] = 0.5 * dx
+    w = np.full(n, dx)
+    w[0] = w[-1] = 0.5 * dx
 
-        def ip(u, v):
-            return float(np.sum(w[:, None] * u * v))
+    def ip(u, v):
+        return float(np.sum(w[:, None] * u * v))
 
-        A = np.array([[ip(b, mx), ip(c, mx)], [ip(b, e3m), ip(c, e3m)]])
-        det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-        assert abs(det) >= PHASE_DET_GUARD * dt * dt
-        rvec = -np.array([ip(a - m, mx), ip(a - m, e3m)])
-        s_new, omega_new = np.linalg.solve(A, rvec)
+    A = np.array([[ip(b, mx), ip(c, mx)], [ip(b, e3m), ip(c, e3m)]])
+    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+    assert abs(det) >= PHASE_DET_GUARD * dt * dt
+    rvec = -np.array([ip(a - m, mx), ip(a - m, e3m)])
+    s_new, omega_new = np.linalg.solve(A, rvec)
     m_new = a + s_new * b + omega_new * c
     norms = np.linalg.norm(m_new, axis=1)
     return LineState(grid=state.grid, m=m_new / norms[:, None],
@@ -158,20 +153,21 @@ class TestBitIdentity:
             assert np.array_equal(np.signbit(new), np.signbit(ref))
 
     @pytest.mark.parametrize("c_cp", [0.0, 0.5])
-    @pytest.mark.parametrize("fixed_frame", [False, True])
-    def test_fifty_steps(self, c_cp, fixed_frame):
-        """The benchmark's grid, from a C-ordered initial wall; the steps
-        after the first see the Fortran-ordered m that a step returns."""
+    def test_fifty_steps(self, c_cp):
+        """The benchmark's grid, from a C-ordered, perturbed and
+        renormalized initial wall; the steps after the first see the
+        Fortran-ordered m that a step returns."""
         mp = MP.replace(c_cp=c_cp)
+        st = initial_wall(mp, Lx=100.0, n_nodes=2048)
         rng = np.random.default_rng(3)
         pert = np.zeros((2048, 3))
         pert[900:1150] = 1e-3 * rng.standard_normal((250, 3))
-        new = ref = initial_wall(mp, Lx=100.0, n_nodes=2048,
-                                 perturbation=pert)
-        frame = (new.s_est, new.omega_est) if fixed_frame else None
+        m = st.m + pert
+        m /= np.linalg.norm(m, axis=1)[:, None]
+        new = ref = LineState(grid=st.grid, m=m)
         for _ in range(50):
-            new = freeze_step(new, mp, 1e-3, frame=frame)
-            ref = reference_step(ref, mp, 1e-3, frame=frame)
+            new = freeze_step(new, mp, 1e-3)
+            ref = reference_step(ref, mp, 1e-3)
             assert np.array_equal(new.m, ref.m)
             assert np.array_equal(np.signbit(new.m), np.signbit(ref.m))
             assert (new.s_est, new.omega_est, new.norm_deviation) == (
@@ -200,13 +196,6 @@ class TestInitialWall:
         theta = homogeneous_profile(st.grid, MP.mu)[:, 0]
         assert np.max(np.abs(st.m[:, 2] - np.cos(theta))) < 1e-12
 
-    def test_perturbation_applied_and_renormalized(self):
-        pert = np.zeros((801, 3))
-        pert[400, 0] = 0.05
-        st = initial_wall(MP, Lx=20.0, n_nodes=801, perturbation=pert)
-        norms = np.linalg.norm(st.m, axis=1)
-        assert np.max(np.abs(norms - 1.0)) < 1e-12
-
 
 class TestFreezeStep:
     def test_dt_validation(self):
@@ -227,16 +216,6 @@ class TestFreezeStep:
         st2 = freeze_step(st, MP, 1e-3)
         assert st2.norm_deviation < 1e-6
         assert st2.t == pytest.approx(st.t + 1e-3)
-
-    def test_fixed_frame_near_stationary(self):
-        """Stepping with the exact selected frame leaves the wall almost
-        unchanged (only discretization drift)."""
-        st = initial_wall(MP, Lx=50.0, n_nodes=2001)
-        wf = homogeneous_speed_frequency(MP)
-        dt = 1e-4
-        st2 = freeze_step(st, MP, dt, frame=(wf.s, wf.omega))
-        assert np.max(np.abs(st2.m - st.m)) < 2e-3 * dt
-        assert st2.s_est == wf.s and st2.omega_est == wf.omega
 
     def test_selected_frame_close_to_exact(self):
         """The phase conditions recover (s0, Omega0) already on the first

@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from dwlab import (PI, ZERO, BlowUp, ChartState, MaterialParams, NoConnection,
-                   SpectralMismatch, Trajectory, WaveFrame, chart_coefficients,
+from dwlab import (PI, ZERO, BlowUp, ChartState, MaterialParams,
+                   SpectralMismatch, WaveFrame, chart_coefficients,
                    chart_equilibria, chart_flow, classify_tail,
                    homogeneous_profile, homogeneous_speed_frequency,
                    integrate, shoot_to_pi_chart, unstable_seed)

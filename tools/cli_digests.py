@@ -1,7 +1,9 @@
 """SHA-256 of every data file that a fixed set of dwlab CLI runs writes.
 
 Runs the seven commands in-process on fixed configs, among them a
-continuation in h, a ``--seed-profile`` run, a run that exits 3, a
+continuation in h, a ``--seed-profile`` run in each of the codim-2 and
+center regimes (the center one takes its free scalar htilde from the
+seed's diagnostics alone), a run that exits 3, a
 freezing run on the benchmark's 2048-node grid, a shot at the zero-speed
 edge h = beta/alpha, a classification of a left-moving wall
 (h < beta/alpha), a melnikov and a continue run that reject that wall, and a
@@ -61,6 +63,11 @@ RUNS = [
      None),
     ("cont-seeded", "continue", {**MAT, "h": 0.5, "cont": "c_cp",
                                  "target": 0.52}, "cont-ccp"),
+    ("cont-center", "continue", {**MAT, "h": 10.2, "cont": "c_cp",
+                                 "target": 0.05, **SMALL}, None),
+    ("cont-center-seeded", "continue", {**MAT, "h": 10.2, "cont": "s",
+                                        "target": 4.05, **SMALL},
+     "cont-center"),
 ]
 
 
