@@ -14,8 +14,7 @@ from .charts import (PI, ZERO, ChartCoefficients, ChartEquilibrium, ChartId,
                      chart_coefficients, chart_equilibria, chart_flow,
                      homogeneous_profile, homogeneous_speed_frequency)
 from .classify import (Regime, StabilityVerdict, classify_regime,
-                       eigenvalues_homogeneous, reflect_frame,
-                       reflect_profile_state, simultaneous_center,
+                       eigenvalues_homogeneous, simultaneous_center,
                        stability_verdict, standing_wall_condition,
                        thresholds)
 from .continuation import (Branch, BranchPoint, BvpConfig, Profile,
@@ -31,10 +30,8 @@ from .freezing import (FreezeSeries, LineState, dt_max, freeze_step,
 from .melnikov import (MelnikovIntegrals, SplittingMatrix,
                        determinant_identity_check, melnikov_integrals_closed,
                        melnikov_integrals_closed_corrected,
-                       melnikov_integrals_quadrature, splitting_matrix,
-                       splitting_value)
-from .model import (ChartState, MaterialParams, SingularState, SphereState,
-                    WaveFrame, blow_down, desingularized_rhs,
-                    local_wavenumber, singular_rhs)
+                       melnikov_integrals_quadrature, splitting_matrix)
+from .model import (ChartState, MaterialParams, SingularState, WaveFrame,
+                    desingularized_rhs, local_wavenumber, singular_rhs)
 from .shooting import (TailVerdict, Trajectory, classify_tail, integrate,
                        shoot_to_pi_chart, unstable_seed)

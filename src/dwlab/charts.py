@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EquilibriumInput, PoleCrossing
-from .model import ChartState, MaterialParams, WaveFrame
+from .model import MaterialParams, WaveFrame
 
 __all__ = [
     "ChartId",
@@ -94,9 +94,6 @@ class ChartEquilibrium:
     @property
     def q(self) -> float:
         return self.z.imag
-
-    def state(self) -> ChartState:
-        return ChartState(self.chart.theta, self.z.real, self.z.imag)
 
     @property
     def eigenvalues(self):

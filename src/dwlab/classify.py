@@ -13,9 +13,9 @@ how many conditions pin the heteroclinic connection:
     attracting inside the chart; connections persist without tuning.
 
 Also provided: the field thresholds h_* and h^*, the standing-wall frequency
-conditions, detection of the simultaneous double-center configuration, the
-stability curves Gamma+/- of the uniform states +/-e3 in the (h, c_cp) plane,
-and the reflection map covering left-moving walls.
+conditions, detection of the simultaneous double-center configuration,
+and the stability curves Gamma+/- of the uniform states +/-e3 in the
+(h, c_cp) plane.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .charts import PI, ZERO, ChartId, chart_coefficients, \
     homogeneous_speed_frequency
 from .errors import CurvePole
-from .model import ChartState, MaterialParams, WaveFrame
+from .model import MaterialParams, WaveFrame
 
 __all__ = [
     "Regime",
@@ -37,8 +37,6 @@ __all__ = [
     "standing_wall_condition",
     "simultaneous_center",
     "stability_verdict",
-    "reflect_frame",
-    "reflect_profile_state",
 ]
 
 #: tolerance on s0 - 2*sqrt(-mu)/alpha for the regime boundary tie
@@ -99,10 +97,10 @@ def classify_regime(mp: MaterialParams) -> Regime:
     This is the one place where the sign of the selected speed s0 is
     decided.  A wall with h < beta/alpha moves left (s0 < 0); the profile
     ODE is symmetric under (theta, p, q)(xi) -> (theta, -p, -q)(-xi) with
-    s -> -s (``reflect_profile_state``, ``reflect_frame``), so such a wall
-    is classified in the reflected frame: ``Regime.s0`` is |s0| and
-    ``Regime.reflected`` is true.  Within ZERO_SPEED_TOL of zero the wall
-    stands: ``Regime.s0`` is exactly 0.0 and it is not reflected.
+    s -> -s and Omega unchanged, so such a wall is classified in the
+    reflected frame: ``Regime.s0`` is |s0| and ``Regime.reflected`` is true.
+    Within ZERO_SPEED_TOL of zero the wall stands: ``Regime.s0`` is exactly
+    0.0 and it is not reflected.
     """
     if mp.c_cp != 0.0:
         raise ValueError("classification refers to the c_cp = 0 family")
@@ -188,13 +186,3 @@ def stability_verdict(mp: MaterialParams) -> StabilityVerdict:
         region = "unstable"
     return StabilityVerdict(plus_e3=plus, minus_e3=minus, region=region)
 
-
-def reflect_frame(wf: WaveFrame) -> WaveFrame:
-    """Frame of the reflected problem: s flips sign, Omega is unchanged."""
-    return WaveFrame(s=-wf.s, omega=wf.omega)
-
-
-def reflect_profile_state(state: ChartState) -> ChartState:
-    """Pointwise state map of the reflection (to be used together with
-    xi -> -xi): (theta, p, q) -> (theta, -p, -q)."""
-    return ChartState(theta=state.theta, p=-state.p, q=-state.q)

@@ -32,8 +32,8 @@ from .melnikov import determinant_identity_check, splitting_matrix
 from .model import MaterialParams, WaveFrame, local_wavenumber
 from .runio import (branch_to_dict, manifest_entry, profile_from_dict,
                     profile_rows, profile_to_dict, write_csv, write_json)
-from .shooting import (DEFAULT_EPSILON, DEFAULT_TOL, EPSILON_MAX, TOL_MAX,
-                       TOL_MIN, shoot_to_pi_chart)
+from .shooting import (DEFAULT_EPSILON, DEFAULT_TOL, check_epsilon,
+                       check_tol, shoot_to_pi_chart)
 
 __all__ = ["main"]
 
@@ -82,10 +82,8 @@ def _map_grid(cfg):
 def _shot(cfg):
     if (cfg["s"] is None) != (cfg["omega"] is None):
         raise ValueError("provide both s and omega, or neither")
-    if not 0 < cfg["epsilon"] <= EPSILON_MAX:
-        raise ValueError(f"epsilon must lie in (0, {EPSILON_MAX}]")
-    if not TOL_MIN <= cfg["tol"] <= TOL_MAX:
-        raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}]")
+    check_epsilon(cfg["epsilon"])
+    check_tol(cfg["tol"])
 
 
 def _schedule(cfg):
@@ -325,19 +323,27 @@ def _solve_seed(bvp, seed):
         for n in bvp.free_scalars})
 
 
+def _seed_numbers(part: str, values) -> dict:
+    """The fields of a seed's material or frame, each a finite number."""
+    return {k: _typed(f"seed profile {part} {k}", NUMBER, v)
+            for k, v in asdict(values).items()}
+
+
 def cmd_continue(cfg, out: Path, seed_profile=None):
     mp = _material(cfg)
     cont = cfg["cont"]
-    seed = None
+    seed = wf = None
     if seed_profile is not None:
-        # the seed's material replaces the config's, under the same bound
+        # the seed's material and frame replace the config's, typed and
+        # bounded as the config's are
         try:
             with open(seed_profile) as fh:
                 seed = profile_from_dict(json.load(fh))
-            mp = _material(asdict(seed.mp))
+            mp = _material(_seed_numbers("material", seed.mp))
+            wf = WaveFrame(**_seed_numbers("frame", seed.wf))
         except (OSError, ValueError) as exc:
             raise ConfigError(f"bad seed profile: {exc}") from exc
-    bvp = build_bvp(mp, _bvp(cfg), None if seed is None else seed.wf)
+    bvp = build_bvp(mp, _bvp(cfg), wf)
     if bvp.frees_or_slaves(cont):
         raise ConfigError(f"the {bvp.mode} regime already determines "
                           f"{cont}; it cannot be continued")

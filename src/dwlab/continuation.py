@@ -739,16 +739,21 @@ def check_step0(step0: float) -> None:
         raise ValueError(f"step0 must be finite and positive, got {step0}")
 
 
-def termination_boundary(mp: MaterialParams, wf: WaveFrame,
-                         c_cp_values, cfg: BvpConfig = BvpConfig()):
+def termination_boundary(mp: MaterialParams, c_cp_values,
+                         cfg: BvpConfig = BvpConfig()):
     """Existence-boundary estimate: for each c_cp, continue the codim-2 wall
     in s toward 0 (h and Omega free) and record the last converged point.
-    The c_cp = 0 wall is solved once and each c_cp is walked to from it.
+    The c_cp = 0 wall of ``build_bvp(mp, cfg)`` is solved once and each c_cp
+    is walked to from it.
 
     Returns a list of (c_cp, s_terminal, omega_terminal), with NaN for s
-    and omega where the walk to c_cp failed.
+    and omega where the walk to c_cp failed.  Raises ``OrientationError``
+    for a left-moving wall and ``RegimeError`` outside the codim-2 regime.
     """
-    bvp0 = HeteroclinicBVP(CODIM2, mp, wf, cfg)
+    bvp0 = build_bvp(mp, cfg)
+    if bvp0.mode != CODIM2:
+        raise RegimeError(f"the termination boundary requires the codim-2 "
+                          f"regime, got {bvp0.mode}")
     u0, sc0 = solve_regime(bvp0)
     results = []
     for ccp in c_cp_values:

@@ -42,7 +42,6 @@ __all__ = [
     "melnikov_integrals_closed_corrected",
     "melnikov_integrals_quadrature",
     "splitting_matrix",
-    "splitting_value",
     "determinant_identity_check",
 ]
 
@@ -269,11 +268,6 @@ def splitting_matrix(mp: MaterialParams) -> SplittingMatrix:
         m = assemble_matrix(mp.alpha, mp.beta, mp.mu, ints)
     return SplittingMatrix(m=m, kernel=_kernel(m), regime=regime,
                            integrals=ints)
-
-
-def splitting_value(sm: SplittingMatrix, deviation) -> np.ndarray:
-    """First-order splitting prediction M . (c_cp, ds, dOmega)."""
-    return sm.m @ np.asarray(deviation, dtype=float)
 
 
 def determinant_identity_check(alpha: float, mu: float, s0: float,

@@ -8,10 +8,10 @@ The magnetization dynamics on a nanowire
 restricted to coherent structures m(x, t) = m(xi), xi = x - s*t, rotating with
 frequency Omega about e3, reduces to a three-dimensional ODE in the spherical
 angle theta, its (desingularized) rate p and the local wavenumber q.  This
-module holds the parameter containers, the three state representations
-(chart, singular, sphere) and the right-hand sides of the singular and
-desingularized systems, together with their analytic partial derivatives used
-by the boundary-value solvers.
+module holds the parameter containers, the two state representations
+(chart, singular), the right-hand sides of the singular and desingularized
+systems, together with their analytic partial derivatives used by the
+boundary-value solvers, and the blow-down to the sphere.
 """
 
 from __future__ import annotations
@@ -30,11 +30,9 @@ __all__ = [
     "WaveFrame",
     "ChartState",
     "SingularState",
-    "SphereState",
     "desingularized_rhs",
     "singular_rhs",
     "sphere_rows",
-    "blow_down",
     "local_wavenumber",
     "trapezoid_weights",
 ]
@@ -73,16 +71,6 @@ class MaterialParams:
         """beta / (1 - A c_cp): effective torque strength on the chart with
         quadratic coefficient A = -cos(theta), i.e. at m3 = -A."""
         return self.beta / (1.0 - A * self.c_cp)
-
-    @property
-    def beta_plus(self) -> float:
-        """beta / (1 + c_cp): effective torque strength at m = +e3."""
-        return self.torque(-1.0)
-
-    @property
-    def beta_minus(self) -> float:
-        """beta / (1 - c_cp): effective torque strength at m = -e3."""
-        return self.torque(1.0)
 
     def replace(self, **kw) -> "MaterialParams":
         return dataclasses.replace(self, **kw)
@@ -130,21 +118,6 @@ class SingularState:
 
     def __post_init__(self):
         _check_theta(self.theta)
-
-
-@dataclass(frozen=True)
-class SphereState:
-    """Magnetization m on the unit sphere plus local wavenumber q."""
-
-    m: tuple
-    q: float
-
-    def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
-        if m.shape != (3,):
-            raise ValueError("m must be a 3-vector")
-        if abs(np.linalg.norm(m) - 1.0) > 1e-12:
-            raise ValueError("m must be a unit vector (within 1e-12)")
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +220,6 @@ def sphere_rows(theta, phi) -> np.ndarray:
     theta = 0 maps to +e3 and theta = pi to -e3 for any azimuth phi."""
     st = np.sin(theta)
     return np.array([np.cos(phi) * st, np.sin(phi) * st, np.cos(theta)])
-
-
-def blow_down(state: ChartState, phi: float) -> SphereState:
-    """Map a chart state to the sphere by ``sphere_rows``; q is passed
-    through."""
-    return SphereState(m=tuple(sphere_rows(state.theta, phi).tolist()),
-                       q=state.q)
 
 
 def local_wavenumber(m, m_prime):

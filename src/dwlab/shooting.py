@@ -20,12 +20,13 @@ from scipy.integrate import solve_ivp
 
 from .charts import ZERO, ChartEquilibrium, chart_equilibria
 from .errors import BlowUp, NoConnection, SpectralMismatch, StepFailure
-from .model import (ChartState, MaterialParams, SingularState, WaveFrame,
-                    rhs_raw, singular_rhs)
+from .model import ChartState, MaterialParams, WaveFrame, rhs_raw
 
 __all__ = [
     "Trajectory",
     "TailVerdict",
+    "check_tol",
+    "check_epsilon",
     "integrate",
     "unstable_seed",
     "shoot_to_pi_chart",
@@ -80,41 +81,42 @@ class TailVerdict:
     oscillation_amplitude: float
 
 
-def _make_rhs(mp: MaterialParams, wf: WaveFrame, system: str):
-    if system == "desingularized":
-        def f(xi, y):
-            return rhs_raw(y[0], y[1], y[2], mp.alpha, mp.beta, mp.mu,
-                           mp.h, mp.c_cp, wf.s, wf.omega)
-        return f
-    if system == "singular":
-        def f(xi, y):
-            return singular_rhs(SingularState(*y), mp, wf)
-        return f
-    raise ValueError(f"unknown system {system!r}")
+def check_tol(tol: float) -> None:
+    """Raise ``ValueError`` unless the integrator tolerance lies in
+    [TOL_MIN, TOL_MAX]."""
+    if not (TOL_MIN <= tol <= TOL_MAX):
+        raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}]")
+
+
+def check_epsilon(epsilon: float) -> None:
+    """Raise ``ValueError`` unless the seed offset lies in (0, EPSILON_MAX],
+    so that the seed angle theta = epsilon is a valid angle."""
+    if not (0 < epsilon <= EPSILON_MAX):
+        raise ValueError(f"epsilon must lie in (0, {EPSILON_MAX}]")
 
 
 def integrate(state0: ChartState, span, mp: MaterialParams, wf: WaveFrame,
-              tol: float = DEFAULT_TOL, system: str = "desingularized",
-              events=None) -> Trajectory:
-    """Adaptive integration of the chosen right-hand side over ``span``.
+              tol: float = DEFAULT_TOL, events=None) -> Trajectory:
+    """Adaptive integration of the desingularized system over ``span``.
 
-    ``tol`` (in [TOL_MIN, TOL_MAX]) bounds the local error per step; the result
-    carries dense output.  Raises ``BlowUp`` when |p| + |q| exceeds 1e8 and
-    ``StepFailure`` when the integrator cannot complete a step.
+    ``tol`` (checked by ``check_tol``) bounds the local error per step; the
+    result carries dense output.  Raises ``BlowUp`` when |p| + |q| exceeds
+    1e8 and ``StepFailure`` when the integrator cannot complete a step.
     """
-    if not (TOL_MIN <= tol <= TOL_MAX):
-        raise ValueError(f"tol must lie in [{TOL_MIN}, {TOL_MAX}]")
-    f = _make_rhs(mp, wf, system)
+    check_tol(tol)
+
+    def f(xi, y):
+        return rhs_raw(y[0], y[1], y[2], mp.alpha, mp.beta, mp.mu, mp.h,
+                       mp.c_cp, wf.s, wf.omega)
 
     def blowup(xi, y):
         return abs(y[1]) + abs(y[2]) - BLOWUP_BOUND
     blowup.terminal = True
 
     ev = [blowup] + (list(events) if events else [])
-    y0 = [state0.theta, state0.p, state0.q] if isinstance(state0, ChartState) \
-        else list(state0)
-    sol = solve_ivp(f, span, y0, method="DOP853", rtol=tol, atol=tol,
-                    dense_output=True, events=ev)
+    sol = solve_ivp(f, span, [state0.theta, state0.p, state0.q],
+                    method="DOP853", rtol=tol, atol=tol, dense_output=True,
+                    events=ev)
     if sol.status == -1:
         raise StepFailure(sol.message)
     if len(sol.t_events[0]) > 0:
@@ -142,8 +144,7 @@ def unstable_seed(eq: ChartEquilibrium,
         raise SpectralMismatch(
             f"need exactly one unstable eigenvalue (transverse); got "
             f"{n_unstable} unstable, nu3 = {eq.nu3}")
-    if not (0 < epsilon <= EPSILON_MAX):
-        raise ValueError(f"epsilon must lie in (0, {EPSILON_MAX}]")
+    check_epsilon(epsilon)
     return ChartState(theta=epsilon, p=eq.p, q=eq.q)
 
 

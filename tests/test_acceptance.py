@@ -20,17 +20,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from dwlab import (PI, ZERO, BvpConfig, ChartState, MaterialParams, WaveFrame,
-                   build_bvp, chart_coefficients, chart_equilibria,
-                   continue_branch, determinant_identity_check, freeze_step,
-                   hamiltonian, homogeneous_profile,
-                   homogeneous_speed_frequency, htilde_quadratic,
-                   initial_wall, integrate, melnikov_integrals_closed,
+from dwlab import (PI, ZERO, BvpConfig, ChartState, MaterialParams,
+                   SingularState, WaveFrame, build_bvp, chart_coefficients,
+                   chart_equilibria, continue_branch,
+                   determinant_identity_check, freeze_step, hamiltonian,
+                   homogeneous_profile, homogeneous_speed_frequency,
+                   htilde_quadratic, initial_wall, integrate,
+                   melnikov_integrals_closed,
                    melnikov_integrals_closed_corrected,
                    melnikov_integrals_quadrature, run_selection,
-                   shoot_to_pi_chart, solve_regime, splitting_matrix,
-                   splitting_value, tail_oscillation_coefficients, thresholds)
+                   shoot_to_pi_chart, singular_rhs, solve_regime,
+                   splitting_matrix, tail_oscillation_coefficients,
+                   thresholds)
 from dwlab.cli import _center_sweep as center_sweep
 
 LINES = []
@@ -182,7 +185,7 @@ def test_criterion_04d_quadrature_grid_corrected_supplement(
 
 def test_criterion_05a_first_splitting_evaluation():
     sm = splitting_matrix(mk(0.5))
-    v = splitting_value(sm, (-0.5, -0.007788, 0.000771))
+    v = sm.m @ np.array((-0.5, -0.007788, 0.000771))
     err = max(abs(v[0] - 0.00481558), abs(v[1] - 0.00181945))
     finish(check("criterion 5a", err < 1e-5,
                  f"M(-0.5,-0.007788,0.000771) = ({v[0]:.8f}, {v[1]:.8f}) "
@@ -193,7 +196,7 @@ def test_criterion_05b_second_splitting_evaluation():
     """Honest red: the published value pair does not match the published
     matrix applied to the published deviations."""
     sm = splitting_matrix(mk(0.5))
-    v = splitting_value(sm, (0.5, -0.007973, 0.007173))
+    v = sm.m @ np.array((0.5, -0.007973, 0.007173))
     err = max(abs(v[0] - 0.00648248), abs(v[1] + 0.00133122))
     finish(check("criterion 5b", err < 1e-5,
                  f"M(0.5,-0.007973,0.007173) = ({v[0]:.8f}, {v[1]:.8f}) "
@@ -457,10 +460,12 @@ def test_criterion_11c_coordinate_consistency():
     wf = WaveFrame(s=1.2, omega=3.4)
     state0 = ChartState(0.5, 1.0, 0.0)
     t1 = integrate(state0, (0.0, 1.5), mp, wf, tol=1e-11)
-    t2 = integrate((0.5, 1.0 * math.sin(0.5), 0.0), (0.0, 1.5), mp, wf,
-                   tol=1e-11, system="singular")
+    t2 = solve_ivp(lambda xi, y: singular_rhs(SingularState(*y), mp, wf),
+                   (0.0, 1.5), [0.5, 1.0 * math.sin(0.5), 0.0],
+                   method="DOP853", rtol=1e-11, atol=1e-11,
+                   dense_output=True)
     xs = np.linspace(0.0, 1.5, 16)
-    s1, s2 = t1.at(xs), t2.at(xs)
+    s1, s2 = t1.at(xs), t2.sol(xs).T
     err = max(float(np.max(np.abs(s1[:, 0] - s2[:, 0]))),
               float(np.max(np.abs(s1[:, 1] * np.sin(s1[:, 0]) - s2[:, 1]))),
               float(np.max(np.abs(s1[:, 2] - s2[:, 2]))))

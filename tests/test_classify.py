@@ -1,6 +1,6 @@
 """Classification tests: thresholds, regimes, homogeneous eigenvalues
 (cross-checked against the chart equilibria), the double-center detector,
-uniform-state stability curves, and the reflection map."""
+uniform-state stability curves, and the reflection symmetry."""
 
 import math
 
@@ -13,8 +13,7 @@ from dwlab import (PI, ZERO, BvpConfig, ChartState, CurvePole,
                    MaterialParams, OrientationError, WaveFrame, build_bvp,
                    chart_equilibria, classify_regime, desingularized_rhs,
                    eigenvalues_homogeneous, homogeneous_speed_frequency,
-                   reflect_frame, reflect_profile_state, simultaneous_center,
-                   splitting_matrix, stability_verdict,
+                   simultaneous_center, splitting_matrix, stability_verdict,
                    standing_wall_condition, thresholds)
 
 ALPHA, BETA, MU = 0.5, 0.1, -1.0
@@ -214,7 +213,7 @@ class TestStandingWall:
 
     def test_critical_frequency(self):
         mp = mk(5.0)
-        crit = mp.beta_plus / mp.alpha  # = 0.2
+        crit = mp.torque(-1.0) / mp.alpha  # = 0.2
         # theta=0 branch: requires Omega <= h - mu = 6
         assert standing_wall_condition(ZERO, mp, omega=crit)
         mp_hi = mk(5.0).replace(h=crit + MU - 1.0)  # h - mu < crit
@@ -248,8 +247,8 @@ class TestReflection:
         wf = WaveFrame(s=1.2, omega=3.4)
         state = ChartState(1.1, 0.7, -0.4)
         d = desingularized_rhs(state, mp, wf)
-        d_ref = desingularized_rhs(reflect_profile_state(state), mp,
-                                   reflect_frame(wf))
+        d_ref = desingularized_rhs(ChartState(1.1, -0.7, 0.4), mp,
+                                   WaveFrame(s=-1.2, omega=3.4))
         assert d_ref[0] == pytest.approx(-d[0], abs=1e-14)
         assert d_ref[1] == pytest.approx(d[1], abs=1e-14)
         assert d_ref[2] == pytest.approx(d[2], abs=1e-14)

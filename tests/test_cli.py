@@ -407,6 +407,12 @@ BAD_SEEDS = {
     "mu-not-negative": (
         lambda doc: {**doc, "material": {**doc["material"], "mu": 0.5}},
         TestCliContinue.CFG, ["mu < 0"]),
+    "material-bool": (
+        lambda doc: {**doc, "material": {**doc["material"], "h": True}},
+        TestCliContinue.CFG, ["seed profile material h", "got true"]),
+    "frame-bool": (
+        lambda doc: {**doc, "frame": {**doc["frame"], "s": True}},
+        TestCliContinue.CFG, ["seed profile frame s", "got true"]),
     "free-scalar-missing": (_without_omega, TestCliContinue.CFG, ["omega"]),
     "free-scalars-absent": (_without_free_scalars, TestCliContinue.CFG,
                             ["lacks the codim2 regime's free scalar(s) s, "
@@ -432,8 +438,8 @@ BAD_SEEDS = {
 @pytest.mark.parametrize("case", sorted(BAD_SEEDS))
 def test_bad_seed_profile_is_config_error(tmp_path, capsys, seed_doc, case):
     """A seed must be a whole profile of a wall material (mu < 0) on the
-    run's mesh, with a finite number for every free scalar of its
-    regime."""
+    run's mesh, with a finite number for every material and frame value
+    and every free scalar of its regime."""
     make, cfg, fragments = BAD_SEEDS[case]
     seed = tmp_path / "seed.json"
     seed.write_text(json.dumps(make(seed_doc)))

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
-from dwlab import (BvpConfig, MaterialParams, NoConvergence, WaveFrame,
-                   build_bvp, classify_regime, continue_branch,
-                   homogeneous_profile, homogeneous_speed_frequency,
+from dwlab import (BvpConfig, MaterialParams, NoConvergence,
+                   OrientationError, RegimeError, WaveFrame, build_bvp,
+                   classify_regime, continue_branch, homogeneous_profile,
                    newton_solve, solve_regime, termination_boundary)
 from dwlab import continuation
 from dwlab.continuation import _factorize
@@ -430,9 +430,8 @@ class TestTerminationBoundary:
         """At c_cp = 0 the branch in s reaches 0 (the explicit family covers
         standing walls); at c_cp != 0 it terminates at positive speed."""
         mp = mk(0.5)
-        wf = homogeneous_speed_frequency(mp)
         cfg = BvpConfig(L=20.0, n_mesh=60, collocation_order=3)
-        results = termination_boundary(mp, wf, [0.0, 0.3], cfg=cfg)
+        results = termination_boundary(mp, [0.0, 0.3], cfg=cfg)
         (c0, s0_term, _), (c3, s3_term, _) = results
         assert c0 == 0.0 and s0_term == pytest.approx(0.0, abs=1e-8)
         assert c3 == 0.3 and s3_term > 0.0
@@ -441,9 +440,8 @@ class TestTerminationBoundary:
         """Every c_cp is walked to from one solved c_cp = 0 wall, and each
         result is bit-identical to a call for that c_cp alone."""
         mp = mk(0.5)
-        wf = homogeneous_speed_frequency(mp)
         cfg = BvpConfig(L=20.0, n_mesh=60, collocation_order=3)
-        alone = [termination_boundary(mp, wf, [c], cfg=cfg)[0]
+        alone = [termination_boundary(mp, [c], cfg=cfg)[0]
                  for c in (0.05, 0.0)]
         solves = []
 
@@ -451,5 +449,16 @@ class TestTerminationBoundary:
             solves.append(bvp.free_scalars)
             return solve_regime(bvp, *args, **kwargs)
         monkeypatch.setattr(continuation, "solve_regime", counting)
-        assert termination_boundary(mp, wf, [0.05, 0.0], cfg=cfg) == alone
+        assert termination_boundary(mp, [0.05, 0.0], cfg=cfg) == alone
         assert solves.count(("s", "omega")) == 1
+
+    def test_left_moving_wall_rejected(self):
+        """h < beta/alpha: the base wall moves left, and it is refused
+        before any solve, as ``build_bvp`` refuses it."""
+        with pytest.raises(OrientationError):
+            termination_boundary(mk(0.1), [0.0])
+
+    def test_codim0_wall_rejected(self):
+        """Above h^* the wall is codim-0, with no speed to continue."""
+        with pytest.raises(RegimeError, match="codim-2"):
+            termination_boundary(mk(50.0), [0.0])

@@ -1,11 +1,13 @@
 """Every imported name is read: an import that nothing uses claims a
-dependency the module does not have.
+dependency the module does not have.  And every name that a library module
+exports in ``__all__`` is bound there, so ``from module import *`` works.
 
 Scans the library modules (not ``__init__.py``, whose imports are the
 package's re-exports), the tests and the tools.  ``from __future__``
 imports are compiler switches, not names, and are skipped."""
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,3 +40,17 @@ def test_every_import_is_read():
     unread = {str(p.relative_to(ROOT)): names for p in files
               if (names := unread_imports(p))}
     assert unread == {}
+
+
+def test_every_exported_name_is_bound():
+    modules = [p.stem for p in sorted((ROOT / "src" / "dwlab").glob("*.py"))
+               if p.name != "__init__.py"]
+    unbound = {}
+    for stem in modules:
+        module = importlib.import_module(f"dwlab.{stem}")
+        names = [n for n in getattr(module, "__all__", ())
+                 if not hasattr(module, n)]
+        if names:
+            unbound[stem] = names
+    assert len(modules) > 10
+    assert unbound == {}

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from dwlab import (MaterialParams, MelnikovDomainError, RegimeError,
                    determinant_identity_check, melnikov_integrals_closed,
                    melnikov_integrals_closed_corrected,
-                   melnikov_integrals_quadrature, splitting_matrix,
-                   splitting_value)
+                   melnikov_integrals_quadrature, splitting_matrix)
 from dwlab.melnikov import _kernel
 
 MP05 = MaterialParams(alpha=0.5, beta=0.1, mu=-1.0, h=0.5, c_cp=0.0)
@@ -146,9 +145,7 @@ class TestSplittingMatrix:
 
     def test_splitting_value_is_linear(self):
         sm = splitting_matrix(MP05)
-        dev = np.array([0.3, -0.01, 0.02])
-        assert np.allclose(splitting_value(sm, dev), sm.m @ dev)
-        assert np.max(np.abs(splitting_value(sm, sm.kernel))) < 1e-12
+        assert np.max(np.abs(sm.m @ sm.kernel)) < 1e-12
 
 
 class TestDeterminantIdentity:

@@ -7,11 +7,14 @@ import math
 import numpy as np
 import pytest
 
+from scipy.integrate import solve_ivp
+
 from dwlab import (PI, ZERO, BlowUp, ChartState, MaterialParams,
-                   SpectralMismatch, WaveFrame, chart_coefficients,
-                   chart_equilibria, chart_flow, classify_tail,
-                   homogeneous_profile, homogeneous_speed_frequency,
-                   integrate, shoot_to_pi_chart, unstable_seed)
+                   SingularState, SpectralMismatch, WaveFrame,
+                   chart_coefficients, chart_equilibria, chart_flow,
+                   classify_tail, homogeneous_profile,
+                   homogeneous_speed_frequency, integrate, shoot_to_pi_chart,
+                   singular_rhs, unstable_seed)
 from dwlab.shooting import EPSILON_MAX
 
 MP = MaterialParams(alpha=0.5, beta=0.1, mu=-1.0, h=5.0, c_cp=0.0)
@@ -39,7 +42,8 @@ class TestIntegrate:
     def test_equilibrium_stays_put(self):
         eq = chart_equilibria(ZERO, MP, WF0)[1]
         tol = 1e-10
-        traj = integrate(eq.state(), (0.0, 10.0), MP, WF0, tol=tol)
+        traj = integrate(ChartState(0.0, eq.p, eq.q), (0.0, 10.0), MP, WF0,
+                         tol=tol)
         drift = np.max(np.abs(traj.states - traj.states[0]), axis=0)
         assert np.max(drift) < 10 * tol
 
@@ -64,10 +68,12 @@ class TestIntegrate:
         state0 = ChartState(0.5, 1.0, 0.0)
         t1 = integrate(state0, (0.0, 1.5), MP, WF0, tol=1e-11)
         psi0 = state0.p * math.sin(state0.theta)
-        t2 = integrate((state0.theta, psi0, state0.q), (0.0, 1.5), MP, WF0,
-                       tol=1e-11, system="singular")
+        t2 = solve_ivp(lambda xi, y: singular_rhs(SingularState(*y), MP, WF0),
+                       (0.0, 1.5), [state0.theta, psi0, state0.q],
+                       method="DOP853", rtol=1e-11, atol=1e-11,
+                       dense_output=True)
         xs = np.linspace(0, 1.5, 16)
-        s1, s2 = t1.at(xs), t2.at(xs)
+        s1, s2 = t1.at(xs), t2.sol(xs).T
         assert np.max(np.abs(s1[:, 0] - s2[:, 0])) < 1e-8
         assert np.max(np.abs(s1[:, 2] - s2[:, 2])) < 1e-7
         assert np.max(np.abs(s1[:, 1] * np.sin(s1[:, 0]) - s2[:, 1])) < 1e-7

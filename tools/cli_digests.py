@@ -71,14 +71,9 @@ RUNS = [
 ]
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--src", help="source tree to import dwlab from "
-                        "(default: src/ of this checkout)",
-                        default=str(Path(__file__).parents[1] / "src"))
-    sys.path.insert(0, parser.parse_args().src)
-    from dwlab.cli import main as dwlab
-
+def digests(dwlab):
+    """Run RUNS through the CLI entry point ``dwlab`` in a temporary
+    directory, yielding the output line of each data file."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, command, cfg, seed in RUNS:
             out = Path(tmp, name)
@@ -92,9 +87,21 @@ def main():
                      if f.name != "manifest.json"]
             for f in files:
                 digest = hashlib.sha256(f.read_bytes()).hexdigest()
-                print(name, code, f.name, digest)
+                yield f"{name} {code} {f.name} {digest}"
             if not files:
-                print(name, code, "-", "-")
+                yield f"{name} {code} - -"
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", help="source tree to import dwlab from "
+                        "(default: src/ of this checkout)",
+                        default=str(Path(__file__).parents[1] / "src"))
+    sys.path.insert(0, parser.parse_args().src)
+    from dwlab.cli import main as dwlab
+
+    for line in digests(dwlab):
+        print(line)
 
 
 if __name__ == "__main__":
