@@ -30,6 +30,13 @@ pattern of J^T + J, which keeps the fill near nnz(J).  That ordering depends
 on the structure only, so it is computed once per structure, at its first
 factorization, and kept with it; each later Newton iteration factors its
 matrix numerically only, with the columns already in that order.
+
+SciPy's sparse modules (``scipy.sparse`` and ``scipy.sparse.linalg``) are
+imported at the first Jacobian and the first factorization, not with this
+module, so only the commands that solve a boundary-value problem
+(``continue`` and ``center``) load them.  ``splu`` and ``lsmr`` stay
+module-level names that forward to SciPy's routines, so they can be replaced
+on the module, as tests do.
 """
 
 from __future__ import annotations
@@ -39,8 +46,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial import legendre
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import lsmr, splu
 
 from .charts import PI, ZERO, chart_equilibria, homogeneous_profile
 from .classify import CENTER, CODIM0, CODIM2, classify_regime
@@ -398,6 +403,7 @@ class HeteroclinicBVP:
         given, that gradient as a dense last row (the continuation driver's
         arclength or target row).  Each call computes values only; the
         structure is fixed per extra row."""
+        from scipy.sparse import csc_matrix
         u, scalars = self.unpack(x)
         par = self.params_from(scalars)
         N, m = self.N, self.m
@@ -477,6 +483,18 @@ def build_bvp(mp: MaterialParams, cfg: BvpConfig = BvpConfig(),
     if wf is None:
         wf = WaveFrame(s=regime.s0, omega=regime.omega0)
     return HeteroclinicBVP(regime.kind, mp, wf, cfg)
+
+
+def splu(A, **options):
+    """``scipy.sparse.linalg.splu``, imported at its first call."""
+    from scipy.sparse.linalg import splu
+    return splu(A, **options)
+
+
+def lsmr(A, b, **options):
+    """``scipy.sparse.linalg.lsmr``, imported at its first call."""
+    from scipy.sparse.linalg import lsmr
+    return lsmr(A, b, **options)
 
 
 def _factorize(J):

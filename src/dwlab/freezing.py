@@ -19,6 +19,9 @@ evaluates them, the nine tridiagonal right-hand sides of a step share one
 buffer that LAPACK's ``dgtsv`` solves in place, and the phase inner products
 add their terms in the order the (n, 3) layout gave them, so every bit of a
 run matches the straightforward (n, 3) evaluation.
+
+``scipy.linalg`` is imported at the first step, not with this module, so of
+the CLI commands only ``freeze`` loads it.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .charts import homogeneous_profile
 from .errors import PhaseDegeneracy
@@ -233,6 +235,7 @@ def freeze_step(state: LineState, mp: MaterialParams, dt: float) -> LineState:
     evaluation did.  The returned ``m`` is the Fortran-ordered (n, 3) view
     of the new rows.
     """
+    from scipy.linalg.lapack import dgtsv
     check_schedule(dt, state.dx, mp.alpha)
     dx = state.dx
     n = len(state.grid)

@@ -19,7 +19,10 @@ integrand (and an independent residue computation) instead gives
 (alpha^2 - 1)(1 - E)c; see ``melnikov_integrals_closed_corrected``.  The
 primary function keeps the former convention because the reference matrix
 entries, kernel direction and splitting evaluations downstream are all
-defined with it; the corrected variant is exposed for comparison.
+defined with it; the corrected variant is exposed for comparison.  Both
+independent checks confirm the corrected form: quadrature of the defining
+integrands, and the tangents (ds, dOmega)/dc_cp of continued branches,
+which equal the corrected matrix's kernel (0, beta s0/(2r)).
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .classify import CODIM2, Regime, classify_regime
 from .errors import MelnikovDomainError, OrientationError, RegimeError
@@ -192,6 +194,7 @@ def melnikov_integrals_quadrature(alpha: float, mu: float, s0: float,
     rises from 1e-14 to 100 eps int |f| (f keeps one sign on a half),
     twice QUADPACK's roundoff floor.  ``IntegrationWarning`` propagates.
     """
+    from scipy.integrate import quad
     r = _check_domain(alpha, mu, s0)
     a_s0 = alpha * s0
     X = max(50.0 / r, 50.0 / (2.0 * r - a_s0))

@@ -7,6 +7,11 @@ system with an adaptive explicit scheme (dense output, event detection),
 constructs the unstable seed, shoots to the far chart and classifies the tail
 of the local wavenumber q as flat (q settles to a point) or non-flat
 (persistent oscillation, i.e. the orbit approaches a cycle in the chart).
+
+``scipy.integrate`` is imported at the first integration, not with this
+module, so of the CLI commands only ``shoot`` loads it.  ``solve_ivp`` stays
+a module-level name that forwards to SciPy's integrator, so it can be
+replaced on the module.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .charts import ZERO, ChartEquilibrium, chart_equilibria
 from .errors import BlowUp, NoConnection, SpectralMismatch, StepFailure
@@ -93,6 +97,12 @@ def check_epsilon(epsilon: float) -> None:
     so that the seed angle theta = epsilon is a valid angle."""
     if not (0 < epsilon <= EPSILON_MAX):
         raise ValueError(f"epsilon must lie in (0, {EPSILON_MAX}]")
+
+
+def solve_ivp(fun, t_span, y0, **options):
+    """``scipy.integrate.solve_ivp``, imported at its first call."""
+    from scipy.integrate import solve_ivp
+    return solve_ivp(fun, t_span, y0, **options)
 
 
 def integrate(state0: ChartState, span, mp: MaterialParams, wf: WaveFrame,

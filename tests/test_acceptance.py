@@ -8,7 +8,8 @@ discrepancy, not a tolerance tweak.  Known discrepancies that fail honestly:
   disagrees with the quadrature oracle (its first coefficient has the
   opposite sign); the corrected variant agrees to 3e-13 (4d).
 * criterion 5b -- the second published splitting evaluation does not match
-  the published matrix applied to the published deviations.
+  the published matrix applied to the published deviations; it matches the
+  matrix applied at c_cp = -0.5 instead of +0.5 (5b').
 * criterion 9c -- the energy-gap s-sweep misses the <= 20% band (34-192% on
   the minus side); its symmetric part tends to a_ss ds^2, and an odd cubic
   part explains the miss (9c').
@@ -203,7 +204,20 @@ def test_criterion_05b_second_splitting_evaluation():
                  "vs (0.00648248, -0.00133122) (tol 1e-5)"))
 
 
-# -- criterion 6 ------------------------------------------------------------
+def test_criterion_05b_prime_published_pair_is_at_negative_ccp():
+    """Supplement to 5b: the published pair is the printed matrix applied to
+    the published deviations at c_cp = -0.5, not +0.5 (3.5e-9 measured),
+    so 5b's miss is the sign of c_cp."""
+    sm = splitting_matrix(mk(0.5))
+    v = sm.m @ np.array((-0.5, -0.007973, 0.007173))
+    err = max(abs(v[0] - 0.00648248), abs(v[1] + 0.00133122))
+    finish(check("criterion 5b'", err < 1e-8,
+                 f"M(-0.5,-0.007973,0.007173) = ({v[0]:.8f}, {v[1]:.8f}) "
+                 f"vs (0.00648248, -0.00133122): max deviation {err:.1e} "
+                 "(tol 1e-8)"))
+
+
+# -- criterion 6------------------------------------------------------------
 
 def test_criterion_06_center_expansion():
     qf = htilde_quadratic(0.5, -1.0)
