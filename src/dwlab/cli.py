@@ -31,7 +31,8 @@ from .freezing import (check_schedule, grid_spacing, initial_wall,
 from .melnikov import determinant_identity_check, splitting_matrix
 from .model import MaterialParams, WaveFrame, local_wavenumber
 from .runio import (branch_to_dict, manifest_entry, profile_from_dict,
-                    profile_rows, profile_to_dict, write_csv, write_json)
+                    profile_rows, profile_to_dict, sha256_bytes, write_csv,
+                    write_json)
 from .shooting import (DEFAULT_EPSILON, DEFAULT_TOL, check_epsilon,
                        check_tol, shoot_to_pi_chart)
 
@@ -220,12 +221,10 @@ def cmd_classify(cfg, out: Path):
 def cmd_stability_map(cfg, out: Path):
     mp0 = _material(cfg, wall=False)
     # rows ascend in (h, c_cp), also when a bound pair is given high to low
-    rows = []
-    for h in np.sort(np.linspace(cfg["h_min"], cfg["h_max"], cfg["n_h"])):
-        for c in np.sort(np.linspace(cfg["ccp_min"], cfg["ccp_max"],
-                                     cfg["n_ccp"])):
-            region = _verdict(mp0.replace(h=float(h), c_cp=float(c))).region
-            rows.append((float(h), float(c), region))
+    hs = np.sort(np.linspace(cfg["h_min"], cfg["h_max"], cfg["n_h"]))
+    ccps = np.sort(np.linspace(cfg["ccp_min"], cfg["ccp_max"], cfg["n_ccp"]))
+    rows = [(h, c, _verdict(mp0.replace(h=h, c_cp=c)).region)
+            for h in hs.tolist() for c in ccps.tolist()]
     return [_write(out, "stability_map.csv", ["h", "c_cp", "region"], rows)]
 
 
@@ -350,8 +349,11 @@ def cmd_continue(cfg, out: Path, seed_profile=None):
     u, sc = solve_regime(bvp) if seed is None else _solve_seed(bvp, seed)
     br = continue_branch(bvp, u, sc, cont, cfg["target"], step0=cfg["step0"])
     prof = br.end.profile
-    files = [_write(out, "branch.json", branch_to_dict(br)),
-             _write(out, "profile.json", profile_to_dict(prof)),
+    # branch.json records the digest of profile.json's bytes
+    profile_file = _write(out, "profile.json", profile_to_dict(prof))
+    files = [_write(out, "branch.json",
+                    branch_to_dict(br, sha256_bytes(profile_file[1]))),
+             profile_file,
              _write(out, "profile.csv", _PROFILE,
                     profile_rows(prof.mesh, prof.states))]
     if br.terminated != "reached_target":

@@ -2,9 +2,13 @@
 
 All floating-point output uses 17 significant digits (full round-trip
 precision) and LF newlines, so identical inputs produce byte-identical
-files.  Profiles serialize to a JSON schema that reconstructs the exact
-discrete solution; emitted file sets are described by a manifest with
-SHA-256 content hashes.
+files.  ``fmt`` defines how one value is spelled.  A file's numbers are
+spelled in one ``%`` template pass: a CSV column, or a JSON array, whose
+items are all finite floats enters the template as ``%.17g``, which spells
+a float exactly as ``fmt`` does; every other column or array is spelled by
+``fmt``, cell by cell.  Profiles serialize to a JSON schema that
+reconstructs the exact discrete solution; emitted file sets are described
+by a manifest with SHA-256 content hashes.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict
+from itertools import chain
 
 import numpy as np
 
@@ -44,6 +49,13 @@ def fmt(x) -> str:
     return str(x)
 
 
+def _finite_floats(seq) -> bool:
+    """Whether every item of ``seq`` is a finite float (``np.float64``
+    included), which ``%.17g`` spells as ``fmt`` does."""
+    return (all(issubclass(t, float) for t in set(map(type, seq)))
+            and all(map(math.isfinite, seq)))
+
+
 def _emit(obj, indent: int, out: list) -> None:
     pad = "  " * indent
     if isinstance(obj, dict):
@@ -61,6 +73,11 @@ def _emit(obj, indent: int, out: list) -> None:
         seq = list(obj)
         if not seq:
             out.append("[]")
+            return
+        if _finite_floats(seq):
+            sep = ",\n" + pad + "  "
+            out.append("[" + sep[1:] + sep.join(["%.17g"] * len(seq))
+                       % tuple(seq) + "\n" + pad + "]")
             return
         out.append("[\n")
         for i, v in enumerate(seq):
@@ -97,10 +114,26 @@ def write_json(path, obj) -> bytes:
 
 
 def write_csv(path, header, rows) -> bytes:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    data = ("\n".join(lines) + "\n").encode()
+    """Write ``header`` and ``rows`` (a 2-D array, or a sequence of equally
+    long rows) as CSV; returns the bytes written."""
+    if isinstance(rows, np.ndarray):
+        n_rows, columns = len(rows), rows.T.tolist()
+    else:
+        rows = list(rows)
+        n_rows, columns = len(rows), zip(*rows, strict=True)
+    specs, args = [], []
+    for col in columns:
+        if _finite_floats(col):
+            specs.append("%.17g")
+            args.append(col)
+        else:
+            specs.append("%s")
+            args.append([fmt(v) for v in col])
+    # the header, its % signs escaped, is part of the template, so that the
+    # text is built in one piece
+    template = (",".join(header).replace("%", "%%") + "\n"
+                + (",".join(specs) + "\n") * n_rows)
+    data = (template % tuple(chain.from_iterable(zip(*args)))).encode()
     with open(path, "wb") as fh:
         fh.write(data)
     return data
@@ -150,16 +183,14 @@ def profile_from_dict(doc: dict) -> Profile:
                          f"({type(exc).__name__}: {exc})") from exc
 
 
-def branch_to_dict(branch) -> dict:
-    pts = []
-    for pt in branch.points:
-        digest = None
-        if pt.profile is not None:
-            digest = sha256_bytes(dumps_json(
-                profile_to_dict(pt.profile)).encode())
-        pts.append({"param": pt.param, "scalars": pt.scalars,
-                    "profile_sha256": digest,
-                    "diagnostics": pt.diagnostics})
+def branch_to_dict(branch, profile_sha256: str) -> dict:
+    """JSON form of a branch.  Only its end point carries a profile, whose
+    serialized digest the caller passes in: the SHA-256 of the
+    ``dumps_json`` bytes of ``profile_to_dict(branch.end.profile)``."""
+    pts = [{"param": pt.param, "scalars": pt.scalars,
+            "profile_sha256": (None if pt.profile is None
+                               else profile_sha256),
+            "diagnostics": pt.diagnostics} for pt in branch.points]
     return {"schema": "branch/1", "cont_name": branch.cont_name,
             "terminated": branch.terminated, "points": pts}
 

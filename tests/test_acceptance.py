@@ -9,7 +9,8 @@ discrepancy, not a tolerance tweak.  Known discrepancies that fail honestly:
   opposite sign); the corrected variant agrees to 3e-13 (4d).
 * criterion 5b -- the second published splitting evaluation does not match
   the published matrix applied to the published deviations; it matches the
-  matrix applied at c_cp = -0.5 instead of +0.5 (5b').
+  matrix applied at c_cp = -0.5 instead of +0.5 (5b'), while the deviations
+  are the branch endpoint at c_cp = +0.5 (5b' endpoint).
 * criterion 9c -- the energy-gap s-sweep misses the <= 20% band (34-192% on
   the minus side); its symmetric part tends to a_ss ds^2, and an odd cubic
   part explains the miss (9c').
@@ -215,6 +216,25 @@ def test_criterion_05b_prime_published_pair_is_at_negative_ccp():
                  f"M(-0.5,-0.007973,0.007173) = ({v[0]:.8f}, {v[1]:.8f}) "
                  f"vs (0.00648248, -0.00133122): max deviation {err:.1e} "
                  "(tol 1e-8)"))
+
+
+def test_criterion_05b_prime_published_deviations_are_branch_endpoints():
+    """Supplement to 5b: the published deviations are the h = 0.5 branch
+    endpoints less (s0, Omega0), 5b's at c_cp = +0.5 and 5a's at c_cp = -0.5
+    (5e-7 measured)."""
+    wf = homogeneous_speed_frequency(mk(0.5))
+    oks = []
+    for owner, c_cp, published in (("5b", 0.5, (-0.007973, 0.007173)),
+                                   ("5a", -0.5, (-0.007788, 0.000771))):
+        s, omega = _branch_endpoint(0.5, c_cp)
+        ds, domega = s - wf.s, omega - wf.omega
+        err = max(abs(ds - published[0]), abs(domega - published[1]))
+        oks.append(check(
+            f"criterion 5b' endpoint {c_cp:+}", err < 1e-6,
+            f"h=0.5, c_cp->{c_cp:+}: (ds, dOmega) = ({ds:.7f}, "
+            f"{domega:.7f}) vs {owner}'s {published}: max deviation "
+            f"{err:.1e} (tol 1e-6)"))
+    finish(*oks)
 
 
 # -- criterion 6------------------------------------------------------------

@@ -8,6 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import dwlab.cli
 from dwlab import (BvpConfig, MaterialParams, NoConvergence, build_bvp,
@@ -61,6 +64,141 @@ class TestCsv:
         assert b"\r" not in data
         assert data.decode().splitlines()[0] == "a,b"
         assert "NaN" in data.decode()
+
+
+def reference_csv(header, rows) -> bytes:
+    """The per-cell CSV writer that the one-template pass replaced."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(fmt(v) for v in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def reference_emit(obj, indent, out):
+    """The recursive JSON emitter that the one-template pass replaced."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        items = list(obj.items())
+        for i, (k, v) in enumerate(items):
+            out.append(f'{pad}  {json.dumps(str(k))}: ')
+            reference_emit(v, indent + 1, out)
+            out.append(",\n" if i < len(items) - 1 else "\n")
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        seq = list(obj)
+        if not seq:
+            out.append("[]")
+            return
+        out.append("[\n")
+        for i, v in enumerate(seq):
+            out.append(pad + "  ")
+            reference_emit(v, indent + 1, out)
+            out.append(",\n" if i < len(seq) - 1 else "\n")
+        out.append(pad + "]")
+    elif isinstance(obj, bool) or obj is None:
+        out.append(json.dumps(obj))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(fmt(obj))
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, complex):
+        reference_emit({"re": obj.real, "im": obj.imag}, indent, out)
+    else:
+        out.append(json.dumps(str(obj)))
+
+
+def reference_dumps_json(obj) -> str:
+    out = []
+    reference_emit(obj, 0, out)
+    return "".join(out) + "\n"
+
+
+#: finite floats with their edge cases: signed zeros, subnormals, +-1e308
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308,
+                                    -1e308, 2.2250738585072014e-308]))
+ANY_FLOAT = st.one_of(FINITE, st.sampled_from([math.nan, math.inf,
+                                               -math.inf]))
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+
+#: the cells of one CSV column, by kind; "finite", "nonfinite" and "float64"
+#: columns also go into float arrays
+COLUMN_KINDS = {
+    "finite": FINITE,
+    "nonfinite": ANY_FLOAT,
+    "float64": FINITE.map(np.float64),
+    "float32": st.floats(width=32).map(np.float32),
+    "int": st.integers(-10**20, 10**20),
+    "bool": st.booleans(),
+    "str": TEXT,
+}
+FLOAT_KINDS = {"finite", "nonfinite", "float64"}
+
+
+@st.composite
+def tables(draw):
+    """(kinds, header, rows) of a table with 0-30 rows and 0-5 columns; a
+    column name may hold % signs."""
+    kinds = draw(st.lists(st.sampled_from(sorted(COLUMN_KINDS)),
+                          max_size=5))
+    names = st.one_of(TEXT, st.sampled_from(["%", "%s", "100%d", "%.17g"]))
+    header = [draw(names) for _ in kinds]
+    n_rows = draw(st.integers(0, 30))
+    rows = [[draw(COLUMN_KINDS[k]) for k in kinds] for _ in range(n_rows)]
+    return kinds, header, rows
+
+
+FLOAT_ARRAYS = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0,
+                                 max_side=6), elements=ANY_FLOAT)
+FINITE_ARRAYS = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0,
+                                 max_side=6), elements=FINITE)
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**20, 10**20), ANY_FLOAT,
+    FINITE.map(np.float64), st.floats(width=32).map(np.float32), TEXT,
+    st.complex_numbers(), FLOAT_ARRAYS, FINITE_ARRAYS,
+    st.lists(FINITE, max_size=6), st.tuples(FINITE, FINITE))
+JSON_DOCS = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(TEXT, inner, max_size=4)),
+    max_leaves=20)
+
+
+class TestTemplatePassIsByteIdentical:
+    """The one-template writers reproduce every byte of the per-cell
+    ones."""
+
+    @seed(18)
+    @settings(max_examples=300, deadline=None)
+    @given(tables(), st.sampled_from(["array", "lists", "tuples"]))
+    def test_write_csv(self, tmp_path_factory, table, form):
+        kinds, header, rows = table
+        if form == "array":
+            dtype = float if set(kinds) <= FLOAT_KINDS else object
+            rows = np.array(rows, dtype=dtype).reshape(len(rows),
+                                                       len(kinds))
+        elif form == "tuples":
+            rows = [tuple(row) for row in rows]
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        data = write_csv(path, header, rows)
+        assert data == reference_csv(header, rows) == path.read_bytes()
+
+    @seed(18)
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_DOCS)
+    def test_dumps_json(self, doc):
+        assert dumps_json(doc) == reference_dumps_json(doc)
+
+    def test_profile_document(self, profile):
+        doc = profile_to_dict(profile)
+        assert dumps_json(doc) == reference_dumps_json(doc)
 
 
 class TestManifestEntry:
@@ -304,6 +442,25 @@ class TestCliContinue:
         assert branch["terminated"] == "reached_target"
         prof = json.loads((out / "profile.json").read_text())
         assert prof["material"]["c_cp"] == pytest.approx(0.1)
+
+    def test_serializes_the_profile_once(self, tmp_path, monkeypatch):
+        """profile.json's bytes are serialized once, and branch.json
+        records their digest."""
+        import dwlab.runio
+        profiles = []
+        dumps = dwlab.runio.dumps_json
+
+        def counted(obj):
+            if isinstance(obj, dict) and obj.get("schema") == "profile/1":
+                profiles.append(obj)
+            return dumps(obj)
+        monkeypatch.setattr(dwlab.runio, "dumps_json", counted)
+        code, out = run_cli(tmp_path, "continue", self.CFG)
+        assert code == 0 and len(profiles) == 1
+        branch = json.loads((out / "branch.json").read_text())
+        digest = sha256_bytes((out / "profile.json").read_bytes())
+        assert [pt["profile_sha256"] for pt in branch["points"]] == (
+            [None] * (len(branch["points"]) - 1) + [digest])
 
     def test_unreachable_target_is_solver_error(self, tmp_path):
         """The branch toward c_cp = 0.999 fails before it gets there."""

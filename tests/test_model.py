@@ -42,6 +42,14 @@ class TestMaterialParams:
         assert mp2.h == 7.0 and mp2.alpha == MP.alpha
         assert MP.h == 5.0  # original untouched
 
+    def test_replace_validates(self):
+        """A replaced material is checked as a constructed one is, and an
+        unknown field is an error."""
+        with pytest.raises(ValueError):
+            MP.replace(c_cp=1.0)
+        with pytest.raises(TypeError):
+            MP.replace(bogus=1)
+
     def test_waveframe_validation(self):
         with pytest.raises(ValueError):
             WaveFrame(s=float("inf"), omega=0.0)
