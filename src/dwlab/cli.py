@@ -30,7 +30,7 @@ from .freezing import (check_schedule, grid_spacing, initial_wall,
                        run_selection)
 from .melnikov import determinant_identity_check, splitting_matrix
 from .model import MaterialParams, WaveFrame, local_wavenumber
-from .runio import (branch_to_dict, manifest_entry, profile_from_dict,
+from .runio import (branch_to_dict, fmt, manifest_entry, profile_from_dict,
                     profile_rows, profile_to_dict, sha256_bytes, write_csv,
                     write_json)
 from .shooting import (DEFAULT_EPSILON, DEFAULT_TOL, check_epsilon,
@@ -219,12 +219,17 @@ def cmd_classify(cfg, out: Path):
 
 
 def cmd_stability_map(cfg, out: Path):
-    mp0 = _material(cfg, wall=False)
-    # rows ascend in (h, c_cp), also when a bound pair is given high to low
-    hs = np.sort(np.linspace(cfg["h_min"], cfg["h_max"], cfg["n_h"]))
-    ccps = np.sort(np.linspace(cfg["ccp_min"], cfg["ccp_max"], cfg["n_ccp"]))
-    rows = [(h, c, _verdict(mp0.replace(h=h, c_cp=c)).region)
-            for h in hs.tolist() for c in ccps.tolist()]
+    def axis(lo, hi, n):
+        # ascending, also when a bound pair is given high to low; each value,
+        # finite by _map_grid, is spelled once for all the rows it is in
+        values = np.sort(np.linspace(cfg[lo], cfg[hi], cfg[n])).tolist()
+        return list(zip(values, map(fmt, values)))
+    alpha, beta, mu = cfg["alpha"], cfg["beta"], cfg["mu"]
+    ccps = axis("ccp_min", "ccp_max", "n_ccp")
+    rows = [(h_text, c_text,
+             _verdict(MaterialParams(alpha, beta, mu, h, c)).region)
+            for h, h_text in axis("h_min", "h_max", "n_h")
+            for c, c_text in ccps]
     return [_write(out, "stability_map.csv", ["h", "c_cp", "region"], rows)]
 
 

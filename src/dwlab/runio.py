@@ -5,10 +5,12 @@ precision) and LF newlines, so identical inputs produce byte-identical
 files.  ``fmt`` defines how one value is spelled.  A file's numbers are
 spelled in one ``%`` template pass: a CSV column, or a JSON array, whose
 items are all finite floats enters the template as ``%.17g``, which spells
-a float exactly as ``fmt`` does; every other column or array is spelled by
-``fmt``, cell by cell.  Profiles serialize to a JSON schema that
-reconstructs the exact discrete solution; emitted file sets are described
-by a manifest with SHA-256 content hashes.
+a float exactly as ``fmt`` does.  A CSV column whose cells are all strings
+(say, numbers the caller spelled once with ``fmt``) enters as ``%s`` as it
+is.  Every other column or array is spelled by ``fmt``, cell by cell.
+Profiles serialize to a JSON schema that reconstructs the exact discrete
+solution; emitted file sets are described by a manifest with SHA-256
+content hashes.
 """
 
 from __future__ import annotations
@@ -115,7 +117,11 @@ def write_json(path, obj) -> bytes:
 
 def write_csv(path, header, rows) -> bytes:
     """Write ``header`` and ``rows`` (a 2-D array, or a sequence of equally
-    long rows) as CSV; returns the bytes written."""
+    long rows) as CSV; returns the bytes written.
+
+    A column of finite floats enters the one row template as ``%.17g`` and
+    a column of strings as ``%s``, neither with a ``fmt`` call per cell;
+    any other column is spelled by ``fmt`` cell by cell."""
     if isinstance(rows, np.ndarray):
         n_rows, columns = len(rows), rows.T.tolist()
     else:
@@ -125,10 +131,11 @@ def write_csv(path, header, rows) -> bytes:
     for col in columns:
         if _finite_floats(col):
             specs.append("%.17g")
-            args.append(col)
         else:
             specs.append("%s")
-            args.append([fmt(v) for v in col])
+            if not all(issubclass(t, str) for t in set(map(type, col))):
+                col = [fmt(v) for v in col]
+        args.append(col)
     # the header, its % signs escaped, is part of the template, so that the
     # text is built in one piece
     template = (",".join(header).replace("%", "%%") + "\n"

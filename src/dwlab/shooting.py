@@ -55,6 +55,10 @@ FLAT_AMPLITUDE = 1e-7
 NONFLAT_AMPLITUDE = 1e-5
 TAIL_WINDOW = 0.25
 
+#: number of uniform xi-samples of a shot, of which the tail test reads the
+#: trailing TAIL_WINDOW fraction
+TAIL_SAMPLES = 8000
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -165,12 +169,19 @@ def _spectral_test(eq: ChartEquilibrium):
     return n, n == 1 and eq.nu3 > 0
 
 
+def _tail_start(n: int) -> int:
+    """Index of the first of ``n`` samples in the tail window."""
+    return int(math.floor((1.0 - TAIL_WINDOW) * n))
+
+
 def classify_tail(xs: np.ndarray, qs: np.ndarray) -> TailVerdict:
     """Classify the q-tail on the trailing TAIL_WINDOW fraction of the
     orbit: amplitude = half the peak-to-peak of q about its mean there."""
-    n = len(xs)
-    i0 = int(math.floor((1.0 - TAIL_WINDOW) * n))
-    tail = qs[i0:]
+    return _tail_verdict(qs[_tail_start(len(xs)):])
+
+
+def _tail_verdict(tail: np.ndarray) -> TailVerdict:
+    """``classify_tail``'s verdict on the q-samples of its window."""
     if not np.all(np.isfinite(tail)):
         return TailVerdict(kind="undetermined", q_limit_estimate=None,
                            oscillation_amplitude=float("inf"))
@@ -197,7 +208,10 @@ def shoot_to_pi_chart(mp: MaterialParams, wf: WaveFrame,
     ``unstable_seed`` accepts that root instead.
 
     Integrates until theta > pi - 1e-4 or the xi-budget 400/sqrt(-mu) is
-    exhausted, then classifies the q-tail on the trailing quarter of the run.
+    exhausted, then classifies the q-tail on the trailing quarter of the run,
+    as ``classify_tail`` does on TAIL_SAMPLES uniform samples of the span.
+    The dense output is evaluated only at the samples in that window: it is
+    pointwise, so they are the values a full resampling would give there.
     Raises ``NoConnection`` when theta stalls below pi - 1e-2.
     Returns (Trajectory, TailVerdict).
     """
@@ -217,7 +231,6 @@ def shoot_to_pi_chart(mp: MaterialParams, wf: WaveFrame,
         raise NoConnection(
             f"theta reached only {theta_max:.6f} within the budget")
     # classify on a uniform resampling so the window is a true xi-fraction
-    xs_fine = np.linspace(traj.xs[0], traj.xs[-1], 8000)
-    qs_fine = traj.at(xs_fine)[:, 2]
-    verdict = classify_tail(xs_fine, qs_fine)
-    return traj, verdict
+    xs_fine = np.linspace(traj.xs[0], traj.xs[-1], TAIL_SAMPLES)
+    tail = xs_fine[_tail_start(TAIL_SAMPLES):]
+    return traj, _tail_verdict(traj.at(tail)[:, 2])

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import dwlab.cli
+import dwlab.shooting
 from dwlab import (BvpConfig, MaterialParams, NoConvergence, build_bvp,
                    solve_regime)
 from dwlab.cli import (INTEGER, NUMBER, NUMBERS, REQUIRED, _TABLES,
@@ -171,6 +172,26 @@ JSON_DOCS = st.recursive(
     max_leaves=20)
 
 
+#: string cells: any text, % signs, empty strings and the map's "pole"
+#: label, each also as np.str_
+STRINGS = st.one_of(TEXT, st.sampled_from(["%", "%s", "%%", "%.17g", "",
+                                           "pole"]))
+STRING_CELLS = st.one_of(STRINGS, STRINGS.map(np.str_))
+
+
+@st.composite
+def string_tables(draw):
+    """(header, rows) of a table with 0-30 rows of 1-5 columns, at least
+    one of them all strings and the others finite floats."""
+    kinds = draw(st.lists(st.sampled_from(["str", "finite"]), min_size=1,
+                          max_size=5).filter(lambda k: "str" in k))
+    header = [draw(STRINGS) for _ in kinds]
+    cells = {"str": STRING_CELLS, "finite": FINITE}
+    rows = [[draw(cells[k]) for k in kinds]
+            for _ in range(draw(st.integers(0, 30)))]
+    return header, rows
+
+
 class TestTemplatePassIsByteIdentical:
     """The one-template writers reproduce every byte of the per-cell
     ones."""
@@ -184,6 +205,22 @@ class TestTemplatePassIsByteIdentical:
             dtype = float if set(kinds) <= FLOAT_KINDS else object
             rows = np.array(rows, dtype=dtype).reshape(len(rows),
                                                        len(kinds))
+        elif form == "tuples":
+            rows = [tuple(row) for row in rows]
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        data = write_csv(path, header, rows)
+        assert data == reference_csv(header, rows) == path.read_bytes()
+
+    @seed(19)
+    @settings(max_examples=300, deadline=None)
+    @given(string_tables(), st.sampled_from(["array", "lists", "tuples"]))
+    def test_write_csv_string_columns(self, tmp_path_factory, table, form):
+        """A column of strings (str or np.str_) enters the template as %s
+        as it is, and gives the bytes fmt gives cell by cell."""
+        header, rows = table
+        if form == "array":
+            rows = np.array(rows, dtype=object).reshape(len(rows),
+                                                        len(header))
         elif form == "tuples":
             rows = [tuple(row) for row in rows]
         path = tmp_path_factory.mktemp("csv") / "t.csv"
@@ -628,6 +665,40 @@ class TestCliStabilityMap:
         assert data[0] == data[1] == data[2]
         assert len(data[0].decode().splitlines()) == 1 + 15 * 7
 
+    def test_spells_each_grid_number_once(self, tmp_path, monkeypatch):
+        """The map spells each of its n_h + n_ccp grid values once, not once
+        per cell, builds each grid material without MaterialParams.replace,
+        and writes the bytes of the per-cell writer."""
+        spelled, replaced = [], []
+
+        def counting_fmt(x):
+            spelled.append(x)
+            return fmt(x)
+
+        def counting_write_csv(path, header, rows):
+            # a cell handed to the writer that is not text is spelled there
+            spelled.extend(v for row in rows for v in row
+                           if not isinstance(v, str))
+            return write_csv(path, header, rows)
+
+        def counting_replace(mp, **kw):
+            replaced.append(kw)
+            return MaterialParams(**{**mp.__dict__, **kw})
+        monkeypatch.setattr(dwlab.cli, "fmt", counting_fmt, raising=False)
+        monkeypatch.setattr(dwlab.cli, "write_csv", counting_write_csv)
+        monkeypatch.setattr(MaterialParams, "replace", counting_replace)
+        code, out = run_cli(tmp_path, "stability-map", self.CFG)
+        assert code == 0
+        assert len(spelled) <= self.CFG["n_h"] + self.CFG["n_ccp"]
+        assert replaced == []
+        monkeypatch.undo()
+        rows = [(h, c, dwlab.cli._verdict(
+                    MaterialParams(0.5, 0.1, -1.0, h, c)).region)
+                for h in np.linspace(-2.0, 12.0, 15).tolist()
+                for c in np.linspace(-0.9, 0.9, 7).tolist()]
+        assert (out / "stability_map.csv").read_bytes() == reference_csv(
+            ["h", "c_cp", "region"], rows)
+
     @pytest.mark.parametrize("change", [{"ccp_max": 1.0}, {"ccp_min": -1.0},
                                         {"h_max": float("inf")},
                                         {"n_h": 0}, {"n_ccp": 0}])
@@ -642,6 +713,21 @@ class TestCliShootAndFreeze:
         assert code == 0
         doc = json.loads((out / "shoot.json").read_text())
         assert doc["tail"] == "flat"
+
+    def test_shot_resamples_only_what_it_reads(self, tmp_path, monkeypatch):
+        """A shot evaluates its dense output at the 2000 samples of the tail
+        window and the 4001 rows of trajectory.csv, not at all 8000 uniform
+        samples."""
+        points = []
+        at = dwlab.shooting.Trajectory.at
+
+        def counting_at(traj, xi):
+            points.append(np.size(xi))
+            return at(traj, xi)
+        monkeypatch.setattr(dwlab.shooting.Trajectory, "at", counting_at)
+        code, _ = run_cli(tmp_path, "shoot", dict(BASE, h=0.5))
+        assert code == 0
+        assert sum(points) <= 2000 + 4001
 
     def test_shoot_zero_speed_edge(self, tmp_path):
         """At h = beta/alpha the wall stands (s = 0), and label [1] of the

@@ -13,7 +13,7 @@ from dwlab import (ChartState, MaterialParams, PoleEvaluation, SingularEvaluatio
                    SingularState, WaveFrame, desingularized_rhs,
                    local_wavenumber, singular_rhs)
 from dwlab.model import (rhs_jacobian_raw, rhs_param_derivatives_raw, rhs_raw,
-                         sphere_rows)
+                         sphere_rows, trapezoid_weights)
 
 MP = MaterialParams(alpha=0.5, beta=0.1, mu=-1.0, h=5.0, c_cp=0.3)
 WF = WaveFrame(s=1.2, omega=3.4)
@@ -174,3 +174,13 @@ class TestLocalWavenumber:
         with pytest.raises(PoleEvaluation):
             local_wavenumber(sphere_rows(np.array([1.0, 0.0]), 0.0),
                              np.zeros((3, 2)))
+
+
+def test_trapezoid_weights_are_shared_and_read_only():
+    """Two calls with the same grid return the one cached array, which
+    cannot be written."""
+    w = trapezoid_weights(5, 0.25)
+    assert trapezoid_weights(5, 0.25) is w
+    assert list(w) == [0.125, 0.25, 0.25, 0.25, 0.125]
+    with pytest.raises(ValueError):
+        w[0] = 1.0

@@ -15,7 +15,7 @@ from dwlab import (PI, ZERO, BlowUp, ChartState, MaterialParams,
                    classify_tail, homogeneous_profile,
                    homogeneous_speed_frequency, integrate, shoot_to_pi_chart,
                    singular_rhs, unstable_seed)
-from dwlab.shooting import EPSILON_MAX
+from dwlab.shooting import EPSILON_MAX, TAIL_SAMPLES
 
 MP = MaterialParams(alpha=0.5, beta=0.1, mu=-1.0, h=5.0, c_cp=0.0)
 WF0 = homogeneous_speed_frequency(MP)
@@ -164,6 +164,17 @@ class TestShootToPiChart:
         eq = chart_equilibria(PI, mp, wf)
         z_end = traj.states[-1, 1] + 1j * traj.states[-1, 2]
         assert min(abs(z_end - e.z) for e in eq) < 1e-4
+
+    @pytest.mark.parametrize("h", [0.3, 0.5, 2.0, 5.0, 8.0, 10.2, 12.0,
+                                   20.0, 35.0, 50.0])
+    def test_tail_verdict_equals_full_resampling(self, h):
+        """At the criterion-7 fields the verdict from the tail window's
+        samples alone equals the one from all TAIL_SAMPLES samples."""
+        mp = MP.replace(h=h)
+        traj, verdict = shoot_to_pi_chart(mp, homogeneous_speed_frequency(mp),
+                                          tol=1e-12)
+        xs = np.linspace(traj.xs[0], traj.xs[-1], TAIL_SAMPLES)
+        assert verdict == classify_tail(xs, traj.at(xs)[:, 2])
 
     def test_center_perturbation_is_nonflat(self):
         """Off the flat surface (ds = 0.1, recentered frequency) the tail

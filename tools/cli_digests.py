@@ -7,12 +7,13 @@ seed's diagnostics alone), a run that exits 3, a
 freezing run on the benchmark's 2048-node grid, a shot at the zero-speed
 edge h = beta/alpha, a classification of a left-moving wall
 (h < beta/alpha), a melnikov and a continue run that reject that wall, a
-center sweep over three unsorted values, and a stability map whose node
+center sweep over three unsorted values, a stability map whose node
 h = 1 lies on the pole h = -mu, so that its CSV mixes float columns with
-"pole" labels.  Prints one line per data file:
-run, exit code, file name, SHA-256.  A run that writes no data file prints
-one line with ``-`` for the file name and digest.  ``manifest.json`` is left
-out, since it records the wall-clock time.
+"pole" labels, a one-point map, and a map with the node c_cp = 0.  Prints
+one line per data file: run, exit code, file name, SHA-256.  A run that
+writes no data file prints one line with ``-`` for the file name and
+digest.  ``manifest.json`` is left out, since it records the wall-clock
+time.
 Comparing the output of two source trees checks that their files are
 byte-identical:
 
@@ -41,6 +42,10 @@ RUNS = [
     ("map", "stability-map", {**MAT, "n_h": 200, "n_ccp": 200}, None),
     ("map-pole", "stability-map", {**MAT, "h_min": 0.0, "h_max": 2.0,
                                    "n_h": 5, "n_ccp": 5}, None),
+    ("map-point", "stability-map", {**MAT, "n_h": 1, "n_ccp": 1}, None),
+    ("map-ccp0", "stability-map", {**MAT, "h_min": -0.9, "h_max": 1.5,
+                                   "n_h": 4, "ccp_min": -0.5,
+                                   "ccp_max": 0.5, "n_ccp": 5}, None),
     ("shoot", "shoot", {**MAT, "h": 0.5}, None),
     ("shoot-s0", "shoot", {**MAT, "h": 0.2}, None),
     ("freeze-ccp0", "freeze", FREEZE, None),
