@@ -681,9 +681,11 @@ class TestCliStabilityMap:
                            if not isinstance(v, str))
             return write_csv(path, header, rows)
 
+        replace = MaterialParams.replace
+
         def counting_replace(mp, **kw):
             replaced.append(kw)
-            return MaterialParams(**{**mp.__dict__, **kw})
+            return replace(mp, **kw)
         monkeypatch.setattr(dwlab.cli, "fmt", counting_fmt, raising=False)
         monkeypatch.setattr(dwlab.cli, "write_csv", counting_write_csv)
         monkeypatch.setattr(MaterialParams, "replace", counting_replace)
@@ -691,11 +693,13 @@ class TestCliStabilityMap:
         assert code == 0
         assert len(spelled) <= self.CFG["n_h"] + self.CFG["n_ccp"]
         assert replaced == []
-        monkeypatch.undo()
-        rows = [(h, c, dwlab.cli._verdict(
-                    MaterialParams(0.5, 0.1, -1.0, h, c)).region)
-                for h in np.linspace(-2.0, 12.0, 15).tolist()
-                for c in np.linspace(-0.9, 0.9, 7).tolist()]
+        cfg = self.CFG
+        rows = [(h, c, dwlab.cli._verdict(MaterialParams(
+                    cfg["alpha"], cfg["beta"], cfg["mu"], h, c)).region)
+                for h in np.linspace(cfg["h_min"], cfg["h_max"],
+                                     cfg["n_h"]).tolist()
+                for c in np.linspace(cfg["ccp_min"], cfg["ccp_max"],
+                                     cfg["n_ccp"]).tolist()]
         assert (out / "stability_map.csv").read_bytes() == reference_csv(
             ["h", "c_cp", "region"], rows)
 
