@@ -25,11 +25,20 @@ The Newton matrix is the almost block-diagonal collocation block (one block
 per mesh interval) bordered by the scalar columns and the boundary, phase
 and continuation rows.  Its CSC structure is built once per bordering, with
 every border entry kept even where its value is zero, so each iteration only
-writes values.  It is factored by sparse LU ordered by minimum degree on the
-pattern of J^T + J, which keeps the fill near nnz(J).  That ordering depends
-on the structure only, so it is computed once per structure, at its first
-factorization, and kept with it; each later Newton iteration factors its
-matrix numerically only, with the columns already in that order.
+writes values:
+  * the states at the Gauss points are strided sums over the nodal states
+    (``_gauss_values``), with no array of interval-local states gathered;
+  * each 3 x 3 state block D/h - W Jf is written in place into one value
+    array, laid out so that every block is one contiguous array, and the
+    pattern's fixed order gathers that array into CSC data once.
+It is factored by sparse LU ordered by minimum degree on the pattern of
+J^T + J, which keeps the fill near nnz(J).  That ordering depends on the
+structure only, so it is computed once per structure, at its first
+factorization, and kept with it.  Each later Newton iteration factors its
+matrix numerically only, with the columns already in that order: the
+pre-ordered matrix is J.data gathered at positions fixed per structure, not
+a column slice of J, and J itself keeps its own column order for the
+least-squares fallback.
 
 SciPy's sparse modules (``scipy.sparse`` and ``scipy.sparse.linalg``) are
 imported at the first Jacobian and the first factorization, not with this
@@ -175,6 +184,25 @@ def _lagrange_matrices(order: int):
     return W, D
 
 
+def _gauss_values(M, u, m):
+    """Values at the Gauss points of the interpolants through the nodal
+    states ``u`` (n_nodes, 3): ``M`` is W or D of ``_lagrange_matrices``,
+    and out[g, c, i] = sum_j M[g, j] u[i*m + j, c] for interval i.
+
+    The sum runs from zero over j = 0..m in order, as
+    ``np.einsum("gj,ijc->igc", M, u[loc])`` with loc[i, j] = i*m + j adds
+    it, so the two agree bit for bit, signed zeros included.  Each term
+    reads node j of every interval as one strided view of ``u``; no array
+    of interval-local states is gathered."""
+    N = (len(u) - 1) // m
+    out = np.zeros((m, 3, N))
+    term = np.empty_like(out)
+    for j in range(m + 1):
+        np.multiply(M[:, j, None, None], u[j: j + N * m: m].T, out=term)
+        out += term
+    return out
+
+
 class HeteroclinicBVP:
     """Discretized nonlinear system for one regime on a fixed mesh.
 
@@ -207,8 +235,6 @@ class HeteroclinicBVP:
         self.nU = 3 * self.n_nodes
         self.mesh = np.linspace(-cfg.L, cfg.L, self.n_nodes)
         self.W, self.D = _lagrange_matrices(m)
-        # node indices per interval: (N, m+1)
-        self.loc_idx = (np.arange(N)[:, None] * m + np.arange(m + 1)[None, :])
         # trapezoid weights on the uniform fine mesh, for the phase condition
         self.phase_w = trapezoid_weights(self.n_nodes, self.h_mesh / m)
         # reference profile for the phase condition (set via set_reference)
@@ -285,33 +311,42 @@ class HeteroclinicBVP:
     def residual(self, x):
         u, scalars = self.unpack(x)
         par = self.params_from(scalars)
-        u_loc = u[self.loc_idx]                       # (N, m+1, 3)
-        u_g = np.einsum("gj,ijc->igc", self.W, u_loc)  # (N, m, 3)
-        du_g = np.einsum("gj,ijc->igc", self.D, u_loc) / self.h_mesh
-        th, p, q = u_g[..., 0], u_g[..., 1], u_g[..., 2]
-        f = rhs_raw(th, p, q, par["alpha"], par["beta"], par["mu"],
-                    par["h"], par["c_cp"], par["s"], par["omega"])
-        r_coll = du_g - np.stack(f, axis=-1)
-        r_bc = self._bc_residual(u, par)
-        r_phase = float(np.sum(self.phase_w[:, None] * (u - self.uhat)
-                               * self.uhat_prime))
-        return np.concatenate([r_coll.ravel(), r_bc, [r_phase]])
+        u_g = _gauss_values(self.W, u, self.m)
+        du_g = _gauss_values(self.D, u, self.m)
+        du_g /= self.h_mesh
+        f = rhs_raw(u_g[:, 0], u_g[:, 1], u_g[:, 2], par["alpha"],
+                    par["beta"], par["mu"], par["h"], par["c_cp"], par["s"],
+                    par["omega"])
+        nc = self.n_colloc
+        r = np.empty(nc + self.n_bc + 1)
+        # collocation row 3*(i*m + g) + c, written from the (g, c, i) values
+        r_coll = r[:nc].reshape(self.N, self.m, 3).transpose(1, 2, 0)
+        for c in range(3):
+            np.subtract(du_g[:, c], f[c], out=r_coll[:, c])
+        r[nc:-1] = self._bc_residual(u, par)
+        r[-1] = np.sum(self.phase_w[:, None] * (u - self.uhat)
+                       * self.uhat_prime)
+        return r
 
     # -- Jacobian -----------------------------------------------------------
 
     def _build_pattern(self):
         """Static sparsity pattern (rows/cols) of the collocation block, as
-        broadcast views, and of the state entries of the boundary rows."""
+        broadcast views, and of the state entries of the boundary rows.
+
+        The block's entries are laid out as (a, b, g, j, i): row
+        3*(i*m + g) + a (component a at Gauss point g of interval i) and
+        column 3*(i*m + j) + b (component b at node j of interval i), so
+        that each (a, b) state block is one contiguous (m, m+1, N) array."""
         N, m = self.N, self.m
-        # rows: (N, m, 3) row index 3*(i*m+g)+a, broadcast over (j, b)
-        ig = (np.arange(N)[:, None] * m + np.arange(m)[None, :])  # (N, m)
-        row = (3 * ig[..., None, None, None]
-               + np.arange(3)[None, None, :, None, None])
-        self._rows_coll = np.broadcast_to(row, (N, m, 3, m + 1, 3))
-        col = (3 * self.loc_idx[:, None, None, :, None]
-               + np.arange(3)[None, None, None, None, :])
-        self._cols_coll = np.broadcast_to(col, (N, m, 3, m + 1, 3))
-        self._eye_D = np.einsum("gj,ab->gjab", self.D, np.eye(3)) / self.h_mesh
+        a, b, g, j, i = np.ix_(range(3), range(3), range(m), range(m + 1),
+                               range(N))
+        shape = (3, 3, m, m + 1, N)
+        self._rows_coll = np.broadcast_to(3 * (i * m + g) + a, shape)
+        self._cols_coll = np.broadcast_to(3 * (i * m + j) + b, shape)
+        # D[g, j]/h on the diagonal a = b, as (a, b, g, j)
+        self._eye_D = (np.einsum("gj,ab->gjab", self.D, np.eye(3))
+                       / self.h_mesh).transpose(2, 3, 0, 1).copy()
         state_cols = [self._state_cols(row) for row in self.bc_rows]
         self._rows_bc = np.repeat(self.n_colloc + np.arange(self.n_bc),
                                   [len(cols) for cols in state_cols])
@@ -329,31 +364,38 @@ class HeteroclinicBVP:
         ``with_row``; built once per structure, and carrying the column
         order of its LU once the first matrix has been factored.
 
-        Its ``order`` takes the concatenated value blocks of ``jacobian``
-        (collocation block, scalar columns, boundary state entries, boundary
-        scalar entries, phase row, extra row) to CSC data order.  Every entry
-        of the boundary rows is kept, also where its value is zero, so the
-        structure never changes between Newton iterations."""
+        ``jacobian`` writes the values into one array of six sections,
+        split at the pattern's ``splits``: the collocation block (laid out
+        as in ``_build_pattern``), the scalar columns of the collocation
+        rows as (k, a, g, i), the boundary state entries, the boundary
+        scalar entries, the phase row and the extra row (empty without
+        one).  The pattern's ``order`` takes that array to CSC data order.
+        Every entry of the boundary rows is kept, also where its value is
+        zero, so the structure never changes between Newton iterations."""
         if with_row in self._patterns:
             return self._patterns[with_row]
         nc, nb, nU = self.n_colloc, self.n_bc, self.nU
         n_scal = len(self.free_scalars)
         n_x = nU + n_scal
+        n_row = n_x if with_row else 0
         scal_cols = nU + np.arange(n_scal)
-        rows = [self._rows_coll.ravel(), np.tile(np.arange(nc), n_scal),
+        rows = [self._rows_coll.ravel(),
+                np.tile(self._rows_coll[:, 0, :, 0].ravel(), n_scal),
                 self._rows_bc, np.repeat(nc + np.arange(nb), n_scal),
-                np.full(nU, nc + nb)]
+                np.full(nU, nc + nb), np.full(n_row, nc + nb + 1)]
         cols = [self._cols_coll.ravel(), np.repeat(scal_cols, nc),
-                self._cols_bc, np.tile(scal_cols, nb), np.arange(nU)]
-        if with_row:
-            rows.append(np.full(n_x, nc + nb + 1))
-            cols.append(np.arange(n_x))
+                self._cols_bc, np.tile(scal_cols, nb), np.arange(nU),
+                np.arange(n_row)]
+        splits = np.cumsum([len(r) for r in rows[:-1]])
         rows, cols = np.concatenate(rows), np.concatenate(cols)
-        order = np.lexsort((rows, cols))
+        n_rows = nc + nb + 1 + int(with_row)
+        # by column, then by row: each (row, column) pair occurs once, so
+        # the combined key is unique (a stable sort of it runs fastest)
+        order = np.argsort(cols * n_rows + rows, kind="stable")
         indptr = np.zeros(n_x + 1, dtype=np.int32)
         np.cumsum(np.bincount(cols, minlength=n_x), out=indptr[1:])
         pattern = _NewtonPattern(order, rows[order].astype(np.int32), indptr,
-                                 (nc + nb + 1 + int(with_row), n_x))
+                                 (n_rows, n_x), splits)
         self._patterns[with_row] = pattern
         return pattern
 
@@ -403,47 +445,40 @@ class HeteroclinicBVP:
         given, that gradient as a dense last row (the continuation driver's
         arclength or target row).  Each call computes values only; the
         structure is fixed per extra row."""
-        from scipy.sparse import csc_matrix
         u, scalars = self.unpack(x)
         par = self.params_from(scalars)
-        N, m = self.N, self.m
+        pat = self._newton_pattern(extra_grad is not None)
+        values = np.empty(len(pat.order))
+        coll, scal, bc_state, bc_scal, phase, extra = np.split(values,
+                                                               pat.splits)
 
-        u_loc = u[self.loc_idx]
-        u_g = np.einsum("gj,ijc->igc", self.W, u_loc)
-        th, p, q = u_g[..., 0], u_g[..., 1], u_g[..., 2]
-        args = (th, p, q, par["alpha"], par["beta"], par["mu"], par["h"],
-                par["c_cp"], par["s"], par["omega"])
-        Jf = rhs_jacobian_raw(*args)
-        # data block: (N, m, 3, m+1, 3)
-        Jf_arr = np.empty((N, m, 3, 3))
-        for a in range(3):
-            for b in range(3):
-                Jf_arr[..., a, b] = np.broadcast_to(Jf[a][b], (N, m))
-        # data[i, g, a, j, b] = D[g, j]/h * delta_ab - W[g, j] * Jf[i, g, a, b]
-        diff_part = self._eye_D.transpose(0, 2, 1, 3)  # (m, 3, m+1, 3)
-        data = np.broadcast_to(diff_part[None], (N, m, 3, m + 1, 3)).copy()
-        data -= self.W[None, :, None, :, None] * Jf_arr[:, :, :, None, :]
-        blocks = [data.ravel()]
+        u_g = _gauss_values(self.W, u, self.m)
+        args = (u_g[:, 0], u_g[:, 1], u_g[:, 2], par["alpha"], par["beta"],
+                par["mu"], par["h"], par["c_cp"], par["s"], par["omega"])
+        # coll[a, b, g, j, i] = D[g, j]/h * delta_ab - W[g, j] * Jf[a, b, g, i]
+        Jf = np.array(rhs_jacobian_raw(*args))
+        coll = coll.reshape(self._rows_coll.shape)
+        np.multiply(self.W[:, :, None], Jf[:, :, :, None, :], out=coll)
+        np.subtract(self._eye_D[..., None], coll, out=coll)
 
-        # scalar columns of the collocation rows
+        # scalar columns of the collocation rows, as (k, a, g, i)
         if self.free_scalars:
             pder = rhs_param_derivatives_raw(*args)
-            colv = np.zeros((len(self.free_scalars), N, m, 3))
+            scal = scal.reshape(len(self.free_scalars), 3, self.m, self.N)
+            scal.fill(0.0)
             for k, name in enumerate(self.free_scalars):
                 for raw, wgt in self._scalar_chain(name, par):
-                    d = pder[raw]
-                    for a in range(3):
-                        colv[k, ..., a] -= wgt * np.broadcast_to(d[a], (N, m))
-            blocks.append(colv.ravel())
+                    for a, d in enumerate(pder[raw]):
+                        scal[k, a] -= wgt * d
 
-        bc_state, bc_scal = self._bc_jacobian(u, par)
-        blocks += [bc_state, bc_scal.ravel(),
-                   (self.phase_w[:, None] * self.uhat_prime).ravel()]
+        bc_state[:], dscal = self._bc_jacobian(u, par)
+        bc_scal[:] = dscal.ravel()
+        np.multiply(self.phase_w[:, None], self.uhat_prime,
+                    out=phase.reshape(-1, 3))
         if extra_grad is not None:
-            blocks.append(extra_grad)
-        pat = self._newton_pattern(extra_grad is not None)
-        return csc_matrix((np.concatenate(blocks)[pat.order], pat.indices,
-                           pat.indptr), shape=pat.shape)
+            extra[:] = extra_grad
+        return _csc(values.take(pat.order), pat.indices, pat.indptr,
+                    pat.shape)
 
     # -- profile plumbing ---------------------------------------------------
 
@@ -515,10 +550,21 @@ def _factorize(J):
     return splu(J, permc_spec="MMD_AT_PLUS_A")
 
 
+def _csc(data, indices, indptr, shape):
+    """CSC matrix of a Newton pattern's structure.  The rows of each of its
+    columns are sorted and distinct by construction, so it is marked
+    canonical, and ``splu`` does not scan it for duplicates."""
+    from scipy.sparse import csc_matrix
+    A = csc_matrix((data, indices, indptr), shape=shape)
+    A.has_canonical_format = True
+    return A
+
+
 class _NewtonPattern:
     """CSC structure of one Newton matrix (``order``, ``indices``,
-    ``indptr``, ``shape``, see ``HeteroclinicBVP._newton_pattern``) and,
-    once its first matrix has been factored, the column order of that LU.
+    ``indptr``, ``shape`` and the value sections' ``splits``, see
+    ``HeteroclinicBVP._newton_pattern``) and, once its first matrix has
+    been factored, the column order of that LU.
 
     SuperLU's column order is the minimum-degree ordering post-ordered along
     the column elimination tree.  A matrix whose columns are already in that
@@ -529,14 +575,33 @@ class _NewtonPattern:
     a pivot column's largest entry ties exactly in magnitude with another of
     its entries, SuperLU prefers the diagonal one, and the diagonal of the
     pre-ordered matrix (row k in column k) is not that of the original
-    (row columns[k] in column k)."""
+    (row columns[k] in column k).
 
-    def __init__(self, order, indices, indptr, shape):
+    The pre-ordered matrix J[:, columns] is not sliced from J: its row
+    indices and column pointers are the same for every matrix of the
+    pattern, and its values are J.data taken at fixed positions.  Those
+    three arrays are built at the pattern's second factorization, the first
+    that reads them, so that nothing long-lived is allocated between the
+    first factorization and its solve.  J itself stays in its own column
+    order, which the least-squares fallback reads."""
+
+    def __init__(self, order, indices, indptr, shape, splits):
         self.order, self.indices, self.indptr = order, indices, indptr
-        self.shape = shape
+        self.shape, self.splits = shape, splits
         # LU column order: column k of the factored matrix is column
         # columns[k] of J
         self.columns = None
+        # (take, indices, indptr) of J[:, columns]: its data is
+        # J.data.take(take)
+        self._lu_gather = None
+
+    def _column_gather(self):
+        counts = np.diff(self.indptr)[self.columns]
+        indptr = np.zeros(len(counts) + 1, dtype=np.int32)
+        np.cumsum(counts, out=indptr[1:])
+        take = (np.repeat(self.indptr[self.columns] - indptr[:-1], counts)
+                + np.arange(indptr[-1]))
+        return take, self.indices.take(take), indptr
 
     def lu_solver(self, J):
         """A function solving J x = b, for a matrix J of this pattern.  The
@@ -546,8 +611,12 @@ class _NewtonPattern:
             lu = _factorize(J)
             self.columns = np.argsort(lu.perm_c)
             return lu.solve
+        if self._lu_gather is None:
+            self._lu_gather = self._column_gather()
+        take, indices, indptr = self._lu_gather
         columns = self.columns
-        lu = splu(J[:, columns], permc_spec="NATURAL")
+        lu = splu(_csc(J.data.take(take), indices, indptr, self.shape),
+                  permc_spec="NATURAL")
 
         def solve(b):
             x = np.empty(len(columns))

@@ -5,9 +5,11 @@ precision) and LF newlines, so identical inputs produce byte-identical
 files.  ``fmt`` defines how one value is spelled.  A file's numbers are
 spelled in one ``%`` template pass: a CSV column, or a JSON array, whose
 items are all finite floats enters the template as ``%.17g``, which spells
-a float exactly as ``fmt`` does.  A CSV column whose cells are all strings
-(say, numbers the caller spelled once with ``fmt``) enters as ``%s`` as it
-is.  Every other column or array is spelled by ``fmt``, cell by cell.
+a float exactly as ``fmt`` does.  A 2-D float64 array of finite values
+(say, a profile's states) is one template of such rows, spelled as a list
+of its 1-D rows would be.  A CSV column whose cells are all strings (say,
+numbers the caller spelled once with ``fmt``) enters as ``%s`` as it is.
+Every other column or array is spelled by ``fmt``, cell by cell.
 Profiles serialize to a JSON schema that reconstructs the exact discrete
 solution; emitted file sets are described by a manifest with SHA-256
 content hashes.
@@ -71,6 +73,16 @@ def _emit(obj, indent: int, out: list) -> None:
             _emit(v, indent + 1, out)
             out.append(",\n" if i < len(items) - 1 else "\n")
         out.append(pad + "}")
+    elif (isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.size
+          and obj.dtype == np.float64 and np.isfinite(obj).all()):
+        # a matrix of finite floats: each row as the branch below spells a
+        # 1-D array one level deeper, all in one template
+        inner = "\n" + pad + "    "
+        row = ("[" + inner + ("," + inner).join(["%.17g"] * obj.shape[1])
+               + "\n" + pad + "  ]")
+        text = ("[\n" + pad + "  " + (",\n" + pad + "  ").join(
+            [row] * len(obj)) + "\n" + pad + "]")
+        out.append(text % tuple(obj.ravel().tolist()))
     elif isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(obj)
         if not seq:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import dwlab.cli
+import dwlab.runio
 import dwlab.shooting
 from dwlab import (BvpConfig, MaterialParams, NoConvergence, build_bvp,
                    solve_regime)
@@ -55,6 +56,23 @@ class TestDumpsJson:
         a, b = dumps_json(doc), dumps_json(doc)
         assert a == b
         assert "\r" not in a and a.endswith("\n")
+
+    def test_matrix_is_one_template(self, monkeypatch):
+        """A 2-D array of finite floats, such as a profile's states, is
+        spelled in one call, however many rows it has."""
+        calls = []
+        emit = dwlab.runio._emit
+
+        def counted(*args):
+            calls.append(1)
+            return emit(*args)
+        monkeypatch.setattr(dwlab.runio, "_emit", counted)
+        counts = []
+        for n_rows in (1, 10, 1601):
+            calls.clear()
+            dumps_json({"states": np.full((n_rows, 3), 0.5)})
+            counts.append(len(calls))
+        assert counts == [counts[0]] * 3
 
 
 class TestCsv:

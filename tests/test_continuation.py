@@ -7,6 +7,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
+from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from dwlab import (BvpConfig, MaterialParams, NoConvergence,
@@ -14,7 +17,7 @@ from dwlab import (BvpConfig, MaterialParams, NoConvergence,
                    classify_regime, continue_branch, homogeneous_profile,
                    newton_solve, solve_regime, termination_boundary)
 from dwlab import continuation
-from dwlab.continuation import _factorize
+from dwlab.continuation import _factorize, _gauss_values, _lagrange_matrices
 
 ALPHA, BETA, MU = 0.5, 0.1, -1.0
 CFG = BvpConfig(L=30.0, n_mesh=120, collocation_order=4)
@@ -185,6 +188,47 @@ class TestOrderingOncePerPattern:
         b = np.random.default_rng(3).normal(size=J2.shape[0])
         assert np.array_equal(bits(solve(b)), bits(fresh.solve(b)))
 
+    @pytest.mark.parametrize("bordered", [False, True],
+                             ids=["plain", "bordered"])
+    @pytest.mark.parametrize("h", [0.5, 10.2, 50.0],
+                             ids=["codim2", "center", "codim0"])
+    def test_lu_input_is_the_column_slice(self, monkeypatch, h, bordered):
+        """From the second factorization of a pattern on, the matrix handed
+        to the LU is J[:, columns] exactly: its values, row indices and
+        column pointers.  It is marked canonical, as a fresh scan finds."""
+        pattern, (J1, J2) = self._matrices(h, bordered)
+        pattern.lu_solver(J1)
+        inputs = []
+
+        def capture(A, permc_spec):
+            inputs.append(A)
+            return splu(A, permc_spec=permc_spec)
+        monkeypatch.setattr(continuation, "splu", capture)
+        pattern.lu_solver(J2)
+        (A,) = inputs
+        assert same_sparse(A, J2[:, pattern.columns])
+        assert A.has_canonical_format
+        assert csc_matrix((A.data, A.indices, A.indptr),
+                          shape=A.shape).has_canonical_format
+
+    def test_branch_slices_no_columns(self, monkeypatch):
+        """A branch's correctors gather each LU input from J.data: no
+        Newton iteration slices the columns of a sparse matrix."""
+        bvp, mp, wf = setup(0.5)
+        u, sc = solve_regime(bvp)
+        slices = []
+        getitem = csc_matrix.__getitem__
+
+        def counted(self, key):
+            slices.append(key)
+            return getitem(self, key)
+        monkeypatch.setattr(csc_matrix, "__getitem__", counted)
+        calls = counting_splu(monkeypatch)
+        br = continue_branch(bvp, u, sc, "c_cp", 0.1, step0=0.02)
+        assert br.terminated == "reached_target"
+        assert "NATURAL" in [spec for spec, _ in calls]
+        assert slices == []
+
     def test_branch_orders_its_pattern_once(self, monkeypatch):
         """A branch's correctors share one pattern: the minimum-degree
         ordering runs once, and every other iteration factors numerically
@@ -205,6 +249,31 @@ class TestOrderingOncePerPattern:
         assert len(jacobians) > 1
         assert [spec for spec, _ in calls] == (
             ["MMD_AT_PLUS_A"] + ["NATURAL"] * (len(jacobians) - 1))
+
+
+class TestGaussValues:
+    @seed(22)
+    @settings(max_examples=100, deadline=None)
+    @given(order=st.sampled_from([3, 4, 5]), n=st.integers(50, 401),
+           state=st.integers(0, 2**32 - 1),
+           zeros=st.sampled_from([0.0, 0.2, 1.0]))
+    @example(order=3, n=50, state=0, zeros=1.0)
+    def test_equals_the_gathered_einsum(self, order, n, state, zeros):
+        """The strided sum equals the einsum over gathered interval states,
+        values and signbits, for W and D: at orders 3, 4 and 5, over
+        magnitudes 1e-8 to 1e8 of both signs, with a share of the states
+        signed zeros (all of them in the explicit example)."""
+        rng = np.random.default_rng(state)
+        u = (rng.normal(size=(n * order + 1, 3))
+             * 10.0 ** rng.integers(-8, 9, size=(n * order + 1, 3)))
+        zero = rng.random(u.shape) < zeros
+        u[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+        loc = np.arange(n)[:, None] * order + np.arange(order + 1)
+        for M in _lagrange_matrices(order):
+            ref = np.einsum("gj,ijc->igc", M, u[loc])
+            got = _gauss_values(M, u, order).transpose(2, 0, 1)
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 class TestNewton:

@@ -9,7 +9,8 @@ edge h = beta/alpha, a classification of a left-moving wall
 (h < beta/alpha), a melnikov and a continue run that reject that wall, a
 center sweep over three unsorted values, a stability map whose node
 h = 1 lies on the pole h = -mu, so that its CSV mixes float columns with
-"pole" labels, a one-point map, and a map with the node c_cp = 0.  Prints
+"pole" labels, a one-point map, a map with the node c_cp = 0, and
+continuations at each of the collocation orders 3, 4 and 5.  Prints
 one line per data file: run, exit code, file name, SHA-256.  A run that
 writes no data file prints one line with ``-`` for the file name and
 digest.  ``manifest.json`` is left out, since it records the wall-clock
@@ -77,6 +78,9 @@ RUNS = [
     ("cont-center-seeded", "continue", {**MAT, "h": 10.2, "cont": "s",
                                         "target": 4.05, **SMALL},
      "cont-center"),
+    ("cont-order5", "continue", {**MAT, "h": 0.5, "cont": "c_cp",
+                                 "target": 0.1, **SMALL,
+                                 "collocation_order": 5}, None),
 ]
 
 
