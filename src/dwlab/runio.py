@@ -2,14 +2,18 @@
 
 All floating-point output uses 17 significant digits (full round-trip
 precision) and LF newlines, so identical inputs produce byte-identical
-files.  ``fmt`` defines how one value is spelled.  A file's numbers are
-spelled in one ``%`` template pass: a CSV column, or a JSON array, whose
-items are all finite floats enters the template as ``%.17g``, which spells
-a float exactly as ``fmt`` does.  A 2-D float64 array of finite values
-(say, a profile's states) is one template of such rows, spelled as a list
-of its 1-D rows would be.  A CSV column whose cells are all strings (say,
-numbers the caller spelled once with ``fmt``) enters as ``%s`` as it is.
-Every other column or array is spelled by ``fmt``, cell by cell.
+files.  ``fmt`` defines how one value is spelled.  Numbers are spelled in
+``%`` template passes: a JSON array, or a CSV column of one block of rows,
+whose items are all finite floats enters the template as ``%.17g``, which
+spells a float exactly as ``fmt`` does.  A 2-D float64 array of finite
+values (say, a profile's states) is one template of such rows, spelled as a
+list of its 1-D rows would be.  A CSV column whose cells in a block are all
+strings (say, numbers the caller spelled once with ``fmt``) enters as
+``%s`` as it is.  Every other column or array is spelled by ``fmt``, cell
+by cell.  Since each rule spells a cell as ``fmt`` does, a CSV column may
+take different rules in different blocks without changing a byte.  A JSON
+document is spelled in one pass; a CSV is spelled ``CSV_BLOCK_ROWS`` rows
+at a time into one buffer, so writing it needs the output plus one block.
 Profiles serialize to a JSON schema that reconstructs the exact discrete
 solution; emitted file sets are described by a manifest with SHA-256
 content hashes.
@@ -21,7 +25,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -127,35 +131,54 @@ def write_json(path, obj) -> bytes:
     return data
 
 
-def write_csv(path, header, rows) -> bytes:
-    """Write ``header`` and ``rows`` (a 2-D array, or a sequence of equally
-    long rows) as CSV; returns the bytes written.
+#: rows spelled per template pass of ``write_csv``
+CSV_BLOCK_ROWS = 4096
 
-    A column of finite floats enters the one row template as ``%.17g`` and
-    a column of strings as ``%s``, neither with a ``fmt`` call per cell;
-    any other column is spelled by ``fmt`` cell by cell."""
+
+def _csv_blocks(rows):
+    """(row count, columns) of each block of ``CSV_BLOCK_ROWS`` rows; raises
+    ``ValueError`` for rows of unequal length."""
     if isinstance(rows, np.ndarray):
-        n_rows, columns = len(rows), rows.T.tolist()
-    else:
-        rows = list(rows)
-        n_rows, columns = len(rows), zip(*rows, strict=True)
-    specs, args = [], []
-    for col in columns:
-        if _finite_floats(col):
-            specs.append("%.17g")
-        else:
-            specs.append("%s")
-            if not all(issubclass(t, str) for t in set(map(type, col))):
-                col = [fmt(v) for v in col]
-        args.append(col)
-    # the header, its % signs escaped, is part of the template, so that the
-    # text is built in one piece
-    template = (",".join(header).replace("%", "%%") + "\n"
-                + (",".join(specs) + "\n") * n_rows)
-    data = (template % tuple(chain.from_iterable(zip(*args)))).encode()
+        for i in range(0, len(rows), CSV_BLOCK_ROWS):
+            block = rows[i:i + CSV_BLOCK_ROWS]
+            yield len(block), block.T.tolist()
+        return
+    rows, width = iter(rows), None
+    while block := list(islice(rows, CSV_BLOCK_ROWS)):
+        columns = list(zip(*block, strict=True))
+        if width is None:
+            width = len(columns)
+        elif len(columns) != width:
+            raise ValueError("CSV rows of unequal length")
+        yield len(block), columns
+
+
+def write_csv(path, header, rows) -> bytearray:
+    """Write ``header`` and ``rows`` (a 2-D array, or an iterable of equally
+    long rows) as CSV; returns the buffer of the bytes written.
+
+    The rows are spelled ``CSV_BLOCK_ROWS`` at a time, each block in one
+    row template appended to the buffer, so the call needs the output plus
+    one block; the file is written once, and not at all if a row is
+    ragged.  In a block, a column of finite floats enters the template as
+    ``%.17g`` and a column of strings as ``%s``, neither with a ``fmt``
+    call per cell; any other column is spelled by ``fmt`` cell by cell."""
+    buf = bytearray((",".join(header) + "\n").encode())
+    for n_rows, columns in _csv_blocks(rows):
+        specs, args = [], []
+        for col in columns:
+            if _finite_floats(col):
+                specs.append("%.17g")
+            else:
+                specs.append("%s")
+                if not all(issubclass(t, str) for t in set(map(type, col))):
+                    col = [fmt(v) for v in col]
+            args.append(col)
+        template = (",".join(specs) + "\n") * n_rows
+        buf += (template % tuple(chain.from_iterable(zip(*args)))).encode()
     with open(path, "wb") as fh:
-        fh.write(data)
-    return data
+        fh.write(buf)
+    return buf
 
 
 def sha256_bytes(data: bytes) -> str:

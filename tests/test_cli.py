@@ -4,6 +4,7 @@ trips, manifests, exit codes, and config validation."""
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -254,6 +255,101 @@ class TestTemplatePassIsByteIdentical:
     def test_profile_document(self, profile):
         doc = profile_to_dict(profile)
         assert dumps_json(doc) == reference_dumps_json(doc)
+
+
+#: the kinds a column that changes rule from block to block takes: all
+#: finite floats in some blocks, NaN, ints, float32 or strings in others
+BLOCK_KINDS = ["finite", "finite", "float64", "nonfinite", "int",
+               "float32", "str"]
+
+
+@st.composite
+def block_tables(draw):
+    """(block size, header, rows) of a table whose 0-40 rows span several
+    blocks of 1, 2, 3 or 7 rows, with 1-4 columns; at least one column
+    draws its kind anew in each block."""
+    block = draw(st.sampled_from([1, 2, 3, 7]))
+    n_cols = draw(st.integers(1, 4))
+    mixed = draw(st.lists(st.booleans(), min_size=n_cols,
+                          max_size=n_cols).filter(any))
+    fixed = [draw(st.sampled_from(sorted(COLUMN_KINDS)))
+             for _ in range(n_cols)]
+    n_rows = draw(st.integers(0, 40))
+    rows = []
+    for start in range(0, n_rows, block):
+        kinds = [draw(st.sampled_from(BLOCK_KINDS)) if m else k
+                 for m, k in zip(mixed, fixed)]
+        rows += [[draw(COLUMN_KINDS[k]) for k in kinds]
+                 for _ in range(min(block, n_rows - start))]
+    return block, [draw(STRINGS) for _ in range(n_cols)], rows
+
+
+class TestCsvBlocks:
+    """write_csv spells its rows CSV_BLOCK_ROWS at a time into one buffer;
+    where the blocks end changes no byte."""
+
+    @seed(23)
+    @settings(max_examples=300, deadline=None)
+    @given(block_tables(),
+           st.sampled_from(["array", "lists", "tuples", "iterator"]))
+    def test_blocks_are_byte_identical(self, tmp_path_factory, table, form):
+        block, header, rows = table
+        given_rows = rows
+        if form == "array":
+            given_rows = np.array(rows, dtype=object).reshape(len(rows),
+                                                              len(header))
+        elif form == "tuples":
+            given_rows = [tuple(row) for row in rows]
+        elif form == "iterator":
+            given_rows = iter(rows)
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dwlab.runio, "CSV_BLOCK_ROWS", block)
+            data = write_csv(path, header, given_rows)
+        assert data == reference_csv(header, rows) == path.read_bytes()
+
+    @pytest.mark.parametrize("rows", [[[1.0, 2.0], [3.0]],
+                                      [[1.0, 2.0], [3.0, 4.0], [5.0]],
+                                      [[1.0], [2.0], ["x", "y"]]])
+    def test_ragged_rows_raise_and_write_nothing(self, tmp_path,
+                                                 monkeypatch, rows):
+        """Rows of unequal length raise, in one block or across two."""
+        monkeypatch.setattr(dwlab.runio, "CSV_BLOCK_ROWS", 2)
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError):
+            write_csv(path, ["a", "b"], rows)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("rows", [[], np.empty((0, 2)), iter([])])
+    def test_zero_rows_write_the_header(self, tmp_path, rows):
+        path = tmp_path / "t.csv"
+        data = write_csv(path, ["a", "%b"], rows)
+        assert data == b"a,%b\n" == path.read_bytes()
+
+    def test_map_write_needs_output_plus_a_block(self, tmp_path,
+                                                 monkeypatch):
+        """The traced peak of writing a 200 x 200 stability map's rows is
+        at most twice the file's bytes: the output and one block."""
+        calls = []
+
+        def keep_rows(path, header, rows):
+            calls.append((header, rows))
+            return write_csv(path, header, rows)
+        monkeypatch.setattr(dwlab.cli, "write_csv", keep_rows)
+        code, _ = run_cli(tmp_path, "stability-map",
+                          {"alpha": 0.5, "beta": 0.1, "mu": -1.0,
+                           "n_h": 200, "n_ccp": 200})
+        assert code == 0
+        (header, rows), = calls
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            data = write_csv(tmp_path / "map.csv", header, rows)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 40_000
+        assert peak <= 2 * len(data)
 
 
 class TestManifestEntry:

@@ -4,7 +4,9 @@ Runs the seven commands in-process on fixed configs, among them a
 continuation in h, a ``--seed-profile`` run in each of the codim-2 and
 center regimes (the center one takes its free scalar htilde from the
 seed's diagnostics alone), a run that exits 3, a
-freezing run on the benchmark's 2048-node grid, a shot at the zero-speed
+freezing run on the benchmark's 2048-node grid and a short one on a
+4500-node grid, whose terminal_profile.csv spans two of write_csv's
+blocks of rows (``runio.CSV_BLOCK_ROWS``), a shot at the zero-speed
 edge h = beta/alpha, a classification of a left-moving wall
 (h < beta/alpha), a melnikov and a continue run that reject that wall, a
 center sweep over three unsorted values, a stability map whose node
@@ -53,6 +55,8 @@ RUNS = [
     ("freeze-ccp0.5", "freeze", {**FREEZE, "c_cp": 0.5}, None),
     ("freeze-n2048", "freeze", {**MAT, "h": 0.5, "c_cp": 0.5, "T": 0.5,
                                 "n_nodes": 2048, "Lx": 100.0}, None),
+    ("freeze-n4500", "freeze", {**MAT, "h": 0.5, "T": 0.05, "dt": 5e-4,
+                                "n_nodes": 4500, "Lx": 100.0}, None),
     ("cont-ccp", "continue", {**MAT, "h": 0.5, "cont": "c_cp",
                               "target": 0.5}, None),
     ("cont-ccp-h10.1", "continue", {**MAT, "h": 10.1, "cont": "c_cp",
