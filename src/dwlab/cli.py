@@ -225,11 +225,14 @@ def cmd_stability_map(cfg, out: Path):
         values = np.sort(np.linspace(cfg[lo], cfg[hi], cfg[n])).tolist()
         return list(zip(values, map(fmt, values)))
     alpha, beta, mu = cfg["alpha"], cfg["beta"], cfg["mu"]
-    ccps = axis("ccp_min", "ccp_max", "n_ccp")
-    rows = [(h_text, c_text,
-             _verdict(MaterialParams(alpha, beta, mu, h, c)).region)
-            for h, h_text in axis("h_min", "h_max", "n_h")
-            for c, c_text in ccps]
+    hs, ccps = axis("h_min", "h_max", "n_h"), axis("ccp_min", "ccp_max",
+                                                    "n_ccp")
+    # every verdict is reached here, before the file is written; the rows
+    # are generated as the writer reads them, never held all at once
+    regions = iter([_verdict(MaterialParams(alpha, beta, mu, h, c)).region
+                    for h, _ in hs for c, _ in ccps])
+    rows = ((h_text, c_text, next(regions))
+            for _, h_text in hs for _, c_text in ccps)
     return [_write(out, "stability_map.csv", ["h", "c_cp", "region"], rows)]
 
 

@@ -13,7 +13,9 @@ table ``REGIMES`` below is their one definition:
     through the energy-gap equation H(p, q at +L) - H(Z^pi_-) = htilde with
     the gap htilde itself the free scalar (a measurement, since the far
     state is generically a periodic orbit rather than the equilibrium).
-  * codim-0: p pinned at both ends; nothing free.
+  * codim-0: p, q pinned at the left end, nothing at the right; nothing
+    free.  Z^0_- has one unstable direction and Z^pi_- three stable
+    ones, so the left end takes two conditions and the right none.
 
 Solving uses damped Newton iteration on an analytically assembled sparse
 Jacobian; branches in any of (c_cp, s, Omega, h) are traced by
@@ -37,8 +39,18 @@ structure only, so it is computed once per structure, at its first
 factorization, and kept with it.  Each later Newton iteration factors its
 matrix numerically only, with the columns already in that order: the
 pre-ordered matrix is J.data gathered at positions fixed per structure, not
-a column slice of J, and J itself keeps its own column order for the
-least-squares fallback.
+a column slice of J.
+
+A continuation holds one Newton structure and one Newton matrix at a time:
+  * ``continue_branch`` drops the structures of the solved system it starts
+    from once it has built its own, bordered system;
+  * on a structure whose column order is known, J lives only until its
+    values are gathered, and SuperLU factors the gathered copy alone.  The
+    least-squares fallback, which needs J in its own column order,
+    assembles it again, so an iteration that falls back after an ordered
+    LU assembles its Jacobian twice.  The first, minimum-degree
+    factorization of a structure reads J whole and keeps it for the
+    fallback.
 
 SciPy's sparse modules (``scipy.sparse`` and ``scipy.sparse.linalg``) are
 imported at the first Jacobian and the first factorization, not with this
@@ -101,7 +113,7 @@ GAP = "energy_gap"
 REGIMES = {
     CODIM2: (("s", "omega"), ((LEFT, P), (LEFT, Q), (RIGHT, P), (RIGHT, Q))),
     CENTER: (("htilde",), ((LEFT, P), (LEFT, Q), GAP)),
-    CODIM0: ((), ((LEFT, P), (RIGHT, P))),
+    CODIM0: ((), ((LEFT, P), (LEFT, Q))),
 }
 
 
@@ -582,8 +594,12 @@ class _NewtonPattern:
     pattern, and its values are J.data taken at fixed positions.  Those
     three arrays are built at the pattern's second factorization, the first
     that reads them, so that nothing long-lived is allocated between the
-    first factorization and its solve.  J itself stays in its own column
-    order, which the least-squares fallback reads."""
+    first factorization and its solve.  A structure lives as long as the
+    system that built it keeps it: ``continue_branch`` drops the solved
+    base system's, so only the continuation's own is alive while it
+    factors.  Each Newton matrix lives until the LU input is taken from
+    it: from the second factorization on, that is the gather, and J is
+    dropped before SuperLU factors."""
 
     def __init__(self, order, indices, indptr, shape, splits):
         self.order, self.indices, self.indptr = order, indices, indptr
@@ -603,20 +619,22 @@ class _NewtonPattern:
                 + np.arange(indptr[-1]))
         return take, self.indices.take(take), indptr
 
-    def lu_solver(self, J):
-        """A function solving J x = b, for a matrix J of this pattern.  The
-        first call orders and factors J by ``_factorize``; later calls reuse
-        its column order.  Raises ``RuntimeError`` when J is singular."""
+    def lu_solver(self, jacobian):
+        """A function solving J x = b, for the matrix J of this pattern
+        that ``jacobian()`` assembles.  The first call orders and factors J
+        by ``_factorize``; later calls reuse its column order, and drop J
+        once its values are gathered, before SuperLU factors.  Raises
+        ``RuntimeError`` when J is singular."""
         if self.columns is None:
-            lu = _factorize(J)
+            lu = _factorize(jacobian())
             self.columns = np.argsort(lu.perm_c)
             return lu.solve
         if self._lu_gather is None:
             self._lu_gather = self._column_gather()
         take, indices, indptr = self._lu_gather
         columns = self.columns
-        lu = splu(_csc(J.data.take(take), indices, indptr, self.shape),
-                  permc_spec="NATURAL")
+        lu = splu(_csc(jacobian().data.take(take), indices, indptr,
+                       self.shape), permc_spec="NATURAL")
 
         def solve(b):
             x = np.empty(len(columns))
@@ -625,22 +643,28 @@ class _NewtonPattern:
         return solve
 
 
-def _newton_directions(J, r, pattern):
-    """The Newton directions for J dx = -r, in the order they are tried.
+def _newton_directions(jacobian, r, pattern):
+    """The Newton directions for J dx = -r, in the order they are tried,
+    where ``jacobian()`` assembles J and ``pattern`` is its
+    ``_NewtonPattern``.
 
     First the sparse LU step, when J factors and the step is finite; then a
     regularized least-squares step, solved only when the LU step is missing
-    or cannot be damped into a residual decrease (the codim-0 truncation is
-    exponentially ill-conditioned, with a near-kernel along the decayed
-    left-chart modes, and needs the minimal-norm direction).  ``pattern`` is
-    J's ``_NewtonPattern``.  Raises ``SingularJacobian`` when that step is
-    not finite."""
+    or cannot be damped into a residual decrease.  J is kept for that step
+    only at the pattern's first factorization, which reads J whole.  An
+    ordered pattern's LU drops J before it factors, and the least-squares
+    step assembles J again: an iteration that falls back after an ordered
+    LU assembles its Jacobian twice.  Raises ``SingularJacobian`` when the
+    least-squares step is not finite."""
+    J = jacobian() if pattern.columns is None else None
     try:
-        dx = pattern.lu_solver(J)(-r)
+        dx = pattern.lu_solver(jacobian if J is None else lambda: J)(-r)
     except RuntimeError:
         dx = None
     if dx is not None and np.all(np.isfinite(dx)):
         yield dx
+    if J is None:
+        J = jacobian()
     dx = lsmr(J, -r, damp=1e-12, atol=1e-14, btol=1e-14,
               maxiter=20 * J.shape[0])[0]
     if not np.all(np.isfinite(dx)):
@@ -674,11 +698,13 @@ def newton_solve(bvp: HeteroclinicBVP, states: np.ndarray, scalars: dict,
             return (*bvp.unpack(x), it)
         if it == MAX_NEWTON:
             break
-        J = bvp.jacobian(x, None if extra_row is None else extra_row[1](x))
+        grad = None if extra_row is None else extra_row[1](x)
         # the first direction whose step, halved up to nine times, lowers the
-        # residual norm (a NaN norm compares false)
+        # residual norm (a NaN norm compares false); J is assembled by the
+        # directions, which hold it no longer than they need it
         trials = (with_residual(x + 0.5 ** k * dx)
-                  for dx in _newton_directions(J, r, pattern)
+                  for dx in _newton_directions(
+                      lambda: bvp.jacobian(x, grad), r, pattern)
                   for k in range(10))
         accepted = next((t for t in trials if t[2] < res_norm), None)
         if accepted is None:
@@ -718,15 +744,17 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
     The start must solve ``bvp`` at its base parameter value.  The branch is
     traced on a copy of ``bvp`` that frees ``cont_name`` as its last
     unknown, so ``bvp`` itself, its phase reference included, is left as it
-    was.  Steps adapt within [1e-5, 0.05]: halved on corrector failure,
-    grown by 1.3 after 3 consecutive successes.  Every accepted point is
-    recorded with the regime's free scalars, and the last one carries its
-    full profile; termination is reported in the Branch (never raised) as
-    reached_target or newton_failure, the latter once a halved step falls
-    below 1e-5.  Folds do not end a branch; each point's diagnostics flag
-    whether one has been passed.  Raises ``ValueError`` when the regime
-    already frees or slaves ``cont_name``, and when ``step0`` fails
-    ``check_step0``.
+    was, apart from its Newton structures: they are dropped once the copy
+    is built, and ``bvp`` rebuilds and re-orders them, with the same bits,
+    if it is solved again.  Steps adapt within [1e-5, 0.05]: halved on
+    corrector failure, grown by 1.3 after 3 consecutive successes.  Every
+    accepted point is recorded with the regime's free scalars, and the last
+    one carries its full profile; termination is reported in the Branch
+    (never raised) as reached_target or newton_failure, the latter once a
+    halved step falls below 1e-5.  Folds do not end a branch; each point's
+    diagnostics flag whether one has been passed.  Raises ``ValueError``
+    when the regime already frees or slaves ``cont_name``, and when
+    ``step0`` fails ``check_step0``.
     """
     check_step0(step0)
     if bvp.frees_or_slaves(cont_name):
@@ -735,6 +763,8 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
     base = bvp.base
     cbvp = HeteroclinicBVP(bvp.mode, bvp._mp(base), bvp._wf(base), bvp.cfg,
                            free_scalars=bvp.free_scalars + (cont_name,))
+    # the base system's structures are not read while cbvp is solved
+    bvp._patterns.clear()
     lam0 = base[cont_name]
     direction = 1.0 if target >= lam0 else -1.0
     scalars = dict(start_scalars)

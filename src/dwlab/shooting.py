@@ -174,14 +174,10 @@ def _tail_start(n: int) -> int:
     return int(math.floor((1.0 - TAIL_WINDOW) * n))
 
 
-def classify_tail(xs: np.ndarray, qs: np.ndarray) -> TailVerdict:
-    """Classify the q-tail on the trailing TAIL_WINDOW fraction of the
-    orbit: amplitude = half the peak-to-peak of q about its mean there."""
-    return _tail_verdict(qs[_tail_start(len(xs)):])
-
-
-def _tail_verdict(tail: np.ndarray) -> TailVerdict:
-    """``classify_tail``'s verdict on the q-samples of its window."""
+def classify_tail(tail: np.ndarray) -> TailVerdict:
+    """Classify the q-tail from its samples in the tail window, the
+    trailing TAIL_WINDOW fraction of the orbit: amplitude = half the
+    peak-to-peak of q about its mean there."""
     if not np.all(np.isfinite(tail)):
         return TailVerdict(kind="undetermined", q_limit_estimate=None,
                            oscillation_amplitude=float("inf"))
@@ -208,10 +204,10 @@ def shoot_to_pi_chart(mp: MaterialParams, wf: WaveFrame,
     ``unstable_seed`` accepts that root instead.
 
     Integrates until theta > pi - 1e-4 or the xi-budget 400/sqrt(-mu) is
-    exhausted, then classifies the q-tail on the trailing quarter of the run,
-    as ``classify_tail`` does on TAIL_SAMPLES uniform samples of the span.
-    The dense output is evaluated only at the samples in that window: it is
-    pointwise, so they are the values a full resampling would give there.
+    exhausted, then classifies the q-tail by ``classify_tail`` on the
+    trailing quarter of the run: on those of TAIL_SAMPLES uniform samples of
+    the span that fall there.  The dense output is evaluated only at them:
+    it is pointwise, so they are the values a full resampling would give.
     Raises ``NoConnection`` when theta stalls below pi - 1e-2.
     Returns (Trajectory, TailVerdict).
     """
@@ -233,4 +229,4 @@ def shoot_to_pi_chart(mp: MaterialParams, wf: WaveFrame,
     # classify on a uniform resampling so the window is a true xi-fraction
     xs_fine = np.linspace(traj.xs[0], traj.xs[-1], TAIL_SAMPLES)
     tail = xs_fine[_tail_start(TAIL_SAMPLES):]
-    return traj, _tail_verdict(traj.at(tail)[:, 2])
+    return traj, classify_tail(traj.at(tail)[:, 2])

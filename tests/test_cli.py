@@ -333,6 +333,8 @@ class TestCsvBlocks:
         calls = []
 
         def keep_rows(path, header, rows):
+            # the rows may come as a generator, read once
+            rows = list(rows)
             calls.append((header, rows))
             return write_csv(path, header, rows)
         monkeypatch.setattr(dwlab.cli, "write_csv", keep_rows)
@@ -790,7 +792,9 @@ class TestCliStabilityMap:
             return fmt(x)
 
         def counting_write_csv(path, header, rows):
-            # a cell handed to the writer that is not text is spelled there
+            # a cell handed to the writer that is not text is spelled there;
+            # the rows may come as a generator, read once
+            rows = list(rows)
             spelled.extend(v for row in rows for v in row
                            if not isinstance(v, str))
             return write_csv(path, header, rows)

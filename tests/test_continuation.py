@@ -4,6 +4,7 @@ polarization, branch mechanics (steps, folds, termination), and the
 existence-boundary helper."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -175,8 +176,8 @@ class TestOrderingOncePerPattern:
         solution equal those of a fresh minimum-degree LU bit for bit."""
         pattern, (J1, J2) = self._matrices(h, bordered)
         calls = counting_splu(monkeypatch)
-        pattern.lu_solver(J1)
-        solve = pattern.lu_solver(J2)
+        pattern.lu_solver(lambda: J1)
+        solve = pattern.lu_solver(lambda: J2)
         assert [spec for spec, _ in calls] == ["MMD_AT_PLUS_A", "NATURAL"]
         lu = calls[1][1]
         fresh = splu(J2, permc_spec="MMD_AT_PLUS_A")
@@ -197,14 +198,14 @@ class TestOrderingOncePerPattern:
         to the LU is J[:, columns] exactly: its values, row indices and
         column pointers.  It is marked canonical, as a fresh scan finds."""
         pattern, (J1, J2) = self._matrices(h, bordered)
-        pattern.lu_solver(J1)
+        pattern.lu_solver(lambda: J1)
         inputs = []
 
         def capture(A, permc_spec):
             inputs.append(A)
             return splu(A, permc_spec=permc_spec)
         monkeypatch.setattr(continuation, "splu", capture)
-        pattern.lu_solver(J2)
+        pattern.lu_solver(lambda: J2)
         (A,) = inputs
         assert same_sparse(A, J2[:, pattern.columns])
         assert A.has_canonical_format
@@ -249,6 +250,77 @@ class TestOrderingOncePerPattern:
         assert len(jacobians) > 1
         assert [spec for spec, _ in calls] == (
             ["MMD_AT_PLUS_A"] + ["NATURAL"] * (len(jacobians) - 1))
+
+    def test_no_jacobian_is_alive_while_an_ordered_lu_factors(
+            self, monkeypatch):
+        """From a pattern's second factorization on, SuperLU factors the
+        gathered copy alone: no matrix that ``jacobian`` returned is alive
+        while ``splu`` runs on an ordered pattern."""
+        bvp, mp, wf = setup(0.5)
+        u, sc = solve_regime(bvp)
+        returned = []
+        jacobian = continuation.HeteroclinicBVP.jacobian
+
+        def tracked(self, *args):
+            J = jacobian(self, *args)
+            returned.append(weakref.ref(J))
+            return J
+        monkeypatch.setattr(continuation.HeteroclinicBVP, "jacobian",
+                            tracked)
+        alive = []
+
+        def counted(A, permc_spec):
+            if permc_spec == "NATURAL":
+                alive.append(sum(ref() is not None for ref in returned))
+            return splu(A, permc_spec=permc_spec)
+        monkeypatch.setattr(continuation, "splu", counted)
+        br = continue_branch(bvp, u, sc, "c_cp", 0.1, step0=0.02)
+        assert br.terminated == "reached_target"
+        assert len(alive) > 1
+        assert alive == [0] * len(alive)
+
+    def test_branch_drops_the_base_structures(self):
+        """After a branch the solved base system holds no Newton
+        structure; solved again, it rebuilds one with the same bits."""
+        bvp, mp, wf = setup(0.5)
+        u, sc = solve_regime(bvp)
+        assert bvp._patterns
+        before = solve_regime(bvp, u, sc)
+        br = continue_branch(bvp, u, sc, "c_cp", 0.1, step0=0.02)
+        assert br.terminated == "reached_target"
+        assert bvp._patterns == {}
+        after = solve_regime(bvp, u, sc)
+        assert np.array_equal(bits(after[0]), bits(before[0]))
+        assert after[1] == before[1]
+
+    def test_center_sweep_orders_each_system_once(self, monkeypatch):
+        """A center sweep over two values orders the base system once and
+        each of its two continuation systems once."""
+        from dwlab.cli import _center_sweep
+        from dwlab import thresholds
+        factored = []
+        systems = []
+        jacobian = continuation.HeteroclinicBVP.jacobian
+
+        def tracked(self, *args):
+            systems.append(self)
+            return jacobian(self, *args)
+        monkeypatch.setattr(continuation.HeteroclinicBVP, "jacobian",
+                            tracked)
+
+        def counted(A, permc_spec):
+            factored.append((permc_spec, id(systems[-1])))
+            return splu(A, permc_spec=permc_spec)
+        monkeypatch.setattr(continuation, "splu", counted)
+        _, h_star = thresholds(ALPHA, BETA, MU)
+        _, results = _center_sweep(mk(h_star), "h",
+                                   [h_star + 0.15, h_star - 0.15], CFG,
+                                   continuation.STEP0)
+        assert [term for *_, term in results] == ["reached_target"] * 2
+        ordered = [system for spec, system in factored
+                   if spec == "MMD_AT_PLUS_A"]
+        assert len(ordered) == len(set(ordered)) == 3
+        assert {system for _, system in factored} == set(ordered)
 
 
 class TestGaussValues:
@@ -474,6 +546,37 @@ class TestContinuation:
         mp_end = mp.replace(c_cp=0.1)
         assert om == pytest.approx(center_frequency(PI, mp_end, s_end),
                                    abs=1e-12)
+
+
+class TestCodim0Pins:
+    def test_continuation_in_h_pins_the_left_end(self, monkeypatch):
+        """The codim-0 wall pins p and q at the left end and nothing at the
+        right: Z^0_- has one unstable direction and Z^pi_- three stable
+        ones.  From h = 50 to 45 (L = 20, 80 intervals) the Newton matrix is
+        regular, no corrector falls back to least squares, the left node
+        sits on Z^0_- and the right node reaches Z^pi_- by itself."""
+        from dwlab import PI, ZERO, chart_equilibria
+        bvp, mp, wf = setup(50.0, BvpConfig(L=20.0, n_mesh=80))
+        u, sc = solve_regime(bvp)
+        sigma = np.linalg.svd(bvp.jacobian(bvp.pack(u, sc)).toarray(),
+                              compute_uv=False)
+        assert sigma[-1] > 1e-4 * sigma[0]
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return lsmr(*args, **kwargs)
+        lsmr = continuation.lsmr
+        monkeypatch.setattr(continuation, "lsmr", counted)
+        br = continue_branch(bvp, u, sc, "h", 45.0)
+        assert br.terminated == "reached_target" and br.end.param == 45.0
+        assert calls == []
+        prof = br.end.profile
+        z = prof.states[:, 1] + 1j * prof.states[:, 2]
+        left = chart_equilibria(ZERO, prof.mp, prof.wf)[1].z
+        right = chart_equilibria(PI, prof.mp, prof.wf)[1].z
+        assert abs(z[0] - left) < 1e-9
+        assert abs(z[-1] - right) < 1e-12
 
 
 class TestRobustness:

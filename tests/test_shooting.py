@@ -15,7 +15,7 @@ from dwlab import (PI, ZERO, BlowUp, ChartState, MaterialParams,
                    classify_tail, homogeneous_profile,
                    homogeneous_speed_frequency, integrate, shoot_to_pi_chart,
                    singular_rhs, unstable_seed)
-from dwlab.shooting import EPSILON_MAX, TAIL_SAMPLES
+from dwlab.shooting import EPSILON_MAX, TAIL_SAMPLES, _tail_start
 
 MP = MaterialParams(alpha=0.5, beta=0.1, mu=-1.0, h=5.0, c_cp=0.0)
 WF0 = homogeneous_speed_frequency(MP)
@@ -122,19 +122,19 @@ class TestUnstableSeed:
 
 
 class TestClassifyTail:
+    #: the tail window of 1000 samples over [0, 10]
+    XS = np.linspace(0, 10, 1000)[_tail_start(1000):]
+
     def test_flat(self):
-        xs = np.linspace(0, 10, 1000)
-        v = classify_tail(xs, np.full_like(xs, 0.3))
+        v = classify_tail(np.full_like(self.XS, 0.3))
         assert v.kind == "flat" and v.q_limit_estimate == pytest.approx(0.3)
 
     def test_nonflat(self):
-        xs = np.linspace(0, 10, 1000)
-        v = classify_tail(xs, 0.3 + 1e-3 * np.sin(5 * xs))
+        v = classify_tail(0.3 + 1e-3 * np.sin(5 * self.XS))
         assert v.kind == "nonflat"
 
     def test_undetermined(self):
-        xs = np.linspace(0, 10, 1000)
-        v = classify_tail(xs, 0.3 + 1e-6 * np.sin(5 * xs))
+        v = classify_tail(0.3 + 1e-6 * np.sin(5 * self.XS))
         assert v.kind == "undetermined"
 
 
@@ -174,7 +174,8 @@ class TestShootToPiChart:
         traj, verdict = shoot_to_pi_chart(mp, homogeneous_speed_frequency(mp),
                                           tol=1e-12)
         xs = np.linspace(traj.xs[0], traj.xs[-1], TAIL_SAMPLES)
-        assert verdict == classify_tail(xs, traj.at(xs)[:, 2])
+        assert verdict == classify_tail(
+            traj.at(xs)[_tail_start(TAIL_SAMPLES):, 2])
 
     def test_center_perturbation_is_nonflat(self):
         """Off the flat surface (ds = 0.1, recentered frequency) the tail

@@ -1,0 +1,75 @@
+"""The checking tools: ``tools/cli_digests.py``'s value comparison of two
+trees' outputs, on small hand-made output directories."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_cli_digests():
+    spec = importlib.util.spec_from_file_location(
+        "cli_digests", ROOT / "tools" / "cli_digests.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+cli_digests = load_cli_digests()
+
+
+def make_tree(root: Path, codes: dict, files: dict) -> Path:
+    """A ``run_into`` directory: exit codes, and {(run, file): text}."""
+    root.mkdir()
+    (root / cli_digests.CODES).write_text(json.dumps(codes))
+    for (run, name), text in files.items():
+        (root / run).mkdir(exist_ok=True)
+        (root / run / name).write_text(text)
+    return root
+
+
+CSV = "x,y,region\n0,1.5,stable\n1,2.5,pole\n"
+DOC = {"points": [{"param": 0.0, "s": 1.0}, {"param": 0.5, "s": 2.0}],
+       "terminated": "reached_target"}
+
+
+class TestCompare:
+    def test_equal_trees_print_nothing(self, tmp_path):
+        files = {("a", "t.csv"): CSV, ("a", "d.json"): json.dumps(DOC),
+                 ("a", "manifest.json"): "{}"}
+        old = make_tree(tmp_path / "old", {"a": 0, "b": 3}, files)
+        new = make_tree(tmp_path / "new", {"a": 0, "b": 3},
+                        {**files, ("a", "manifest.json"): '{"t": 1}'})
+        assert cli_digests.compare(old, new) == []
+
+    def test_reports_each_difference(self, tmp_path):
+        doc = {"points": [{"param": 0.0, "s": 1.0},
+                          {"param": 0.5, "s": 2.5}],
+               "terminated": "newton_failure"}
+        old = make_tree(tmp_path / "old", {"a": 0, "b": 0},
+                        {("a", "t.csv"): CSV,
+                         ("a", "d.json"): json.dumps(DOC),
+                         ("b", "gone.csv"): "x\n1\n"})
+        new = make_tree(tmp_path / "new", {"a": 0, "b": 3},
+                        {("a", "t.csv"): "x,y,region\n0,1.5,stable\n"
+                                         "1,2,unstable\n",
+                         ("a", "d.json"): json.dumps(doc, indent=1)})
+        assert cli_digests.compare(old, new) == [
+            "a d.json",
+            "  points[*].s: abs 0.5 at points[1].s, rel 0.2 at points[1].s",
+            "  terminated: 1 other values differ, first at terminated",
+            "a t.csv",
+            "  y: abs 0.5 at row 2, rel 0.2 at row 2",
+            "  region: 1 other values differ, first at row 2",
+            "b exit 0 -> 3",
+            "b gone.csv: only in the old tree"]
+
+    def test_bytes_alone(self, tmp_path):
+        """A file spelled differently with the same values, NaN included."""
+        old = make_tree(tmp_path / "old", {"a": 0},
+                        {("a", "d.json"): '{"v": [1.0, NaN]}'})
+        new = make_tree(tmp_path / "new", {"a": 0},
+                        {("a", "d.json"): '{"v": [1, NaN]}\n'})
+        assert cli_digests.compare(old, new) == [
+            "a d.json", "  bytes differ, values equal"]
