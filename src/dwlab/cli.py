@@ -391,10 +391,15 @@ def cmd_freeze(cfg, out: Path):
                               ps, qs, *m.T])
     doc = {"asymptotic_s": s_a, "asymptotic_omega": o_a, "T": cfg["T"],
            "dt": cfg["dt"], "n_nodes": cfg["n_nodes"],
-           "final_norm_deviation": term.norm_deviation}
-    return [_write(out, "freeze.csv", ["t", "s", "omega"], rows),
-            _write(out, "terminal_profile.csv", _PROFILE, rows_p),
-            _write(out, "freeze.json", doc)]
+           "final_norm_deviation": term.norm_deviation,
+           "terminated": series.terminated}
+    files = [_write(out, "freeze.csv", ["t", "s", "omega"], rows),
+             _write(out, "terminal_profile.csv", _PROFILE, rows_p),
+             _write(out, "freeze.json", doc)]
+    if series.terminated != "reached_T":
+        raise DwlabError(f"freezing run terminated with {series.terminated} "
+                         f"at t = {term.t}")
+    return files
 
 
 _COMMANDS = {name: globals()["cmd_" + name.replace("-", "_")]

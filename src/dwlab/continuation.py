@@ -17,8 +17,8 @@ table ``REGIMES`` below is their one definition:
     free.  Z^0_- has one unstable direction and Z^pi_- three stable
     ones, so the left end takes two conditions and the right none.
 
-Solving uses damped Newton iteration on an analytically assembled sparse
-Jacobian; branches in any of (c_cp, s, Omega, h) are traced by
+Solving uses chord and damped Newton iteration on an analytically assembled
+sparse Jacobian; branches in any of (c_cp, s, Omega, h) are traced by
 pseudo-arclength continuation with a secant predictor, whose last step ends
 exactly on the target.  The continuation parameter is one more free scalar
 of the same system, and the arclength equation one more row.
@@ -36,14 +36,23 @@ writes values:
 It is factored by sparse LU ordered by minimum degree on the pattern of
 J^T + J, which keeps the fill near nnz(J).  That ordering depends on the
 structure only, so it is computed once per structure, at its first
-factorization, and kept with it.  Each later Newton iteration factors its
-matrix numerically only, with the columns already in that order: the
-pre-ordered matrix is J.data gathered at positions fixed per structure, not
-a column slice of J.
+factorization, and kept with it.  Each later factorization is numeric
+only, with the columns already in that order: the pre-ordered matrix is
+J.data gathered at positions fixed per structure, not a column slice of J.
 
-A continuation holds one Newton structure and one Newton matrix at a time:
+Along a branch the Newton matrix barely changes, so most iterations factor
+nothing (the chord, or simplified Newton, method; Kelley, *Iterative
+Methods for Linear and Nonlinear Equations*, SIAM 1995, section 5.4).  Each
+structure keeps the last LU it made, and an iteration first takes the full
+step with it; the step is kept when it cuts the max-norm residual below
+CHORD_RATE times the current one.  Otherwise the iteration assembles and
+factors J afresh, and that LU serves the chord steps that follow.
+
+A continuation holds one Newton structure, one LU and one Newton matrix
+at a time:
   * ``continue_branch`` drops the structures of the solved system it starts
-    from once it has built its own, bordered system;
+    from, with their LUs, once it has built its own, bordered system;
+  * a structure drops its LU before it factors the next one;
   * on a structure whose column order is known, J lives only until its
     values are gathered, and SuperLU factors the gathered copy alone.  The
     least-squares fallback, which needs J in its own column order,
@@ -62,6 +71,7 @@ on the module, as tests do.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -97,9 +107,14 @@ STEP_GROW = 1.3
 GROW_AFTER = 3
 
 #: Newton stops when the max-norm residual falls below NEWTON_TOL, and fails
-#: after MAX_NEWTON iterations
-NEWTON_TOL = 1e-10
+#: after MAX_NEWTON iterations, chord and Newton alike.  The chord converges
+#: linearly and stops just under the tolerance, so it is set where the
+#: stopping error lies well below the default mesh's discretization error
+NEWTON_TOL = 1e-12
 MAX_NEWTON = 12
+#: a chord step, with the last LU of the structure, is accepted when it cuts
+#: the max-norm residual below CHORD_RATE times the current one
+CHORD_RATE = 0.25
 
 #: state components that a boundary row pins, and the end nodes
 P, Q = 1, 2
@@ -177,10 +192,12 @@ class Branch:
 # Collocation machinery
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _lagrange_matrices(order: int):
     """Interpolation and derivative matrices of the Lagrange basis on the
     equally spaced representation nodes j/order (j = 0..order) of the unit
-    interval, evaluated at the ``order`` Gauss points."""
+    interval, evaluated at the ``order`` Gauss points; computed once per
+    order, as read-only arrays."""
     m = order
     rep = np.arange(m + 1) / m
     gauss = 0.5 * (legendre.leggauss(m)[0] + 1.0)
@@ -193,6 +210,7 @@ def _lagrange_matrices(order: int):
         W[:, j] = np.polynomial.polynomial.polyval(gauss, coeffs)
         D[:, j] = np.polynomial.polynomial.polyval(
             gauss, np.polynomial.polynomial.polyder(coeffs))
+    W.flags.writeable = D.flags.writeable = False
     return W, D
 
 
@@ -557,8 +575,8 @@ def _factorize(J):
 
     The ordering depends on the pattern only, so it runs once per pattern:
     ``_NewtonPattern.lu_solver`` calls this for the pattern's first matrix,
-    keeps the column order, and each later Newton iteration only factors
-    numerically."""
+    keeps the column order, and each later factorization is numeric
+    only."""
     return splu(J, permc_spec="MMD_AT_PLUS_A")
 
 
@@ -599,7 +617,13 @@ class _NewtonPattern:
     base system's, so only the continuation's own is alive while it
     factors.  Each Newton matrix lives until the LU input is taken from
     it: from the second factorization on, that is the gather, and J is
-    dropped before SuperLU factors."""
+    dropped before SuperLU factors.
+
+    The structure keeps the solve function of its last LU as ``lu``, for
+    the chord steps of ``newton_solve``, and counts its LUs in
+    ``factorizations``.  The LU is dropped before the next one is made, so
+    at most one is alive per structure, and no LU is shared between two
+    systems."""
 
     def __init__(self, order, indices, indptr, shape, splits):
         self.order, self.indices, self.indptr = order, indices, indptr
@@ -610,6 +634,10 @@ class _NewtonPattern:
         # (take, indices, indptr) of J[:, columns]: its data is
         # J.data.take(take)
         self._lu_gather = None
+        # solve function of the last LU made, for chord steps, and the
+        # number of LUs made
+        self.lu = None
+        self.factorizations = 0
 
     def _column_gather(self):
         counts = np.diff(self.indptr)[self.columns]
@@ -621,25 +649,30 @@ class _NewtonPattern:
 
     def lu_solver(self, jacobian):
         """A function solving J x = b, for the matrix J of this pattern
-        that ``jacobian()`` assembles.  The first call orders and factors J
-        by ``_factorize``; later calls reuse its column order, and drop J
-        once its values are gathered, before SuperLU factors.  Raises
+        that ``jacobian()`` assembles, kept as ``lu`` until the next call
+        drops it, before it factors.  The first call orders and factors J by
+        ``_factorize``; later calls reuse its column order, and drop J once
+        its values are gathered, before SuperLU factors.  Raises
         ``RuntimeError`` when J is singular."""
+        self.lu = None
         if self.columns is None:
             lu = _factorize(jacobian())
             self.columns = np.argsort(lu.perm_c)
-            return lu.solve
-        if self._lu_gather is None:
-            self._lu_gather = self._column_gather()
-        take, indices, indptr = self._lu_gather
-        columns = self.columns
-        lu = splu(_csc(jacobian().data.take(take), indices, indptr,
-                       self.shape), permc_spec="NATURAL")
+            solve = lu.solve
+        else:
+            if self._lu_gather is None:
+                self._lu_gather = self._column_gather()
+            take, indices, indptr = self._lu_gather
+            columns = self.columns
+            lu = splu(_csc(jacobian().data.take(take), indices, indptr,
+                           self.shape), permc_spec="NATURAL")
 
-        def solve(b):
-            x = np.empty(len(columns))
-            x[columns] = lu.solve(b)
-            return x
+            def solve(b):
+                x = np.empty(len(columns))
+                x[columns] = lu.solve(b)
+                return x
+        self.lu = solve
+        self.factorizations += 1
         return solve
 
 
@@ -674,8 +707,16 @@ def _newton_directions(jacobian, r, pattern):
 
 def newton_solve(bvp: HeteroclinicBVP, states: np.ndarray, scalars: dict,
                  extra_row=None):
-    """Damped Newton iteration on the discretized system, to a max-norm
-    residual below NEWTON_TOL within MAX_NEWTON iterations.
+    """Chord and damped Newton iteration on the discretized system, to a
+    max-norm residual below NEWTON_TOL within MAX_NEWTON iterations.
+
+    When the system's Newton structure holds an LU, an iteration first
+    takes the full chord step with it, dx = -LU^-1 r, and accepts it when it
+    cuts the residual below CHORD_RATE times the current one.  Otherwise
+    the trial is dropped and the iteration is a Newton one from the same
+    point: J assembled and factored afresh (the structure keeps that LU for
+    the next chord steps), its step damped, with the least-squares
+    fallback.  Both kinds count as iterations.
 
     ``extra_row`` optionally appends one dense equation (value, gradient)
     callback pair used by the pseudo-arclength driver.  Returns the solved
@@ -698,6 +739,12 @@ def newton_solve(bvp: HeteroclinicBVP, states: np.ndarray, scalars: dict,
             return (*bvp.unpack(x), it)
         if it == MAX_NEWTON:
             break
+        if pattern.lu is not None:
+            # a NaN norm compares false and rejects the chord step
+            chord = with_residual(x + pattern.lu(-r))
+            if chord[2] < CHORD_RATE * res_norm:
+                x, r, res_norm = chord
+                continue
         grad = None if extra_row is None else extra_row[1](x)
         # the first direction whose step, halved up to nine times, lowers the
         # residual norm (a NaN norm compares false); J is assembled by the
@@ -748,8 +795,10 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
     is built, and ``bvp`` rebuilds and re-orders them, with the same bits,
     if it is solved again.  Steps adapt within [1e-5, 0.05]: halved on
     corrector failure, grown by 1.3 after 3 consecutive successes.  Every
-    accepted point is recorded with the regime's free scalars, and the last
-    one carries its full profile; termination is reported in the Branch
+    accepted point is recorded with the regime's free scalars and, in its
+    diagnostics, its corrector's iterations (``newton_iters``, chord and
+    Newton alike) and the LUs it made (``factorizations``); the last one
+    carries its full profile; termination is reported in the Branch
     (never raised) as reached_target or newton_failure, the latter once a
     halved step falls below 1e-5.  Folds do not end a branch; each point's
     diagnostics flag whether one has been passed.  Raises ``ValueError``
@@ -763,8 +812,10 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
     base = bvp.base
     cbvp = HeteroclinicBVP(bvp.mode, bvp._mp(base), bvp._wf(base), bvp.cfg,
                            free_scalars=bvp.free_scalars + (cont_name,))
-    # the base system's structures are not read while cbvp is solved
+    # the base system's structures, and their LUs, are not read while cbvp
+    # is solved
     bvp._patterns.clear()
+    pattern = cbvp._newton_pattern(True)
     lam0 = base[cont_name]
     direction = 1.0 if target >= lam0 else -1.0
     scalars = dict(start_scalars)
@@ -816,6 +867,7 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
                    lambda z: arc_grad)
 
         u_pred, sc_pred = cbvp.unpack(x_pred)
+        made = pattern.factorizations
         try:
             u_new, sc_new, iters = newton_solve(cbvp, u_pred, sc_pred,
                                                 extra_row=row)
@@ -837,7 +889,9 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
                 fold_seen = True
             tangent = new_tangent
         cbvp.set_reference(u_new, sc_new)
-        record(sc_new, {"step": ds, "newton_iters": iters, "fold": fold_seen})
+        record(sc_new, {"step": ds, "newton_iters": iters,
+                        "factorizations": pattern.factorizations - made,
+                        "fold": fold_seen})
         successes += 1
         if successes >= GROW_AFTER:
             step = min(step * STEP_GROW, STEP_MAX)

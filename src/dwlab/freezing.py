@@ -27,6 +27,7 @@ the CLI commands only ``freeze`` loads it.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,12 @@ __all__ = [
 
 #: |det| of the phase Gram matrix below this value raises PhaseDegeneracy
 PHASE_DET_GUARD = 1e-12
+
+#: an end node whose |m_perp| = hypot(m1, m2) exceeds this bound has left its
+#: far state, a pole: the run has collapsed.  Criterion 10's run (h = 50,
+#: n = 4096, T = 20) reaches at most 6.2e-49 at an end; the n = 2048 run
+#: passes the bound at t = 19.3, where |m_perp| grows about e^(20 t)
+FAR_STATE_BOUND = 1e-3
 
 
 @dataclass(frozen=True)
@@ -94,19 +101,26 @@ class LineState:
 
 @dataclass(frozen=True)
 class FreezeSeries:
-    """Frame-estimate time series plus the terminal profile."""
+    """Frame-estimate time series plus the terminal profile, and why the
+    run ended: 'reached_T', or 'far_state_lost' when an end node left its
+    pole (``run_selection``)."""
 
     times: np.ndarray
     s: np.ndarray
     omega: np.ndarray
     terminal: LineState
+    terminated: str = "reached_T"
 
     def __post_init__(self):
         if not (len(self.times) == len(self.s) == len(self.omega)):
             raise ValueError("series lengths must match")
 
     def asymptotic(self):
-        """Mean (s, omega) over the trailing 10% of the records."""
+        """Mean (s, omega) over the trailing 10% of the records, NaN when
+        there is none.  A run that lost its far state holds only the
+        records before the loss."""
+        if not len(self.times):
+            return math.nan, math.nan
         n = max(1, int(round(0.1 * len(self.times))))
         return float(np.mean(self.s[-n:])), float(np.mean(self.omega[-n:]))
 
@@ -307,19 +321,29 @@ def run_selection(mp: MaterialParams, init: LineState, T: float,
 
     The reference profile is the previous step (a genuinely moving frame);
     the asymptotic (s, Omega) are the series means over the final 10% of the
-    run, available via ``FreezeSeries.asymptotic``.  Raises ``ValueError``
-    unless the step passes ``check_schedule`` with T >= dt, so that the run
-    takes at least one step.
+    run, available via ``FreezeSeries.asymptotic``.  The run stops early,
+    as 'far_state_lost', at the first step that takes an end node's
+    |m_perp| above FAR_STATE_BOUND; that step is the terminal state, and
+    it is not recorded.  Raises ``ValueError`` unless the step passes
+    ``check_schedule`` with T >= dt, so that the run takes at least one
+    step.
     """
     state = init
     check_schedule(dt, state.dx, mp.alpha, T)
     n_steps = int(round(T / dt))
     times, ss, oms = [], [], []
+    terminated = "reached_T"
     for k in range(n_steps):
         state = freeze_step(state, mp, dt)
+        m = state.m
+        if max(math.hypot(m[0, 0], m[0, 1]),
+               math.hypot(m[-1, 0], m[-1, 1])) > FAR_STATE_BOUND:
+            terminated = "far_state_lost"
+            break
         if (k + 1) % 10 == 0 or k == n_steps - 1:
             times.append(state.t)
             ss.append(state.s_est)
             oms.append(state.omega_est)
     return FreezeSeries(times=np.array(times), s=np.array(ss),
-                        omega=np.array(oms), terminal=state)
+                        omega=np.array(oms), terminal=state,
+                        terminated=terminated)

@@ -20,7 +20,7 @@ from dwlab import (BvpConfig, MaterialParams, NoConvergence, build_bvp,
                    solve_regime)
 from dwlab.cli import (INTEGER, NUMBER, NUMBERS, REQUIRED, _TABLES,
                        _load_config, main)
-from dwlab.freezing import dt_max, grid_spacing
+from dwlab.freezing import FAR_STATE_BOUND, dt_max, grid_spacing
 from dwlab.runio import (dumps_json, fmt, manifest_entry, profile_from_dict,
                          profile_rows, profile_to_dict, sha256_bytes,
                          write_csv)
@@ -879,9 +879,34 @@ class TestCliShootAndFreeze:
         code, out = run_cli(tmp_path, "freeze", cfg)
         assert code == 0
         doc = json.loads((out / "freeze.json").read_text())
+        assert doc["terminated"] == "reached_T"
         assert doc["asymptotic_s"] == pytest.approx(0.12, abs=5e-3)
         assert (out / "freeze.csv").exists()
         assert (out / "terminal_profile.csv").exists()
+
+    def test_freeze_stops_when_the_far_state_is_lost(self, tmp_path):
+        """At h = 50 on the 2048-node grid the right end leaves -e3 near
+        t = 19.3 (|m_perp| there grows about e^(20 t)).  The run stops at
+        the first step past FAR_STATE_BOUND, writes its three files and
+        exits 3; every record precedes the loss, and the asymptotic frame
+        is that of the front before it, near the grid's pulled-front
+        prediction (14.6692, 90.1346).  Averaged across the collapse, as
+        it was before the guard, s read 12.154."""
+        cfg = dict(BASE, h=50.0, n_nodes=2048, T=20.0)
+        code, out = run_cli(tmp_path, "freeze", cfg)
+        assert code == 3
+        doc = json.loads((out / "freeze.json").read_text())
+        assert doc["terminated"] == "far_state_lost"
+        rows = np.loadtxt(out / "freeze.csv", delimiter=",", skiprows=1)
+        assert 19.0 < rows[-1, 0] < 19.5
+        n = round(0.1 * len(rows))
+        assert doc["asymptotic_s"] == np.mean(rows[-n:, 1])
+        assert doc["asymptotic_s"] == pytest.approx(14.6692, abs=0.01)
+        assert doc["asymptotic_omega"] == pytest.approx(90.1346, abs=0.1)
+        m = np.loadtxt(out / "terminal_profile.csv", delimiter=",",
+                       skiprows=1)[:, 4:7]
+        assert math.hypot(*m[-1, :2]) > FAR_STATE_BOUND
+        assert not (out / "manifest.json").exists()
 
     def test_terminal_profile_p_is_the_walls(self, tmp_path):
         """At c_cp = 0 the wall has p = sqrt(-mu) = 1 at every node.  On the

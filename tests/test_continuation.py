@@ -214,7 +214,9 @@ class TestOrderingOncePerPattern:
 
     def test_branch_slices_no_columns(self, monkeypatch):
         """A branch's correctors gather each LU input from J.data: no
-        Newton iteration slices the columns of a sparse matrix."""
+        Newton iteration slices the columns of a sparse matrix.  Chord
+        steps are off, so that every iteration factors."""
+        monkeypatch.setattr(continuation, "CHORD_RATE", 0.0)
         bvp, mp, wf = setup(0.5)
         u, sc = solve_regime(bvp)
         slices = []
@@ -233,7 +235,8 @@ class TestOrderingOncePerPattern:
     def test_branch_orders_its_pattern_once(self, monkeypatch):
         """A branch's correctors share one pattern: the minimum-degree
         ordering runs once, and every other iteration factors numerically
-        only."""
+        only.  Chord steps are off, so that every iteration factors."""
+        monkeypatch.setattr(continuation, "CHORD_RATE", 0.0)
         bvp, mp, wf = setup(0.5)
         u, sc = solve_regime(bvp)
         jacobians = []
@@ -255,7 +258,9 @@ class TestOrderingOncePerPattern:
             self, monkeypatch):
         """From a pattern's second factorization on, SuperLU factors the
         gathered copy alone: no matrix that ``jacobian`` returned is alive
-        while ``splu`` runs on an ordered pattern."""
+        while ``splu`` runs on an ordered pattern.  Chord steps are off, so
+        that every iteration factors."""
+        monkeypatch.setattr(continuation, "CHORD_RATE", 0.0)
         bvp, mp, wf = setup(0.5)
         u, sc = solve_regime(bvp)
         returned = []
@@ -321,6 +326,74 @@ class TestOrderingOncePerPattern:
                    if spec == "MMD_AT_PLUS_A"]
         assert len(ordered) == len(set(ordered)) == 3
         assert {system for _, system in factored} == set(ordered)
+
+
+class TestChordCorrectors:
+    def test_branch_factors_a_third_as_often_as_it_corrects(
+            self, monkeypatch):
+        """On the default mesh, the h = 0.5 branch to c_cp = 0.5 takes most
+        of its corrections as chord steps with a structure's last LU: it
+        makes at most a third as many factorizations as corrections, and
+        each point's diagnostics count the LUs its corrector made."""
+        calls = counting_splu(monkeypatch)
+        bvp, mp, wf = setup(0.5, BvpConfig())
+        u, sc = solve_regime(bvp)
+        before = len(calls)
+        br = continue_branch(bvp, u, sc, "c_cp", 0.5)
+        assert br.terminated == "reached_target"
+        made = len(calls) - before
+        corrections = sum(pt.diagnostics.get("newton_iters", 0)
+                          for pt in br.points)
+        assert 0 < 3 * made <= corrections
+        assert made == sum(pt.diagnostics.get("factorizations", 0)
+                           for pt in br.points)
+
+    def test_no_earlier_lu_is_alive_while_splu_runs(self, monkeypatch):
+        """A structure keeps its last LU for chord steps and drops it
+        before it factors again, and a branch drops the base system's: no
+        LU that ``splu`` returned before is alive when it runs.  Each LU is
+        wrapped, since SuperLU objects take no weak reference."""
+        class Tracked:
+            def __init__(self, lu):
+                self.lu, self.perm_c = lu, lu.perm_c
+
+            def solve(self, b):
+                return self.lu.solve(b)
+
+        made, alive = [], []
+
+        def tracked(A, permc_spec):
+            alive.append(sum(ref() is not None for ref in made))
+            lu = Tracked(splu(A, permc_spec=permc_spec))
+            made.append(weakref.ref(lu))
+            return lu
+        monkeypatch.setattr(continuation, "splu", tracked)
+        bvp, mp, wf = setup(10.1)
+        u, sc = solve_regime(bvp)
+        br = continue_branch(bvp, u, sc, "c_cp", -0.5)
+        assert br.terminated == "reached_target"
+        assert len(alive) > 2
+        assert alive == [0] * len(alive)
+
+    def test_center_gap_is_the_exact_discrete_one(self, monkeypatch):
+        """The center-regime c_cp sweep at +-0.05 (default mesh) ends with a
+        boundary residual below 1e-12, and its gap htilde within 1e-13 of
+        the one that plain Newton iteration to 1e-13 gives."""
+        def sweep():
+            bvp = build_bvp(mk(10.2), BvpConfig())
+            u, sc = solve_regime(bvp)
+            ends = [continue_branch(bvp, u, sc, "c_cp", t).end.profile
+                    for t in (-0.05, 0.05)]
+            return [(p.diagnostics["boundary_residual"],
+                     p.diagnostics["htilde"]) for p in ends]
+        got = sweep()
+        with monkeypatch.context() as m:
+            m.setattr(continuation, "CHORD_RATE", 0.0, raising=False)
+            m.setattr(continuation, "NEWTON_TOL", 1e-13)
+            ref = sweep()
+        for (res, gap), (_, gap_ref) in zip(got, ref):
+            assert res < 1e-12
+            assert abs(gap - gap_ref) < 1e-13
 
 
 class TestGaussValues:

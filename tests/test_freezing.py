@@ -2,6 +2,8 @@
 traveling-rotating ansatz, grid convergence, fixed points, step mechanics and
 phase-condition behavior, and frame selection on a short run."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
@@ -263,6 +265,16 @@ class TestRunSelection:
     def test_grid_spacing_is_the_walls_dx(self, Lx, n_nodes):
         st = initial_wall(MP, Lx=Lx, n_nodes=n_nodes)
         assert grid_spacing(Lx, n_nodes) == st.dx
+
+    def test_line_too_short_for_its_far_states_stops_at_once(self):
+        """On [-2, 2] the wall's ends lie off the poles (|m_perp| = 0.27),
+        so the first step stops the run: nothing is recorded, and the
+        asymptotic frame is NaN."""
+        st = initial_wall(MP, Lx=2.0, n_nodes=64)
+        series = run_selection(MP, init=st, T=0.1, dt=1e-3)
+        assert series.terminated == "far_state_lost"
+        assert series.terminal.t == 1e-3 and len(series.times) == 0
+        assert all(math.isnan(v) for v in series.asymptotic())
 
     def test_asymptotic_window(self):
         """The mean over the trailing 10% of the records, and over the last
