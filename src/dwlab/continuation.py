@@ -37,8 +37,7 @@ It is factored by sparse LU ordered by minimum degree on the pattern of
 J^T + J, which keeps the fill near nnz(J).  That ordering depends on the
 structure only, so it is computed once per structure, at its first
 factorization, and kept with it.  Each later factorization is numeric
-only, with the columns already in that order: the pre-ordered matrix is
-J.data gathered at positions fixed per structure, not a column slice of J.
+only, of the column slice of J already in that order.
 
 Along a branch the Newton matrix barely changes, so most iterations factor
 nothing (the chord, or simplified Newton, method; Kelley, *Iterative
@@ -53,13 +52,9 @@ at a time:
   * ``continue_branch`` drops the structures of the solved system it starts
     from, with their LUs, once it has built its own, bordered system;
   * a structure drops its LU before it factors the next one;
-  * on a structure whose column order is known, J lives only until its
-    values are gathered, and SuperLU factors the gathered copy alone.  The
-    least-squares fallback, which needs J in its own column order,
-    assembles it again, so an iteration that falls back after an ordered
-    LU assembles its Jacobian twice.  The first, minimum-degree
-    factorization of a structure reads J whole and keeps it for the
-    fallback.
+  * each Newton iteration assembles J once; it lives through its
+    factorization and serves the least-squares fallback, and the next
+    iteration's J replaces it before that one is factored.
 
 SciPy's sparse modules (``scipy.sparse`` and ``scipy.sparse.linalg``) are
 imported at the first Jacobian and the first factorization, not with this
@@ -607,17 +602,9 @@ class _NewtonPattern:
     pre-ordered matrix (row k in column k) is not that of the original
     (row columns[k] in column k).
 
-    The pre-ordered matrix J[:, columns] is not sliced from J: its row
-    indices and column pointers are the same for every matrix of the
-    pattern, and its values are J.data taken at fixed positions.  Those
-    three arrays are built at the pattern's second factorization, the first
-    that reads them, so that nothing long-lived is allocated between the
-    first factorization and its solve.  A structure lives as long as the
-    system that built it keeps it: ``continue_branch`` drops the solved
-    base system's, so only the continuation's own is alive while it
-    factors.  Each Newton matrix lives until the LU input is taken from
-    it: from the second factorization on, that is the gather, and J is
-    dropped before SuperLU factors.
+    A structure lives as long as the system that built it keeps it:
+    ``continue_branch`` drops the solved base system's, so only the
+    continuation's own is alive while it factors.
 
     The structure keeps the solve function of its last LU as ``lu``, for
     the chord steps of ``newton_solve``, and counts its LUs in
@@ -631,41 +618,25 @@ class _NewtonPattern:
         # LU column order: column k of the factored matrix is column
         # columns[k] of J
         self.columns = None
-        # (take, indices, indptr) of J[:, columns]: its data is
-        # J.data.take(take)
-        self._lu_gather = None
         # solve function of the last LU made, for chord steps, and the
         # number of LUs made
         self.lu = None
         self.factorizations = 0
 
-    def _column_gather(self):
-        counts = np.diff(self.indptr)[self.columns]
-        indptr = np.zeros(len(counts) + 1, dtype=np.int32)
-        np.cumsum(counts, out=indptr[1:])
-        take = (np.repeat(self.indptr[self.columns] - indptr[:-1], counts)
-                + np.arange(indptr[-1]))
-        return take, self.indices.take(take), indptr
-
-    def lu_solver(self, jacobian):
-        """A function solving J x = b, for the matrix J of this pattern
-        that ``jacobian()`` assembles, kept as ``lu`` until the next call
-        drops it, before it factors.  The first call orders and factors J by
-        ``_factorize``; later calls reuse its column order, and drop J once
-        its values are gathered, before SuperLU factors.  Raises
-        ``RuntimeError`` when J is singular."""
+    def lu_solver(self, J):
+        """A function solving J x = b, for a matrix J of this pattern, kept
+        as ``lu`` until the next call drops it, before it factors.  The
+        first call orders and factors J by ``_factorize``; later calls
+        factor J[:, columns] in that column order.  Raises ``RuntimeError``
+        when J is singular."""
         self.lu = None
         if self.columns is None:
-            lu = _factorize(jacobian())
+            lu = _factorize(J)
             self.columns = np.argsort(lu.perm_c)
             solve = lu.solve
         else:
-            if self._lu_gather is None:
-                self._lu_gather = self._column_gather()
-            take, indices, indptr = self._lu_gather
             columns = self.columns
-            lu = splu(_csc(jacobian().data.take(take), indices, indptr,
-                           self.shape), permc_spec="NATURAL")
+            lu = splu(J[:, columns], permc_spec="NATURAL")
 
             def solve(b):
                 x = np.empty(len(columns))
@@ -676,28 +647,20 @@ class _NewtonPattern:
         return solve
 
 
-def _newton_directions(jacobian, r, pattern):
+def _newton_directions(J, r, pattern):
     """The Newton directions for J dx = -r, in the order they are tried,
-    where ``jacobian()`` assembles J and ``pattern`` is its
-    ``_NewtonPattern``.
+    where ``pattern`` is the ``_NewtonPattern`` of J.
 
     First the sparse LU step, when J factors and the step is finite; then a
-    regularized least-squares step, solved only when the LU step is missing
-    or cannot be damped into a residual decrease.  J is kept for that step
-    only at the pattern's first factorization, which reads J whole.  An
-    ordered pattern's LU drops J before it factors, and the least-squares
-    step assembles J again: an iteration that falls back after an ordered
-    LU assembles its Jacobian twice.  Raises ``SingularJacobian`` when the
-    least-squares step is not finite."""
-    J = jacobian() if pattern.columns is None else None
+    regularized least-squares step on the same J, solved only when the LU
+    step is missing or cannot be damped into a residual decrease.  Raises
+    ``SingularJacobian`` when the least-squares step is not finite."""
     try:
-        dx = pattern.lu_solver(jacobian if J is None else lambda: J)(-r)
+        dx = pattern.lu_solver(J)(-r)
     except RuntimeError:
         dx = None
     if dx is not None and np.all(np.isfinite(dx)):
         yield dx
-    if J is None:
-        J = jacobian()
     dx = lsmr(J, -r, damp=1e-12, atol=1e-14, btol=1e-14,
               maxiter=20 * J.shape[0])[0]
     if not np.all(np.isfinite(dx)):
@@ -747,11 +710,10 @@ def newton_solve(bvp: HeteroclinicBVP, states: np.ndarray, scalars: dict,
                 continue
         grad = None if extra_row is None else extra_row[1](x)
         # the first direction whose step, halved up to nine times, lowers the
-        # residual norm (a NaN norm compares false); J is assembled by the
-        # directions, which hold it no longer than they need it
+        # residual norm (a NaN norm compares false)
         trials = (with_residual(x + 0.5 ** k * dx)
-                  for dx in _newton_directions(
-                      lambda: bvp.jacobian(x, grad), r, pattern)
+                  for dx in _newton_directions(bvp.jacobian(x, grad), r,
+                                               pattern)
                   for k in range(10))
         accepted = next((t for t in trials if t[2] < res_norm), None)
         if accepted is None:

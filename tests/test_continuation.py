@@ -176,8 +176,8 @@ class TestOrderingOncePerPattern:
         solution equal those of a fresh minimum-degree LU bit for bit."""
         pattern, (J1, J2) = self._matrices(h, bordered)
         calls = counting_splu(monkeypatch)
-        pattern.lu_solver(lambda: J1)
-        solve = pattern.lu_solver(lambda: J2)
+        pattern.lu_solver(J1)
+        solve = pattern.lu_solver(J2)
         assert [spec for spec, _ in calls] == ["MMD_AT_PLUS_A", "NATURAL"]
         lu = calls[1][1]
         fresh = splu(J2, permc_spec="MMD_AT_PLUS_A")
@@ -198,39 +198,19 @@ class TestOrderingOncePerPattern:
         to the LU is J[:, columns] exactly: its values, row indices and
         column pointers.  It is marked canonical, as a fresh scan finds."""
         pattern, (J1, J2) = self._matrices(h, bordered)
-        pattern.lu_solver(lambda: J1)
+        pattern.lu_solver(J1)
         inputs = []
 
         def capture(A, permc_spec):
             inputs.append(A)
             return splu(A, permc_spec=permc_spec)
         monkeypatch.setattr(continuation, "splu", capture)
-        pattern.lu_solver(lambda: J2)
+        pattern.lu_solver(J2)
         (A,) = inputs
         assert same_sparse(A, J2[:, pattern.columns])
         assert A.has_canonical_format
         assert csc_matrix((A.data, A.indices, A.indptr),
                           shape=A.shape).has_canonical_format
-
-    def test_branch_slices_no_columns(self, monkeypatch):
-        """A branch's correctors gather each LU input from J.data: no
-        Newton iteration slices the columns of a sparse matrix.  Chord
-        steps are off, so that every iteration factors."""
-        monkeypatch.setattr(continuation, "CHORD_RATE", 0.0)
-        bvp, mp, wf = setup(0.5)
-        u, sc = solve_regime(bvp)
-        slices = []
-        getitem = csc_matrix.__getitem__
-
-        def counted(self, key):
-            slices.append(key)
-            return getitem(self, key)
-        monkeypatch.setattr(csc_matrix, "__getitem__", counted)
-        calls = counting_splu(monkeypatch)
-        br = continue_branch(bvp, u, sc, "c_cp", 0.1, step0=0.02)
-        assert br.terminated == "reached_target"
-        assert "NATURAL" in [spec for spec, _ in calls]
-        assert slices == []
 
     def test_branch_orders_its_pattern_once(self, monkeypatch):
         """A branch's correctors share one pattern: the minimum-degree
@@ -254,12 +234,10 @@ class TestOrderingOncePerPattern:
         assert [spec for spec, _ in calls] == (
             ["MMD_AT_PLUS_A"] + ["NATURAL"] * (len(jacobians) - 1))
 
-    def test_no_jacobian_is_alive_while_an_ordered_lu_factors(
-            self, monkeypatch):
-        """From a pattern's second factorization on, SuperLU factors the
-        gathered copy alone: no matrix that ``jacobian`` returned is alive
-        while ``splu`` runs on an ordered pattern.  Chord steps are off, so
-        that every iteration factors."""
+    def test_one_jacobian_is_alive_while_an_lu_factors(self, monkeypatch):
+        """A continuation holds one Newton matrix at a time: while ``splu``
+        runs, ordering or not, exactly one matrix that ``jacobian`` returned
+        is alive.  Chord steps are off, so that every iteration factors."""
         monkeypatch.setattr(continuation, "CHORD_RATE", 0.0)
         bvp, mp, wf = setup(0.5)
         u, sc = solve_regime(bvp)
@@ -275,14 +253,15 @@ class TestOrderingOncePerPattern:
         alive = []
 
         def counted(A, permc_spec):
-            if permc_spec == "NATURAL":
-                alive.append(sum(ref() is not None for ref in returned))
+            alive.append((permc_spec,
+                          sum(ref() is not None for ref in returned)))
             return splu(A, permc_spec=permc_spec)
         monkeypatch.setattr(continuation, "splu", counted)
         br = continue_branch(bvp, u, sc, "c_cp", 0.1, step0=0.02)
         assert br.terminated == "reached_target"
-        assert len(alive) > 1
-        assert alive == [0] * len(alive)
+        assert [spec for spec, _ in alive][:2] == ["MMD_AT_PLUS_A",
+                                                  "NATURAL"]
+        assert [n for _, n in alive] == [1] * len(alive)
 
     def test_branch_drops_the_base_structures(self):
         """After a branch the solved base system holds no Newton
@@ -488,29 +467,42 @@ class TestNewton:
     def test_least_squares_solved_at_most_once_per_jacobian(
             self, monkeypatch):
         """Without the LU step every iteration falls back to the least-
-        squares step; one that cannot be damped is not solved again."""
-        calls = {"lsmr": 0, "jacobian": 0}
-
+        squares step; one that cannot be damped is not solved again, and
+        each one reads its iteration's only Jacobian.  That holds on a fresh
+        structure, whose ordering LU fails, and on one that a solve has
+        already ordered, whose NATURAL LU fails."""
         def counted(name, fn):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return fn(*args, **kwargs)
             return wrapper
 
-        def singular(J):
+        def singular(*args, **kwargs):
             raise RuntimeError("Factor is exactly singular")
 
-        monkeypatch.setattr(continuation, "_factorize", singular)
-        monkeypatch.setattr(continuation, "lsmr",
-                            counted("lsmr", continuation.lsmr))
-        monkeypatch.setattr(continuation.HeteroclinicBVP, "jacobian",
-                            counted("jacobian",
-                                    continuation.HeteroclinicBVP.jacobian))
-        bvp, u, sc = self._noise_guess()
-        with pytest.raises(NoConvergence):
-            newton_solve(bvp, u, sc)
-        assert calls["jacobian"] > 0
-        assert calls["lsmr"] == calls["jacobian"]
+        for ordered in (False, True):
+            bvp, u, sc = self._noise_guess()
+            if ordered:
+                solve_regime(bvp)
+                bvp.set_reference(u, sc)
+                assert bvp._newton_pattern(False).columns is not None
+            calls = {"lsmr": 0, "jacobian": 0}
+            with monkeypatch.context() as m:
+                m.setattr(continuation, "_factorize", singular)
+                m.setattr(continuation, "splu", singular)
+                m.setattr(continuation, "lsmr",
+                          counted("lsmr", continuation.lsmr))
+                m.setattr(continuation.HeteroclinicBVP, "jacobian",
+                          counted("jacobian",
+                                  continuation.HeteroclinicBVP.jacobian))
+                if ordered:
+                    # the chord steps of the solve's LU carry it through
+                    newton_solve(bvp, u, sc)
+                else:
+                    with pytest.raises(NoConvergence):
+                        newton_solve(bvp, u, sc)
+            assert calls["jacobian"] > 0
+            assert calls["lsmr"] == calls["jacobian"]
 
 
 class TestContinuation:
