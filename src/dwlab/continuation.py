@@ -2,10 +2,11 @@
 
 Walls are computed as solutions of the desingularized system on a truncated
 domain [-L, L], discretized by piecewise-polynomial collocation at Gauss
-points, with boundary conditions pinning the appropriate components to the
-analytic chart equilibria and one integral phase condition fixing
-translation.  The boundary rows and free scalars follow the regime, and the
-table ``REGIMES`` below is their one definition:
+points on a uniform mesh, with boundary conditions pinning the appropriate
+components to the analytic chart equilibria and one integral phase
+condition fixing translation.  The interval width 2L/n_mesh, not L, sets
+the error (see ``BvpConfig``).  The boundary rows and free scalars follow
+the regime, and the table ``REGIMES`` below is their one definition:
 
   * codim-2: p, q pinned at both ends; (s, Omega) free.
   * center:  p, q pinned at the left end; Omega slaved to the center
@@ -91,6 +92,7 @@ __all__ = [
     "continue_branch",
     "check_step0",
     "termination_boundary",
+    "far_state_distance",
 ]
 
 #: pseudo-arclength steps: the default first step, the bounds and the
@@ -104,7 +106,9 @@ GROW_AFTER = 3
 #: Newton stops when the max-norm residual falls below NEWTON_TOL, and fails
 #: after MAX_NEWTON iterations, chord and Newton alike.  The chord converges
 #: linearly and stops just under the tolerance, so it is set where the
-#: stopping error lies well below the default mesh's discretization error
+#: stopping error lies below the discretization error of the default
+#: interval width 0.25: 1.6e-13 to 5.5e-9 in the (s, Omega) of criterion
+#: 8's branches against a mesh four times finer (tools/work_precision.py)
 NEWTON_TOL = 1e-12
 MAX_NEWTON = 12
 #: a chord step, with the last LU of the structure, is accepted when it cuts
@@ -129,10 +133,26 @@ REGIMES = {
 
 @dataclass(frozen=True)
 class BvpConfig:
-    """Discretization settings."""
+    """Discretization settings: the domain [-L, L], its number of uniform
+    mesh intervals and the collocation order.
 
-    L: float = 50.0
-    n_mesh: int = 400
+    The default keeps the interval width 2L/n_mesh at 0.25 on a domain of
+    L = 20.  That width, not L, sets the error.  Gauss collocation of
+    order m errs at the mesh points by O(width^2m) (de Boor & Swartz, SIAM
+    J. Numer. Anal. 10 (1973) 582), while truncating the line to [-L, L]
+    errs by O(exp(-rate L)) (Beyn, IMA J. Numer. Anal. 10 (1990) 379),
+    where the rate is the slowest decay of the tails, sqrt(-mu) for the
+    walls of the paper's material.  At width 0.25 the errors of the
+    criteria's endpoints, gaps and sup-norm (tools/work_precision.py) stay
+    within 1.3 times of their values at L = 50, or below 1e-13, for every
+    L from 12 to 50, and at L = 20 theta lies within 1e-8 of its far
+    states along criterion 8's branches.  A softer material (mu nearer 0)
+    has wider walls, width 1/sqrt(-mu), and needs a longer domain;
+    ``far_state_distance`` reports how far a solution's ends lie from
+    their far states."""
+
+    L: float = 20.0
+    n_mesh: int = 160
     collocation_order: int = 4
 
     def __post_init__(self):
@@ -507,19 +527,39 @@ class HeteroclinicBVP:
 
     # -- profile plumbing ---------------------------------------------------
 
+    def admits(self, x) -> bool:
+        """Whether the scalars of ``x`` make a valid material and frame.  A
+        Newton trial can carry them out of it, c_cp past +-1 for one."""
+        try:
+            par = self.params_from(self.unpack(x)[1])
+            self._mp(par), self._wf(par)
+        except ValueError:
+            return False
+        return True
+
     def make_profile(self, u, scalars) -> Profile:
         """The profile of a solution, with its free-scalar values, boundary
-        residual and, where the regime frees it, the energy gap htilde in
-        the diagnostics."""
+        residual, ``far_state_distance`` and, where the regime frees it,
+        the energy gap htilde in the diagnostics."""
         par = self.params_from(scalars)
         diag = {"free_scalars": dict(scalars),
                 "boundary_residual": float(np.max(np.abs(
-                    self._bc_residual(u, par))))}
+                    self._bc_residual(u, par)))),
+                "far_state_distance": far_state_distance(u)}
         if "htilde" in self.free_scalars:
             diag["htilde"] = float(scalars["htilde"])
         return Profile(mesh=self.mesh.copy(), states=np.asarray(u).copy(),
                        mp=self._mp(par), wf=self._wf(par), regime=self.mode,
                        diagnostics=diag)
+
+
+def far_state_distance(states) -> dict:
+    """How far the ends of a profile lie from the far states theta = 0 and
+    theta = pi: |theta(-L)| on the left and |pi - theta(L)| on the right.
+    On the c_cp = 0 wall both are about 2 exp(-sqrt(-mu) L); a domain too
+    short for the material shows as a large value."""
+    return {"left": float(abs(states[LEFT, 0])),
+            "right": float(abs(math.pi - states[RIGHT, 0]))}
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +719,9 @@ def newton_solve(bvp: HeteroclinicBVP, states: np.ndarray, scalars: dict,
     the trial is dropped and the iteration is a Newton one from the same
     point: J assembled and factored afresh (the structure keeps that LU for
     the next chord steps), its step damped, with the least-squares
-    fallback.  Both kinds count as iterations.
+    fallback.  Both kinds count as iterations.  A trial whose scalars leave
+    the material's domain (``HeteroclinicBVP.admits``) has no residual and
+    is rejected, as one with a NaN residual is.
 
     ``extra_row`` optionally appends one dense equation (value, gradient)
     callback pair used by the pseudo-arclength driver.  Returns the solved
@@ -688,6 +730,8 @@ def newton_solve(bvp: HeteroclinicBVP, states: np.ndarray, scalars: dict,
     iteration.  Raises ``NoConvergence`` / ``SingularJacobian``.
     """
     def with_residual(z):
+        if not bvp.admits(z):
+            return z, None, math.nan
         r = bvp.residual(z)
         if extra_row is not None:
             r = np.append(r, extra_row[0](z))
@@ -716,6 +760,9 @@ def newton_solve(bvp: HeteroclinicBVP, states: np.ndarray, scalars: dict,
                                                pattern)
                   for k in range(10))
         accepted = next((t for t in trials if t[2] < res_norm), None)
+        # the trials hold J: closed, they drop it before the next iteration
+        # assembles its own
+        trials.close()
         if accepted is None:
             raise NoConvergence(
                 f"damping failed at residual {res_norm:.3e}")
@@ -759,13 +806,13 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
     corrector failure, grown by 1.3 after 3 consecutive successes.  Every
     accepted point is recorded with the regime's free scalars and, in its
     diagnostics, its corrector's iterations (``newton_iters``, chord and
-    Newton alike) and the LUs it made (``factorizations``); the last one
-    carries its full profile; termination is reported in the Branch
-    (never raised) as reached_target or newton_failure, the latter once a
-    halved step falls below 1e-5.  Folds do not end a branch; each point's
-    diagnostics flag whether one has been passed.  Raises ``ValueError``
-    when the regime already frees or slaves ``cont_name``, and when
-    ``step0`` fails ``check_step0``.
+    Newton alike), the LUs it made (``factorizations``) and its
+    ``far_state_distance``; the last one carries its full profile;
+    termination is reported in the Branch (never raised) as reached_target
+    or newton_failure, the latter once a halved step falls below 1e-5.
+    Folds do not end a branch; each point's diagnostics flag whether one
+    has been passed.  Raises ``ValueError`` when the regime already frees
+    or slaves ``cont_name``, and when ``step0`` fails ``check_step0``.
     """
     check_step0(step0)
     if bvp.frees_or_slaves(cont_name):
@@ -785,17 +832,18 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
     x = cbvp.pack(start_states, scalars)
     cbvp.set_reference(start_states, scalars)
 
-    def record(sc, diag):
+    def record(u, sc, diag):
         pt_scalars = {n: float(sc[n]) for n in bvp.free_scalars}
         par = cbvp.params_from(sc)
         pt_scalars.setdefault("s", float(par["s"]))
         pt_scalars.setdefault("omega", float(par["omega"]))
+        diag["far_state_distance"] = far_state_distance(u)
         points.append(BranchPoint(param=float(sc[cont_name]),
                                   scalars=pt_scalars, profile=None,
                                   diagnostics=diag))
 
     points = []
-    record(scalars, {"step": 0.0})
+    record(start_states, scalars, {"step": 0.0})
 
     n_x = len(x)
     tangent = np.zeros(n_x)
@@ -851,9 +899,9 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
                 fold_seen = True
             tangent = new_tangent
         cbvp.set_reference(u_new, sc_new)
-        record(sc_new, {"step": ds, "newton_iters": iters,
-                        "factorizations": pattern.factorizations - made,
-                        "fold": fold_seen})
+        record(u_new, sc_new, {"step": ds, "newton_iters": iters,
+                               "factorizations": pattern.factorizations - made,
+                               "fold": fold_seen})
         successes += 1
         if successes >= GROW_AFTER:
             step = min(step * STEP_GROW, STEP_MAX)

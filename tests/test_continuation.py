@@ -263,6 +263,31 @@ class TestOrderingOncePerPattern:
                                                   "NATURAL"]
         assert [n for _, n in alive] == [1] * len(alive)
 
+    def test_no_earlier_jacobian_is_alive_while_one_is_assembled(
+            self, monkeypatch):
+        """A corrector of two Newton iterations drops the first one's J
+        before the second assembles its own: at every ``jacobian`` call no
+        matrix that an earlier call returned is alive.  Chord steps are
+        off, so that every iteration assembles."""
+        monkeypatch.setattr(continuation, "CHORD_RATE", 0.0)
+        bvp, mp, wf = setup(10.1)
+        u, sc = solve_regime(bvp)
+        returned, alive = [], []
+        jacobian = continuation.HeteroclinicBVP.jacobian
+
+        def tracked(self, *args):
+            alive.append(sum(ref() is not None for ref in returned))
+            J = jacobian(self, *args)
+            returned.append(weakref.ref(J))
+            return J
+        monkeypatch.setattr(continuation.HeteroclinicBVP, "jacobian",
+                            tracked)
+        br = continue_branch(bvp, u, sc, "c_cp", -0.2)
+        assert br.terminated == "reached_target"
+        # some corrector took more than one Newton iteration
+        assert len(alive) > len(br.points) - 1
+        assert alive == [0] * len(alive)
+
     def test_branch_drops_the_base_structures(self):
         """After a branch the solved base system holds no Newton
         structure; solved again, it rebuilds one with the same bits."""
@@ -642,6 +667,54 @@ class TestCodim0Pins:
         right = chart_equilibria(PI, prof.mp, prof.wf)[1].z
         assert abs(z[0] - left) < 1e-9
         assert abs(z[-1] - right) < 1e-12
+
+
+class TestFarStateDistance:
+    @pytest.mark.parametrize("mu, L", [(-1.0, 20.0), (-0.5, 15.0)])
+    def test_wall_ends_at_the_tail_decay(self, mu, L):
+        """On the c_cp = 0 wall theta = 2 arctan(exp(sqrt(-mu) xi)), so
+        each end lies 2 exp(-sqrt(-mu) L) from its far state, to first
+        order."""
+        mp = MaterialParams(alpha=ALPHA, beta=BETA, mu=mu, h=0.5)
+        bvp = build_bvp(mp, BvpConfig(L=L, n_mesh=int(4 * L)))
+        u, sc = solve_regime(bvp)
+        expected = 2.0 * math.exp(-math.sqrt(-mu) * L)
+        far = bvp.make_profile(u, sc).diagnostics["far_state_distance"]
+        assert far == continuation.far_state_distance(u)
+        assert far["left"] == pytest.approx(expected, rel=1e-4)
+        assert far["right"] == pytest.approx(expected, rel=1e-4)
+
+    def test_every_branch_point_records_it(self):
+        bvp, mp, wf = setup(0.5)
+        u, sc = solve_regime(bvp)
+        br = continue_branch(bvp, u, sc, "c_cp", 0.1, step0=0.02)
+        far = [pt.diagnostics["far_state_distance"] for pt in br.points]
+        assert far[0] == continuation.far_state_distance(u)
+        assert far[-1] == br.end.profile.diagnostics["far_state_distance"]
+        assert max(max(d.values()) for d in far) < 1e-11
+
+
+class TestMaterialDomain:
+    def test_admits_only_a_material(self):
+        """A trial whose c_cp leaves (-1, 1) has no residual to take."""
+        bvp, mp, wf = setup(0.5)
+        cbvp = continuation.HeteroclinicBVP(
+            bvp.mode, mp, wf, CFG, free_scalars=("s", "omega", "c_cp"))
+        u = homogeneous_profile(cbvp.mesh, MU)
+        for c_cp, ok in ((0.99, True), (-0.99, True), (1.0, False),
+                         (-1.0065, False), (math.nan, False)):
+            x = cbvp.pack(u, {"s": wf.s, "omega": wf.omega, "c_cp": c_cp})
+            assert cbvp.admits(x) is ok
+
+    def test_start_outside_is_no_convergence(self):
+        bvp, mp, wf = setup(0.5)
+        cbvp = continuation.HeteroclinicBVP(
+            bvp.mode, mp, wf, CFG, free_scalars=("s", "omega", "c_cp"))
+        u = homogeneous_profile(cbvp.mesh, MU)
+        sc = {"s": wf.s, "omega": wf.omega, "c_cp": 1.2}
+        cbvp.set_reference(u, {**sc, "c_cp": 0.0})
+        with pytest.raises(NoConvergence):
+            newton_solve(cbvp, u, sc)
 
 
 class TestRobustness:

@@ -1,22 +1,26 @@
 """The checking tools: ``tools/cli_digests.py``'s value comparison of two
-trees' outputs, on small hand-made output directories."""
+trees' outputs, on small hand-made output directories, and
+``tools/work_precision.py``'s reference."""
 
 import importlib.util
 import json
 from pathlib import Path
 
+from dwlab import BvpConfig
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def load_cli_digests():
+def load_tool(name):
     spec = importlib.util.spec_from_file_location(
-        "cli_digests", ROOT / "tools" / "cli_digests.py")
+        name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-cli_digests = load_cli_digests()
+cli_digests = load_tool("cli_digests")
+work_precision = load_tool("work_precision")
 
 
 def make_tree(root: Path, codes: dict, files: dict) -> Path:
@@ -73,3 +77,26 @@ class TestCompare:
                         {("a", "d.json"): '{"v": [1, NaN]}\n'})
         assert cli_digests.compare(old, new) == [
             "a d.json", "  bytes differ, values equal"]
+
+
+class TestWorkPrecision:
+    def test_reference_holds_every_quantity_on_a_finer_mesh(self):
+        """The reference is the script's own output on L <= 50, where the
+        endpoints do not drift, at a quarter of the default width."""
+        ref = work_precision.read_reference()
+        cfg = ref["config"]
+        assert set(ref["values"]) == set(work_precision.QUANTITIES)
+        assert cfg["L"] <= 50
+        default = BvpConfig()
+        assert (2 * cfg["L"] / cfg["n_mesh"]
+                <= 0.25 * 2 * default.L / default.n_mesh)
+
+    def test_default_mesh_endpoint_error(self):
+        """Criterion 8a's endpoint on the default mesh is within 1e-12 of
+        the reference (1.6e-13 measured), and its error is the larger of
+        |ds| and |dOmega|."""
+        ref = work_precision.read_reference()["values"]
+        value = work_precision.QUANTITIES["8a"](BvpConfig())
+        err = work_precision.error("8a", value, ref)
+        assert err == max(abs(v - r) for v, r in zip(value, ref["8a"]))
+        assert err < 1e-12
