@@ -10,15 +10,13 @@ and determined at every step by two phase conditions against a reference
 profile (the previous step), so a traveling-rotating wall becomes a steady
 state whose selected speed and frequency are read off directly.  Time
 stepping is semi-implicit Euler: the exchange diffusion with coefficient
-1/(1 + alpha^2) is treated implicitly (one tridiagonal solve per component),
-everything else explicitly, followed by nodewise renormalization.
-
-The arithmetic works on component rows: the (3, n) transpose of the (n, 3)
-magnetization.  Cross products are written out term by term as ``np.cross``
-evaluates them, the nine tridiagonal right-hand sides of a step share one
-buffer that LAPACK's ``dgtsv`` solves in place, and the phase inner products
-add their terms in the order the (n, 3) layout gave them, so every bit of a
-run matches the straightforward (n, 3) evaluation.
+1/(1 + alpha^2) is treated implicitly, everything else explicitly, followed
+by nodewise renormalization.  The implicit matrix I - kappa * Laplacian
+with Neumann ends is symmetric in the trapezoid inner product: halving its
+first and last rows makes it symmetric positive definite, so it is factored
+once per grid and kappa (LAPACK's LDL^T, ``dpttrf``) and every step solves
+with that factor.  The arithmetic works on component rows: the (3, n)
+transpose of the (n, 3) magnetization.
 
 ``scipy.linalg`` is imported at the first step, not with this module, so of
 the CLI commands only ``freeze`` loads it.
@@ -87,16 +85,8 @@ class LineState:
     @functools.cached_property
     def rows(self) -> np.ndarray:
         """Component rows (3, n) of m; a view when m is Fortran-ordered, as
-        every stepped state is."""
+        every initial wall and stepped state is."""
         return np.ascontiguousarray(self.m.T)
-
-    @functools.cached_property
-    def laplacian(self) -> np.ndarray:
-        """Laplacian of the component rows, computed once per state for
-        ``pde_rhs`` and ``freeze_step`` alike; read-only."""
-        lap = _laplacian(self.rows, self.dx)
-        lap.flags.writeable = False
-        return lap
 
 
 @dataclass(frozen=True)
@@ -152,32 +142,26 @@ def check_schedule(dt: float, dx: float, alpha: float, T: float = None):
 
 def _laplacian(M: np.ndarray, dx: float) -> np.ndarray:
     """Second-order central Laplacian of component rows (3, n) with Neumann
-    (reflected-ghost) ends."""
-    lap = np.empty_like(M)
-    lap[:, 1:-1] = (M[:, 2:] - 2.0 * M[:, 1:-1] + M[:, :-2]) / (dx * dx)
+    (reflected-ghost) ends.  The interior stencil runs once over the rows
+    laid end to end; the nodes where it straddles two rows are the ends,
+    which are then overwritten."""
+    lap = np.empty(M.shape)
+    f = M.ravel()
+    lap.ravel()[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (dx * dx)
     lap[:, 0] = 2.0 * (M[:, 1] - M[:, 0]) / (dx * dx)
     lap[:, -1] = 2.0 * (M[:, -2] - M[:, -1]) / (dx * dx)
     return lap
 
 
 def _gradient(M: np.ndarray, dx: float) -> np.ndarray:
-    """Central first derivative of component rows; Neumann ends have zero
-    slope."""
-    grad = np.empty_like(M)
-    grad[:, 1:-1] = (M[:, 2:] - M[:, :-2]) / (2.0 * dx)
+    """Central first derivative of component rows, over the rows laid end
+    to end as in ``_laplacian``; Neumann ends have zero slope."""
+    grad = np.empty(M.shape)
+    f = M.ravel()
+    grad.ravel()[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx)
     grad[:, 0] = 0.0
     grad[:, -1] = 0.0
     return grad
-
-
-def _cross(a, b) -> np.ndarray:
-    """a x b for vectors given as three component rows (arrays or scalars),
-    term by term as ``np.cross`` evaluates it.  Zero components stay in
-    the terms: they fix the signs of zero results."""
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
-                     a0 * b1 - a1 * b0])
 
 
 def pde_rhs(state: LineState, mp: MaterialParams) -> np.ndarray:
@@ -195,38 +179,44 @@ def pde_rhs(state: LineState, mp: MaterialParams) -> np.ndarray:
     The result is the (n, 3) transpose of component rows.
     """
     M = state.rows
-    lap = state.laplacian
-    heff = (lap[0], lap[1], lap[2] + (mp.h - mp.mu * M[2]))
-    jz = mp.beta / (1.0 + mp.c_cp * M[2])
-    G = -_cross(M, heff) + _cross(M, _cross(M, (0.0, 0.0, jz)))
-    return ((G + mp.alpha * _cross(M, G)) / (1.0 + mp.alpha ** 2)).T
+    m0, m1, m2 = M
+    l0, l1, l2 = _laplacian(M, state.dx)
+    hz = l2 + (mp.h - mp.mu * m2)
+    jz = mp.beta / (1.0 + mp.c_cp * m2)
+    jm2 = jz * m2
+    # G, with m x (m x J) written as its exact products
+    # jz (m2 m0, m2 m1, -(m0^2 + m1^2))
+    g0 = l1 * m2 - hz * m1 + jm2 * m0
+    g1 = hz * m0 - l0 * m2 + jm2 * m1
+    g2 = l0 * m1 - l1 * m0 - jz * (m0 * m0 + m1 * m1)
+    a = mp.alpha
+    F = np.empty_like(M)
+    np.add(g0, a * (m1 * g2 - m2 * g1), out=F[0])
+    np.add(g1, a * (m2 * g0 - m0 * g2), out=F[1])
+    np.add(g2, a * (m0 * g1 - m1 * g0), out=F[2])
+    F /= 1.0 + a * a
+    return F.T
 
 
 @functools.lru_cache(maxsize=8)
-def _tridiagonal(n: int, kappa: float):
-    """Sub-, main and super-diagonal of I - kappa * Laplacian (Neumann), as
-    read-only arrays (``dgtsv`` overwrites copies of them)."""
-    dl = np.full(n - 1, -kappa)
+def _implicit_factor(n: int, kappa: float):
+    """LDL^T factor (d, e) of I - kappa * Laplacian (Neumann) with its
+    first and last rows halved, as read-only arrays for ``dpttrs``.
+
+    The Neumann matrix is symmetric in the trapezoid inner product: halving
+    the end rows, as the trapezoid weights over dx do, makes it symmetric
+    positive definite, and the halving is exact.  Raises ``LinAlgError``
+    when ``dpttrf`` fails.
+    """
+    from scipy.linalg.lapack import dpttrf
     d = np.full(n, 1.0 + 2.0 * kappa)
-    du = np.full(n - 1, -kappa)
-    dl[-1] = du[0] = -2.0 * kappa
-    for diag in (dl, d, du):
-        diag.flags.writeable = False
-    return dl, d, du
-
-
-def _inner(WU: np.ndarray, V: np.ndarray, order: str) -> list:
-    """Inner products <U_k, V> of component rows from the weighted rows
-    WU[k] = w U_k.  Each sum adds its terms as ``np.sum`` adds an (n, 3)
-    array of memory order ``order``: 'F' takes all x components, then y,
-    then z; 'C' goes node by node."""
-    if order == "F":
-        P = WU * V
-    else:
-        k, _, n = WU.shape
-        P = np.empty((k, n, 3))
-        np.multiply(WU, V, out=P.transpose(0, 2, 1))
-    return [float(p.sum()) for p in P]
+    d[0] = d[-1] = 0.5 * (1.0 + 2.0 * kappa)
+    d, e, info = dpttrf(d, np.full(n - 1, -kappa), overwrite_d=True,
+                        overwrite_e=True)
+    if info:
+        raise np.linalg.LinAlgError(f"dpttrf failed with info = {info}")
+    d.flags.writeable = e.flags.writeable = False
+    return d, e
 
 
 def freeze_step(state: LineState, mp: MaterialParams, dt: float) -> LineState:
@@ -241,59 +231,63 @@ def freeze_step(state: LineState, mp: MaterialParams, dt: float) -> LineState:
     Gram determinant falls below 1e-12 (e.g. a uniform state).
 
     Everything is evaluated on component rows.  The update is linear in
-    the frame, m_new = a + s b + Omega c, and a, b and c are nine rows of
-    one buffer: their transpose is the Fortran-ordered (n, 9) right-hand
-    side that one ``dgtsv`` call overwrites with the nine solutions.  The
-    inner products with d/dx mhat add their terms in the memory order of
-    ``state.m``, those with e3 x mhat node by node, as the (n, 3)
-    evaluation did.  The returned ``m`` is the Fortran-ordered (n, 3) view
-    of the new rows.
+    the frame, m_new = mhat + u + s b + Omega c, where u solves the
+    implicit system for dt * ``pde_rhs``, b for dt d/dx mhat and c for
+    -dt e3 x mhat, whose z row is zero.  The implicit matrix is factored
+    once per grid and kappa (``_implicit_factor``), and each step solves
+    its eight right-hand sides, end rows halved, in place with ``dpttrs``.
+    The returned ``m`` is the Fortran-ordered (n, 3) view of the new rows.
     """
-    from scipy.linalg.lapack import dgtsv
+    from scipy.linalg.lapack import dpttrs
     check_schedule(dt, state.dx, mp.alpha)
     dx = state.dx
     n = len(state.grid)
-    Dc = 1.0 / (1.0 + mp.alpha ** 2)
-    kappa = dt * Dc / (dx * dx)
+    kappa = dt * (1.0 / (1.0 + mp.alpha ** 2)) / (dx * dx)
 
     M = state.rows
-    f_exp = pde_rhs(state, mp).T - Dc * state.laplacian
     mx = _gradient(M, dx)
-    e3m = _cross((0.0, 0.0, 1.0), M)
-    # rows 0-8 hold the right-hand sides of a, b and c, and after the solve
-    # the solutions; rows 9-11 receive a - mhat for the phase conditions
-    X = np.empty((12, n))
-    np.add(M, dt * f_exp, out=X[0:3])
+    # rows 0-2 hold u, rows 3-5 b and rows 6-7 the x and y rows of c: first
+    # their right-hand sides, after the solve the solutions
+    X = np.empty((8, n))
+    np.multiply(dt, pde_rhs(state, mp).T, out=X[0:3])
     np.multiply(dt, mx, out=X[3:6])
-    np.multiply(-dt, e3m, out=X[6:9])
-    info = dgtsv(*_tridiagonal(n, kappa), X[0:9].T, overwrite_b=True)[-1]
+    np.multiply(dt, M[1], out=X[6])
+    np.multiply(-dt, M[0], out=X[7])
+    X[:, 0] *= 0.5
+    X[:, -1] *= 0.5
+    info = dpttrs(*_implicit_factor(n, kappa), X.T, overwrite_b=True)[-1]
     if info:
-        raise np.linalg.LinAlgError(f"dgtsv failed with info = {info}")
-    a, b, c = X[0:3], X[3:6], X[6:9]
+        raise np.linalg.LinAlgError(f"dpttrs failed with info = {info}")
 
-    # the reference mhat is the incoming m, so its tangents d/dx mhat and
-    # e3 x mhat are mx and e3m
-    np.subtract(a, M, out=X[9:12])
-    WU = trapezoid_weights(n, dx) * X[3:12].reshape(3, 3, n)
-    order = "F" if state.m.flags.f_contiguous else "C"
-    # <a + s b + Om c - mhat, T> = 0 for T in {mx, e3m}; each list holds
-    # <b, T>, <c, T> and <a - mhat, T>
-    ipx = _inner(WU, mx, order)
-    ipe = _inner(WU, e3m, "C")
-    A = np.array([ipx[:2], ipe[:2]])
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+    # the reference mhat is the incoming m, so its tangents are mx and
+    # e3 x m = (-m1, m0, 0); P holds the trapezoid inner products of every
+    # solved row with every weighted tangent row
+    w = trapezoid_weights(n, dx)
+    T = np.empty((5, n))
+    np.multiply(w, mx, out=T[0:3])
+    np.multiply(-w, M[1], out=T[3])
+    np.multiply(w, M[0], out=T[4])
+    P = (X @ T.T).tolist()
+    # <v, mx> and <v, e3 x m> for v = u, b, c
+    ux, bx, cx = (P[0][0] + P[1][1] + P[2][2], P[3][0] + P[4][1] + P[5][2],
+                  P[6][0] + P[7][1])
+    ue, be, ce = P[0][3] + P[1][4], P[3][3] + P[4][4], P[6][3] + P[7][4]
+    det = bx * ce - cx * be
     if abs(det) < PHASE_DET_GUARD * dt * dt:
         raise PhaseDegeneracy(f"phase Gram determinant {det:.3e} below guard")
-    rvec = -np.array([ipx[2], ipe[2]])
-    s_new, omega_new = np.linalg.solve(A, rvec)
-    m_new = a + s_new * b + omega_new * c
-    # (x^2 + y^2) + z^2, as np.linalg.norm adds a Fortran-ordered (n, 3) m
-    sq = m_new * m_new
-    norms = np.sqrt(sq[0] + sq[1] + sq[2])
+    # Cramer's rule for [[bx, cx], [be, ce]] (s, Omega) = -(ux, ue)
+    s_new = (cx * ue - ux * ce) / det
+    omega_new = (ux * be - bx * ue) / det
+    X[3:6] *= s_new
+    X[0:3] += X[3:6]
+    X[6:8] *= omega_new
+    X[0:2] += X[6:8]
+    m_new = M + X[0:3]
+    norms = np.sqrt((m_new * m_new).sum(axis=0))
     deviation = float(np.max(np.abs(norms - 1.0)))
     m_new /= norms
     return LineState(grid=state.grid, m=m_new.T, t=state.t + dt,
-                     s_est=float(s_new), omega_est=float(omega_new),
+                     s_est=s_new, omega_est=omega_new,
                      norm_deviation=deviation)
 
 
@@ -303,7 +297,7 @@ def initial_wall(mp: MaterialParams, Lx: float, n_nodes: int) -> LineState:
     estimates).  Raises ``ValueError`` unless Lx > 0 and n_nodes >= 2."""
     grid_spacing(Lx, n_nodes)
     grid = np.linspace(-Lx, Lx, n_nodes)
-    m = sphere_rows(homogeneous_profile(grid, mp.mu)[:, 0], 0.0).T.copy()
+    m = sphere_rows(homogeneous_profile(grid, mp.mu)[:, 0], 0.0).T
     # snap the far tails to the exact poles: the uniform far states can be
     # convectively unstable, and seeding them with rounding-level noise
     # (sin(pi) != 0 in floating point) triggers a spurious global flip

@@ -334,7 +334,7 @@ def test_criterion_08_continuation_endpoints():
     s3, o3 = _branch_endpoint(0.5, 0.5, BvpConfig(L=70.0, n_mesh=560))
     shift = max(abs(s2 - s1), abs(o2 - o1), abs(s3 - s1), abs(o3 - o1))
     ok4 = check("criterion 8d", shift < 1e-6,
-                f"mesh-doubling / L=70 endpoint shift {shift:.2e} (tol 1e-6)")
+                f"width 0.05 / L=70 endpoint shift {shift:.2e} (tol 1e-6)")
     finish(ok1, ok2, ok3, ok4)
 
 

