@@ -95,13 +95,11 @@ __all__ = [
     "far_state_distance",
 ]
 
-#: pseudo-arclength steps: the default first step, the bounds and the
-#: adaptation factors
+#: pseudo-arclength steps: the default first step and the bounds; a step
+#: doubles after each accepted point, up to STEP_MAX, and halves on failure
 STEP0 = 0.01
 STEP_MIN = 1e-5
 STEP_MAX = 0.05
-STEP_GROW = 1.3
-GROW_AFTER = 3
 
 #: Newton stops when the max-norm residual falls below NEWTON_TOL, and fails
 #: after MAX_NEWTON iterations, chord and Newton alike.  The chord converges
@@ -802,12 +800,15 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
     unknown, so ``bvp`` itself, its phase reference included, is left as it
     was, apart from its Newton structures: they are dropped once the copy
     is built, and ``bvp`` rebuilds and re-orders them, with the same bits,
-    if it is solved again.  Steps adapt within [1e-5, 0.05]: halved on
-    corrector failure, grown by 1.3 after 3 consecutive successes.  Every
-    accepted point is recorded with the regime's free scalars and, in its
-    diagnostics, its corrector's iterations (``newton_iters``, chord and
-    Newton alike), the LUs it made (``factorizations``) and its
-    ``far_state_distance``; the last one carries its full profile;
+    if it is solved again.  Steps adapt within [1e-5, 0.05]: doubled after
+    each accepted point whose corrector did not fail first, and a failed
+    corrector's step, the shortened one that lands on the target included,
+    halved.  Every accepted point is recorded with the regime's free
+    scalars and, in its diagnostics, its corrector's iterations
+    (``newton_iters``, chord and Newton alike), the LUs it made
+    (``factorizations``), the failed correctors since the previous point
+    (``rejected_steps``) and its ``far_state_distance``; the last one
+    carries its full profile;
     termination is reported in the Branch (never raised) as reached_target
     or newton_failure, the latter once a halved step falls below 1e-5.
     Folds do not end a branch; each point's diagnostics flag whether one
@@ -851,7 +852,7 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
     e_last = np.zeros(n_x)
     e_last[-1] = 1.0
     step = min(step0, STEP_MAX)
-    successes = 0
+    rejected = 0
     fold_seen = False
 
     while True:
@@ -882,8 +883,10 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
             u_new, sc_new, iters = newton_solve(cbvp, u_pred, sc_pred,
                                                 extra_row=row)
         except (NoConvergence, SingularJacobian):
-            successes = 0
-            step *= 0.5
+            # halved from the step tried: halving a longer step that the
+            # target shortened would retry the same trial
+            rejected += 1
+            step = 0.5 * ds
             if step < STEP_MIN:
                 term = "newton_failure"
                 break
@@ -901,11 +904,13 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
         cbvp.set_reference(u_new, sc_new)
         record(u_new, sc_new, {"step": ds, "newton_iters": iters,
                                "factorizations": pattern.factorizations - made,
+                               "rejected_steps": rejected,
                                "fold": fold_seen})
-        successes += 1
-        if successes >= GROW_AFTER:
-            step = min(step * STEP_GROW, STEP_MAX)
-            successes = 0
+        # a step that just had to be halved is not grown at once, which
+        # would retry the length that failed
+        if not rejected:
+            step = min(2.0 * step, STEP_MAX)
+        rejected = 0
 
     # attach the final full profile
     prof = cbvp.make_profile(*cbvp.unpack(x))

@@ -623,9 +623,10 @@ class TestCliContinue:
 
     def test_trial_past_the_material_domain_is_rejected(self, tmp_path,
                                                         monkeypatch):
-        """On this branch a chord step carries c_cp past 1.  Such a trial
-        counts as rejected, as one with a NaN residual does, so the run
-        ends with a verdict rather than a traceback."""
+        """On this branch, started at step0 = 0.04, a chord step carries
+        c_cp past 1.  Such a trial counts as rejected, as one with a NaN
+        residual does, so the run ends with a verdict rather than a
+        traceback."""
         import dwlab.continuation
         rejected = []
         admits = dwlab.continuation.HeteroclinicBVP.admits
@@ -637,7 +638,7 @@ class TestCliContinue:
         monkeypatch.setattr(dwlab.continuation.HeteroclinicBVP, "admits",
                             tracked)
         cfg = dict(BASE, h=10.1, cont="c_cp", target=0.5, L=70.0,
-                   n_mesh=560)
+                   n_mesh=560, step0=0.04)
         code, out = run_cli(tmp_path, "continue", cfg)
         assert code in (0, 3)
         assert any(rejected)

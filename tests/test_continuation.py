@@ -613,6 +613,77 @@ class TestContinuation:
         assert br.end.profile is not None
         assert br.end.profile.mp.c_cp == pytest.approx(0.1)
 
+    def test_step_doubles_up_to_the_cap(self):
+        """On the default mesh, the h = 0.5 branch to c_cp = 0.5 doubles
+        its step after each point, 0.01, 0.02, 0.04, then holds the cap
+        0.05 until the last step, which is shortened to end on the
+        target."""
+        bvp, mp, wf = setup(0.5, BvpConfig())
+        u, sc = solve_regime(bvp)
+        br = continue_branch(bvp, u, sc, "c_cp", 0.5)
+        assert br.terminated == "reached_target"
+        steps = [pt.diagnostics["step"] for pt in br.points[1:]]
+        assert steps[:3] == [0.01, 0.02, 0.04]
+        assert steps[3:-1] == [continuation.STEP_MAX] * (len(steps) - 4)
+        assert 0 < steps[-1] <= continuation.STEP_MAX
+        assert len(br.points) <= 14
+        assert all(pt.diagnostics["rejected_steps"] == 0
+                   for pt in br.points[1:])
+
+    @staticmethod
+    def _failing(monkeypatch, fails):
+        """Wrap ``continuation.newton_solve`` so that its continuation
+        trials fail where ``fails(c_cp predicted, trial index)`` says the
+        first time; returns the list of predicted c_cp of every trial."""
+        newton = continuation.newton_solve
+        trials = []
+        failed = []
+
+        def wrapper(bvp, states, scalars, extra_row=None):
+            if extra_row is not None:
+                trials.append(scalars["c_cp"])
+                if not failed and fails(scalars["c_cp"], len(trials) - 1):
+                    failed.append(True)
+                    raise NoConvergence("forced")
+            return newton(bvp, states, scalars, extra_row)
+        monkeypatch.setattr(continuation, "newton_solve", wrapper)
+        return trials
+
+    def test_failed_step_on_the_target_halves_the_step_tried(
+            self, monkeypatch):
+        """A failed step that was shortened to end on the target is halved
+        from its own length, not from the longer step it replaced: the next
+        trial goes half as far, rather than repeating the same trial."""
+        target = 0.1
+        trials = self._failing(monkeypatch, lambda c, i: c == target)
+        bvp, mp, wf = setup(0.5)
+        u, sc = solve_regime(bvp)
+        br = continue_branch(bvp, u, sc, "c_cp", target)
+        assert br.terminated == "reached_target"
+        first = trials.index(target)
+        assert trials[first + 1] != target
+        # both trials start at the same point along the same tangent, so
+        # their predicted c_cp go as their steps
+        lam = br.points[first].param
+        assert (trials[first + 1] - lam) == pytest.approx(
+            0.5 * (target - lam), rel=1e-12)
+        assert br.points[first + 1].diagnostics["rejected_steps"] == 1
+
+    def test_records_rejected_steps(self, monkeypatch):
+        """One failed corrector is recorded as 1 in the diagnostics of the
+        next accepted point, and as 0 everywhere else; the halved step is
+        taken twice."""
+        self._failing(monkeypatch, lambda c, i: i == 2)
+        bvp, mp, wf = setup(0.5)
+        u, sc = solve_regime(bvp)
+        br = continue_branch(bvp, u, sc, "c_cp", 0.1)
+        assert br.terminated == "reached_target"
+        rejected = [pt.diagnostics["rejected_steps"] for pt in br.points[1:]]
+        assert rejected == [0, 0, 1] + [0] * (len(rejected) - 3)
+        # the third trial, 0.04 long, failed
+        steps = [pt.diagnostics["step"] for pt in br.points[1:]]
+        assert steps[:4] == [0.01, 0.02, 0.02, 0.02]
+
     def test_termination_reported_not_raised(self):
         """Pushing c_cp toward its (1-) limit fails at some point; the branch
         reports the failure instead of raising."""

@@ -18,6 +18,9 @@ unless ``--L`` or ``--n-mesh`` say otherwise):
     |dOmega|) against the closed form of the homogeneous wall, and at
     c_cp = 0.5 over T = 4, whose error is that against 8a's reference.
     These runs do not depend on the mesh, and ``--write-ref`` skips them.
+    The c_cp = 0.5 row measures the transient from the c_cp = 0 start
+    (3.80e-4, eleven times the c_cp = 0, T = 4 error), not the scheme's
+    discretization error, so it cannot judge a change to the scheme.
 
 Prints one line per quantity: its name, value, error and wall time in
 seconds.  The reference values are in ``work_precision_ref.json`` next to
