@@ -803,13 +803,15 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
     if it is solved again.  Steps adapt within [1e-5, 0.05]: doubled after
     each accepted point whose corrector did not fail first, and a failed
     corrector's step, the shortened one that lands on the target included,
-    halved.  Every accepted point is recorded with the regime's free
-    scalars and, in its diagnostics, its corrector's iterations
-    (``newton_iters``, chord and Newton alike), the LUs it made
-    (``factorizations``), the failed correctors since the previous point
-    (``rejected_steps``) and its ``far_state_distance``; the last one
-    carries its full profile;
-    termination is reported in the Branch (never raised) as reached_target
+    halved.  A corrector that was not pinned to the target but carries the
+    parameter past it is rejected, and its step redone from the previous
+    point with the parameter pinned to the target, so a branch that
+    reaches its target ends exactly on it.  Every accepted point is
+    recorded with the regime's free scalars and, in its diagnostics, its
+    corrector's iterations (``newton_iters``, chord and Newton alike), the
+    LUs it made (``factorizations``), the failed correctors since the
+    previous point (``rejected_steps``) and its ``far_state_distance``; the
+    last one carries its full profile; termination is reported in the Branch (never raised) as reached_target
     or newton_failure, the latter once a halved step falls below 1e-5.
     Folds do not end a branch; each point's diagnostics flag whether one
     has been passed.  Raises ``ValueError`` when the regime already frees
@@ -854,6 +856,8 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
     step = min(step0, STEP_MAX)
     rejected = 0
     fold_seen = False
+    # (ds, predictor) of a step redone with lambda pinned to the target
+    pinned = None
 
     while True:
         lam = x[-1]
@@ -865,9 +869,13 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
         # its corrector pins lambda = target in place of the arclength row,
         # which could carry lambda past the target
         t_lam = tangent[-1] * direction
-        clamped = t_lam > 1e-12 and remaining / t_lam <= step
-        ds = remaining / t_lam if clamped else step
-        x_pred = x + ds * tangent
+        if pinned is not None:
+            (ds, x_pred), pinned = pinned, None
+            clamped = True
+        else:
+            clamped = t_lam > 1e-12 and remaining / t_lam <= step
+            ds = remaining / t_lam if clamped else step
+            x_pred = x + ds * tangent
         if clamped:
             x_pred[-1] = target
             row = (lambda z: z[-1] - target, lambda z: e_last)
@@ -891,8 +899,16 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
                 term = "newton_failure"
                 break
             continue
-        x_prev = x.copy()
-        x = cbvp.pack(u_new, sc_new)
+        x_new = cbvp.pack(u_new, sc_new)
+        past = (x_new[-1] - target) * direction
+        if not clamped and past > 0.0:
+            # the arclength corrector carried lambda past the target: redo
+            # the step from x with lambda pinned to the target, predicted
+            # on the chord to the point it passed to
+            frac = remaining / (remaining + past)
+            pinned = (frac * ds, x + frac * (x_new - x))
+            continue
+        x_prev, x = x, x_new
         # secant tangent for the next step
         diff = x - x_prev
         nrm = math.sqrt(_weighted_dot(cbvp, diff, diff))

@@ -18,6 +18,13 @@ once per grid and kappa (LAPACK's LDL^T, ``dpttrf``) and every step solves
 with that factor.  The arithmetic works on component rows: the (3, n)
 transpose of the (n, 3) magnetization.
 
+A run (``run_selection``) builds one stepper, which holds the factor, the
+trapezoid weights and every work row, and advances its own copy of the
+rows in place; it builds a ``LineState`` only for the terminal state.
+Each step checks its own norms before renormalizing, in place of the
+unit-norm check of a new state.  ``freeze_step`` is one step of a stepper
+built for it, so both give the same bits.
+
 ``scipy.linalg`` is imported at the first step, not with this module, so of
 the CLI commands only ``freeze`` loads it.
 """
@@ -55,6 +62,8 @@ PHASE_DET_GUARD = 1e-12
 #: passes the bound at t = 19.3, where |m_perp| grows about e^(20 t)
 FAR_STATE_BOUND = 1e-3
 
+UNIT_NORM_ERROR = "m must be finite and unit-norm per node (within 1e-9)"
+
 
 @dataclass(frozen=True)
 class LineState:
@@ -75,8 +84,7 @@ class LineState:
         norms = np.linalg.norm(self.m, axis=1)
         # written so that a NaN norm fails too
         if not np.max(np.abs(norms - 1.0)) <= 1e-9:
-            raise ValueError("m must be finite and unit-norm per node "
-                             "(within 1e-9)")
+            raise ValueError(UNIT_NORM_ERROR)
 
     @property
     def dx(self) -> float:
@@ -140,28 +148,79 @@ def check_schedule(dt: float, dx: float, alpha: float, T: float = None):
         raise ValueError(f"T must be at least dt = {dt}, got T = {T}")
 
 
-def _laplacian(M: np.ndarray, dx: float) -> np.ndarray:
+#: the end nodes, and the node next to each, of a row
+_ENDS, _NEXT = np.array([0, -1]), np.array([1, -2])
+
+
+def _laplacian(M: np.ndarray, dx2: float, out: np.ndarray) -> np.ndarray:
     """Second-order central Laplacian of component rows (3, n) with Neumann
-    (reflected-ghost) ends.  The interior stencil runs once over the rows
-    laid end to end; the nodes where it straddles two rows are the ends,
-    which are then overwritten."""
-    lap = np.empty(M.shape)
-    f = M.ravel()
-    lap.ravel()[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (dx * dx)
-    lap[:, 0] = 2.0 * (M[:, 1] - M[:, 0]) / (dx * dx)
-    lap[:, -1] = 2.0 * (M[:, -2] - M[:, -1]) / (dx * dx)
-    return lap
+    (reflected-ghost) ends, written into ``out``; ``dx2`` is dx * dx.  The
+    interior stencil runs once over the rows laid end to end; the nodes
+    where it straddles two rows are the ends, which are then overwritten."""
+    f, inner = M.ravel(), out.ravel()[1:-1]
+    np.multiply(2.0, f[1:-1], out=inner)
+    np.subtract(f[2:], inner, out=inner)
+    inner += f[:-2]
+    inner /= dx2
+    out[:, _ENDS] = 2.0 * (M[:, _NEXT] - M[:, _ENDS]) / dx2
+    return out
 
 
-def _gradient(M: np.ndarray, dx: float) -> np.ndarray:
+def _gradient(M: np.ndarray, two_dx: float, out: np.ndarray) -> np.ndarray:
     """Central first derivative of component rows, over the rows laid end
-    to end as in ``_laplacian``; Neumann ends have zero slope."""
-    grad = np.empty(M.shape)
-    f = M.ravel()
-    grad.ravel()[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx)
-    grad[:, 0] = 0.0
-    grad[:, -1] = 0.0
-    return grad
+    to end as in ``_laplacian``, written into ``out``; ``two_dx`` is
+    2 dx.  Neumann ends have zero slope."""
+    f, inner = M.ravel(), out.ravel()[1:-1]
+    np.subtract(f[2:], f[:-2], out=inner)
+    inner /= two_dx
+    out[:, _ENDS] = 0.0
+    return out
+
+
+def _rhs_rows(Mw: np.ndarray, Hw: np.ndarray, mp: MaterialParams,
+              out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """The rows (3, n) of ``pde_rhs``, written into ``out``.
+
+    ``Mw`` (5, n) holds the component rows m0, m1, m2, m0, m1, so that
+    ``Mw[1:4]`` and ``Mw[2:5]`` are the rows rotated by one and by two, and
+    a cross product is two products of three rows each.  ``Hw`` (5, n)
+    holds their Laplacian in its first three rows and becomes h_eff laid
+    out the same way; ``work`` (11, n) holds G, laid out the same way, and
+    two blocks of three temporary rows.
+    """
+    m2 = Mw[2]
+    G, A, B = work[0:5], work[5:8], work[8:11]
+    # hz = l2 + (h - mu m2)
+    np.multiply(mp.mu, m2, out=A[0])
+    np.subtract(mp.h, A[0], out=A[0])
+    Hw[2] += A[0]
+    Hw[3:5] = Hw[0:2]
+    # G = -m x h_eff + m x (m x J): first h_eff x m ...
+    np.multiply(Hw[1:4], Mw[2:5], out=G[0:3])
+    np.multiply(Hw[2:5], Mw[1:4], out=A)
+    G[0:3] -= A
+    # ... then m x (m x J), J = jz e3, written as its exact products
+    # jz (m2 m0, m2 m1, -(m0^2 + m1^2)), jz = beta / (1 + c_cp m2)
+    jz, jm2 = A[0], A[1]
+    np.multiply(mp.c_cp, m2, out=jz)
+    np.add(1.0, jz, out=jz)
+    np.divide(mp.beta, jz, out=jz)
+    np.multiply(jz, m2, out=jm2)
+    np.multiply(jm2, Mw[0:2], out=B[0:2])
+    G[0:2] += B[0:2]
+    np.multiply(Mw[0:2], Mw[0:2], out=B[0:2])
+    np.add(B[0], B[1], out=B[2])
+    B[2] *= jz
+    G[2] -= B[2]
+    # (G + alpha m x G) / (1 + alpha^2)
+    G[3:5] = G[0:2]
+    np.multiply(Mw[1:4], G[2:5], out=A)
+    np.multiply(Mw[2:5], G[1:4], out=B)
+    A -= B
+    A *= mp.alpha
+    np.add(G[0:3], A, out=out)
+    out /= 1.0 + mp.alpha * mp.alpha
+    return out
 
 
 def pde_rhs(state: LineState, mp: MaterialParams) -> np.ndarray:
@@ -178,23 +237,12 @@ def pde_rhs(state: LineState, mp: MaterialParams) -> np.ndarray:
     with second-order central differences and homogeneous Neumann ends.
     The result is the (n, 3) transpose of component rows.
     """
-    M = state.rows
-    m0, m1, m2 = M
-    l0, l1, l2 = _laplacian(M, state.dx)
-    hz = l2 + (mp.h - mp.mu * m2)
-    jz = mp.beta / (1.0 + mp.c_cp * m2)
-    jm2 = jz * m2
-    # G, with m x (m x J) written as its exact products
-    # jz (m2 m0, m2 m1, -(m0^2 + m1^2))
-    g0 = l1 * m2 - hz * m1 + jm2 * m0
-    g1 = hz * m0 - l0 * m2 + jm2 * m1
-    g2 = l0 * m1 - l1 * m0 - jz * (m0 * m0 + m1 * m1)
-    a = mp.alpha
-    F = np.empty_like(M)
-    np.add(g0, a * (m1 * g2 - m2 * g1), out=F[0])
-    np.add(g1, a * (m2 * g0 - m0 * g2), out=F[1])
-    np.add(g2, a * (m0 * g1 - m1 * g0), out=F[2])
-    F /= 1.0 + a * a
+    n = len(state.grid)
+    Mw, Hw = np.empty((5, n)), np.empty((5, n))
+    Mw[0:3] = state.rows
+    Mw[3:5] = Mw[0:2]
+    _laplacian(Mw[0:3], state.dx * state.dx, Hw[0:3])
+    F = _rhs_rows(Mw, Hw, mp, np.empty((3, n)), np.empty((11, n)))
     return F.T
 
 
@@ -219,6 +267,106 @@ def _implicit_factor(n: int, kappa: float):
     return d, e
 
 
+class _Stepper:
+    """The frozen-frame steps of one run of ``mp`` in steps ``dt``, from
+    ``state``, advanced in place.
+
+    Holds the implicit factor, the trapezoid weights and every work row
+    a step needs, and steps its own component rows ``M`` (a copy of the
+    state's, kept in the rotated layout of ``_rhs_rows``); ``t``, ``s``,
+    ``omega`` and ``deviation`` are the time, frame estimates and norm
+    deviation of the last step.  Checks no schedule: its callers do.
+    """
+
+    def __init__(self, mp: MaterialParams, state: LineState, dt: float):
+        from scipy.linalg.lapack import dpttrs
+        self._dpttrs = dpttrs
+        dx = state.dx
+        n = len(state.grid)
+        self.mp, self.dt, self.grid = mp, dt, state.grid
+        self.dx2, self.two_dx = dx * dx, 2.0 * dx
+        kappa = dt * (1.0 / (1.0 + mp.alpha ** 2)) / (dx * dx)
+        self.factor = _implicit_factor(n, kappa)
+        w = trapezoid_weights(n, dx)
+        # the weights of the rows of e3 x m = (-m1, m0, 0), taken from
+        # the rows (m1, m0), and the factors that make c's right-hand side
+        self.w, self.w_e3 = w, np.stack([-w, w])
+        self.dt_e3 = np.array([[dt], [-dt]])
+        self.Mw = np.empty((5, n))
+        self.Mw[0:3] = state.rows
+        self.Mw[3:5] = self.Mw[0:2]
+        self.M = self.Mw[0:3]
+        self.t, self.s, self.omega = state.t, state.s_est, state.omega_est
+        self.deviation = state.norm_deviation
+        self.Hw, self.work = np.empty((5, n)), np.empty((11, n))
+        # rows 0-2 hold u, rows 3-5 b and rows 6-7 the x and y rows of c:
+        # first their right-hand sides, after the solve the solutions
+        self.X = np.empty((8, n))
+        # the weighted tangent rows w mx and w e3 x m
+        self.T = np.empty((5, n))
+
+    def step(self) -> None:
+        """Advance ``M`` by one step, as ``freeze_step`` describes."""
+        Mw, M, X, T, dt = self.Mw, self.M, self.X, self.T, self.dt
+        n = M.shape[1]
+        # the reference mhat is the incoming m, so its tangents are mx
+        # (X[3:6], before it is scaled) and e3 x m = (-m1, m0, 0)
+        mx = _gradient(M, self.two_dx, X[3:6])
+        np.multiply(self.w, mx, out=T[0:3])
+        np.multiply(self.w_e3, M[1::-1], out=T[3:5])
+        _laplacian(M, self.dx2, self.Hw[0:3])
+        _rhs_rows(Mw, self.Hw, self.mp, X[0:3], self.work)
+        X[0:6] *= dt
+        np.multiply(M[1::-1], self.dt_e3, out=X[6:8])
+        X[:, ::n - 1] *= 0.5
+        info = self._dpttrs(*self.factor, X.T, overwrite_b=True)[-1]
+        if info:
+            raise np.linalg.LinAlgError(f"dpttrs failed with info = {info}")
+
+        # P holds the trapezoid inner products of every solved row with
+        # every weighted tangent row
+        P = (X @ T.T).tolist()
+        # <v, mx> and <v, e3 x m> for v = u, b, c
+        ux, bx, cx = (P[0][0] + P[1][1] + P[2][2],
+                      P[3][0] + P[4][1] + P[5][2], P[6][0] + P[7][1])
+        ue, be, ce = P[0][3] + P[1][4], P[3][3] + P[4][4], P[6][3] + P[7][4]
+        det = bx * ce - cx * be
+        if abs(det) < PHASE_DET_GUARD * dt * dt:
+            raise PhaseDegeneracy(
+                f"phase Gram determinant {det:.3e} below guard")
+        # Cramer's rule for [[bx, cx], [be, ce]] (s, Omega) = -(ux, ue)
+        s_new = (cx * ue - ux * ce) / det
+        omega_new = (ux * be - bx * ue) / det
+        X[3:6] *= s_new
+        X[0:3] += X[3:6]
+        X[6:8] *= omega_new
+        X[0:2] += X[6:8]
+        M += X[0:3]
+        sq, norms = self.work[0:3], self.work[3]
+        np.multiply(M, M, out=sq)
+        np.add(sq[0], sq[1], out=norms)
+        norms += sq[2]
+        np.sqrt(norms, out=norms)
+        # a zero, infinite or NaN norm leaves no unit vector to step on
+        lo, hi = norms.min(), norms.max()
+        if not (lo > 0.0 and hi < math.inf):
+            raise ValueError(UNIT_NORM_ERROR)
+        # max |norm - 1|: rounding is monotone, so the largest deviation
+        # is at the largest or the smallest norm
+        deviation = float(max(hi - 1.0, 1.0 - lo))
+        M /= norms
+        Mw[3:5] = Mw[0:2]
+        self.t += dt
+        self.s, self.omega, self.deviation = s_new, omega_new, deviation
+
+    def state(self) -> LineState:
+        """The current state, on a copy of the rows: its ``m`` is the
+        Fortran-ordered (n, 3) transpose of that copy."""
+        return LineState(grid=self.grid, m=self.M.copy().T, t=self.t,
+                         s_est=self.s, omega_est=self.omega,
+                         norm_deviation=self.deviation)
+
+
 def freeze_step(state: LineState, mp: MaterialParams, dt: float) -> LineState:
     """One frozen-frame step.
 
@@ -228,7 +376,9 @@ def freeze_step(state: LineState, mp: MaterialParams, dt: float) -> LineState:
     <m - mhat, e3 x mhat> = 0 against the incoming profile ``mhat``.  The
     result is renormalized nodewise, and the solved (s, Omega) become the
     new state's frame estimates.  Raises ``PhaseDegeneracy`` when the phase
-    Gram determinant falls below 1e-12 (e.g. a uniform state).
+    Gram determinant falls below 1e-12 (e.g. a uniform state), and
+    ``ValueError`` when a node's norm before renormalization is zero or
+    not finite.
 
     Everything is evaluated on component rows.  The update is linear in
     the frame, m_new = mhat + u + s b + Omega c, where u solves the
@@ -237,58 +387,12 @@ def freeze_step(state: LineState, mp: MaterialParams, dt: float) -> LineState:
     once per grid and kappa (``_implicit_factor``), and each step solves
     its eight right-hand sides, end rows halved, in place with ``dpttrs``.
     The returned ``m`` is the Fortran-ordered (n, 3) view of the new rows.
+    This is one step of the stepper that ``run_selection`` runs.
     """
-    from scipy.linalg.lapack import dpttrs
     check_schedule(dt, state.dx, mp.alpha)
-    dx = state.dx
-    n = len(state.grid)
-    kappa = dt * (1.0 / (1.0 + mp.alpha ** 2)) / (dx * dx)
-
-    M = state.rows
-    mx = _gradient(M, dx)
-    # rows 0-2 hold u, rows 3-5 b and rows 6-7 the x and y rows of c: first
-    # their right-hand sides, after the solve the solutions
-    X = np.empty((8, n))
-    np.multiply(dt, pde_rhs(state, mp).T, out=X[0:3])
-    np.multiply(dt, mx, out=X[3:6])
-    np.multiply(dt, M[1], out=X[6])
-    np.multiply(-dt, M[0], out=X[7])
-    X[:, 0] *= 0.5
-    X[:, -1] *= 0.5
-    info = dpttrs(*_implicit_factor(n, kappa), X.T, overwrite_b=True)[-1]
-    if info:
-        raise np.linalg.LinAlgError(f"dpttrs failed with info = {info}")
-
-    # the reference mhat is the incoming m, so its tangents are mx and
-    # e3 x m = (-m1, m0, 0); P holds the trapezoid inner products of every
-    # solved row with every weighted tangent row
-    w = trapezoid_weights(n, dx)
-    T = np.empty((5, n))
-    np.multiply(w, mx, out=T[0:3])
-    np.multiply(-w, M[1], out=T[3])
-    np.multiply(w, M[0], out=T[4])
-    P = (X @ T.T).tolist()
-    # <v, mx> and <v, e3 x m> for v = u, b, c
-    ux, bx, cx = (P[0][0] + P[1][1] + P[2][2], P[3][0] + P[4][1] + P[5][2],
-                  P[6][0] + P[7][1])
-    ue, be, ce = P[0][3] + P[1][4], P[3][3] + P[4][4], P[6][3] + P[7][4]
-    det = bx * ce - cx * be
-    if abs(det) < PHASE_DET_GUARD * dt * dt:
-        raise PhaseDegeneracy(f"phase Gram determinant {det:.3e} below guard")
-    # Cramer's rule for [[bx, cx], [be, ce]] (s, Omega) = -(ux, ue)
-    s_new = (cx * ue - ux * ce) / det
-    omega_new = (ux * be - bx * ue) / det
-    X[3:6] *= s_new
-    X[0:3] += X[3:6]
-    X[6:8] *= omega_new
-    X[0:2] += X[6:8]
-    m_new = M + X[0:3]
-    norms = np.sqrt((m_new * m_new).sum(axis=0))
-    deviation = float(np.max(np.abs(norms - 1.0)))
-    m_new /= norms
-    return LineState(grid=state.grid, m=m_new.T, t=state.t + dt,
-                     s_est=s_new, omega_est=omega_new,
-                     norm_deviation=deviation)
+    stepper = _Stepper(mp, state, dt)
+    stepper.step()
+    return stepper.state()
 
 
 def initial_wall(mp: MaterialParams, Lx: float, n_nodes: int) -> LineState:
@@ -322,22 +426,22 @@ def run_selection(mp: MaterialParams, init: LineState, T: float,
     ``check_schedule`` with T >= dt, so that the run takes at least one
     step.
     """
-    state = init
-    check_schedule(dt, state.dx, mp.alpha, T)
+    check_schedule(dt, init.dx, mp.alpha, T)
     n_steps = int(round(T / dt))
+    stepper = _Stepper(mp, init, dt)
+    M = stepper.M
     times, ss, oms = [], [], []
     terminated = "reached_T"
     for k in range(n_steps):
-        state = freeze_step(state, mp, dt)
-        m = state.m
-        if max(math.hypot(m[0, 0], m[0, 1]),
-               math.hypot(m[-1, 0], m[-1, 1])) > FAR_STATE_BOUND:
+        stepper.step()
+        if max(math.hypot(M[0, 0], M[1, 0]),
+               math.hypot(M[0, -1], M[1, -1])) > FAR_STATE_BOUND:
             terminated = "far_state_lost"
             break
         if (k + 1) % 10 == 0 or k == n_steps - 1:
-            times.append(state.t)
-            ss.append(state.s_est)
-            oms.append(state.omega_est)
+            times.append(stepper.t)
+            ss.append(stepper.s)
+            oms.append(stepper.omega)
     return FreezeSeries(times=np.array(times), s=np.array(ss),
-                        omega=np.array(oms), terminal=state,
+                        omega=np.array(oms), terminal=stepper.state(),
                         terminated=terminated)

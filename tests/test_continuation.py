@@ -571,6 +571,24 @@ class TestContinuation:
         params = np.array([pt.param for pt in br.points])
         assert np.all(np.diff(params) * np.sign(target) > 0)
 
+    @pytest.mark.parametrize("h, target", [(7.388889, 0.5),
+                                           (12.233333, -0.5)])
+    def test_corrector_past_the_target_is_redone_pinned(self, h, target):
+        """At (alpha, beta, mu) = (0.3, 0.4, -0.5) on the default mesh the
+        last predictor of each branch stops short of the target, and its
+        arclength corrector carried c_cp past it, to 0.5032338 and to
+        -0.5004499, where the branch ended as reached_target.  That point
+        is rejected, and the step redone with c_cp pinned to the target."""
+        mp = MaterialParams(alpha=0.3, beta=0.4, mu=-0.5, h=h)
+        bvp = build_bvp(mp)
+        u, sc = solve_regime(bvp)
+        br = continue_branch(bvp, u, sc, "c_cp", target)
+        assert br.terminated == "reached_target"
+        assert br.end.param == target
+        assert br.end.profile.mp.c_cp == target
+        params = np.array([pt.param for pt in br.points])
+        assert np.all(np.diff(params) * np.sign(target) > 0)
+
     def test_start_on_the_target(self):
         """A branch whose start is its target is one point that carries the
         profile."""

@@ -12,8 +12,8 @@ from dwlab import (FreezeSeries, LineState, MaterialParams, PhaseDegeneracy,
                    dt_max, freeze_step, homogeneous_profile,
                    homogeneous_speed_frequency, initial_wall, pde_rhs,
                    run_selection)
-from dwlab.freezing import (PHASE_DET_GUARD, _implicit_factor,
-                             grid_spacing)
+from dwlab.freezing import (FAR_STATE_BOUND, PHASE_DET_GUARD,
+                             _implicit_factor, grid_spacing)
 
 MP = MaterialParams(alpha=0.5, beta=0.1, mu=-1.0, h=0.5, c_cp=0.0)
 
@@ -139,7 +139,7 @@ class TestPdeRhs:
         assert 3.0 < ratio < 5.0
 
 
-class TestBitIdentity:
+class TestOracleAgreement:
     """The component-row evaluation agrees with the (n, 3) evaluation with
     np.cross, solve_banded and the (n, 3) inner products to rounding: over
     50 steps m moved by at most 6e-16, s by 4.1e-14 and Omega by 1.1e-15."""
@@ -214,6 +214,50 @@ class TestBitIdentity:
         assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+def stepped_series(mp, init, T, dt):
+    """run_selection's records, recorded and stopped as it does, from a
+    loop of freeze_step calls: ([(t, s, omega), ...], terminal state,
+    terminated)."""
+    n_steps = int(round(T / dt))
+    state, records = init, []
+    for k in range(n_steps):
+        state = freeze_step(state, mp, dt)
+        if max(math.hypot(*state.m[0, :2]),
+               math.hypot(*state.m[-1, :2])) > FAR_STATE_BOUND:
+            return records, state, "far_state_lost"
+        if (k + 1) % 10 == 0 or k == n_steps - 1:
+            records.append((state.t, state.s_est, state.omega_est))
+    return records, state, "reached_T"
+
+
+class TestBitIdentity:
+    """run_selection steps one stepper in place; a loop of freeze_step
+    calls, each of which builds a stepper for one step, gives the same
+    bits: every record, the terminal state and why the run ended."""
+
+    @pytest.mark.parametrize("mp, Lx, n, T, terminated", [
+        (MP, 100.0, 2048, 0.2, "reached_T"),
+        (MP.replace(c_cp=0.5), 100.0, 2048, 0.2, "reached_T"),
+        # loses a far state at t = 0.315
+        (MP.replace(h=20.0), 10.0, 256, 1.0, "far_state_lost")])
+    def test_a_run_is_a_loop_of_freeze_step(self, mp, Lx, n, T, terminated):
+        init = initial_wall(MP, Lx=Lx, n_nodes=n)
+        series = run_selection(mp, init=init, T=T, dt=1e-3)
+        records, terminal, stopped = stepped_series(mp, init, T, 1e-3)
+        assert series.terminated == stopped == terminated
+        times, s, omega = np.array(records).reshape(-1, 3).T
+        assert np.array_equal(series.times, times)
+        assert np.array_equal(series.s, s)
+        assert np.array_equal(series.omega, omega)
+        end = series.terminal
+        assert np.array_equal(end.m, terminal.m)
+        assert end.m.flags.f_contiguous
+        assert (end.t, end.s_est, end.omega_est, end.norm_deviation) == (
+            terminal.t, terminal.s_est, terminal.omega_est,
+            terminal.norm_deviation)
+        assert np.array_equal(init.m, initial_wall(MP, Lx=Lx, n_nodes=n).m)
+
+
 class TestInitialWall:
     def test_tails_snapped_to_exact_poles(self):
         st = initial_wall(MP, Lx=100.0, n_nodes=2048)
@@ -234,6 +278,19 @@ class TestFreezeStep:
             freeze_step(st, MP, too_big)
         with pytest.raises(ValueError):
             freeze_step(st, MP, 0.0)
+
+    @pytest.mark.parametrize("h", [1e160, 1e200])
+    def test_non_finite_step_is_rejected(self, h):
+        """At these fields the first step overflows, so a node's norm
+        before renormalization is infinite: that step raises the
+        unit-norm ValueError, rather than PhaseDegeneracy at the next."""
+        mp = MP.replace(h=h)
+        st = initial_wall(mp, Lx=20.0, n_nodes=256)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="finite and unit-norm"):
+                run_selection(mp, init=st, T=0.01, dt=1e-3)
+            with pytest.raises(ValueError, match="finite and unit-norm"):
+                freeze_step(st, mp, 1e-3)
 
     def test_phase_degeneracy_on_uniform_state(self):
         st = uniform_state(n=201)
