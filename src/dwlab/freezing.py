@@ -6,8 +6,9 @@ are added to the equation,
 
     dm/dt = F(m) + s dm/dx - Omega e3 x m,
 
-and determined at every step by two phase conditions against a reference
-profile (the previous step), so a traveling-rotating wall becomes a steady
+and determined at every step by two phase conditions that hold the rate
+dm/dt orthogonal to the profile's tangents dm/dx and e3 x m (Beyn &
+Thuemmler, SIADS 3, 2004), so a traveling-rotating wall becomes a steady
 state whose selected speed and frequency are read off directly.  Time
 stepping is semi-implicit Euler: the exchange diffusion with coefficient
 1/(1 + alpha^2) is treated implicitly, everything else explicitly, followed
@@ -15,8 +16,8 @@ by nodewise renormalization.  The implicit matrix I - kappa * Laplacian
 with Neumann ends is symmetric in the trapezoid inner product: halving its
 first and last rows makes it symmetric positive definite, so it is factored
 once per grid and kappa (LAPACK's LDL^T, ``dpttrf``) and every step solves
-with that factor.  The arithmetic works on component rows: the (3, n)
-transpose of the (n, 3) magnetization.
+its one right-hand side with that factor.  The arithmetic works on
+component rows: the (3, n) transpose of the (n, 3) magnetization.
 
 A run (``run_selection``) builds one stepper, which holds the factor, the
 trapezoid weights and every work row, and advances its own copy of the
@@ -53,7 +54,7 @@ __all__ = [
     "check_schedule",
 ]
 
-#: |det| of the phase Gram matrix below this value raises PhaseDegeneracy
+#: |det| of the tangents' Gram matrix below this value raises PhaseDegeneracy
 PHASE_DET_GUARD = 1e-12
 
 #: an end node whose |m_perp| = hypot(m1, m2) exceeds this bound has left its
@@ -289,9 +290,8 @@ class _Stepper:
         self.factor = _implicit_factor(n, kappa)
         w = trapezoid_weights(n, dx)
         # the weights of the rows of e3 x m = (-m1, m0, 0), taken from
-        # the rows (m1, m0), and the factors that make c's right-hand side
+        # the rows (m1, m0)
         self.w, self.w_e3 = w, np.stack([-w, w])
-        self.dt_e3 = np.array([[dt], [-dt]])
         self.Mw = np.empty((5, n))
         self.Mw[0:3] = state.rows
         self.Mw[3:5] = self.Mw[0:2]
@@ -299,9 +299,9 @@ class _Stepper:
         self.t, self.s, self.omega = state.t, state.s_est, state.omega_est
         self.deviation = state.norm_deviation
         self.Hw, self.work = np.empty((5, n)), np.empty((11, n))
-        # rows 0-2 hold u, rows 3-5 b and rows 6-7 the x and y rows of c:
-        # first their right-hand sides, after the solve the solutions
-        self.X = np.empty((8, n))
+        # rows 0-2 hold F, then dt R and, after the solve, the increment;
+        # rows 3-5 hold mx, then the frame terms of R
+        self.X = np.empty((6, n))
         # the weighted tangent rows w mx and w e3 x m
         self.T = np.empty((5, n))
 
@@ -309,39 +309,39 @@ class _Stepper:
         """Advance ``M`` by one step, as ``freeze_step`` describes."""
         Mw, M, X, T, dt = self.Mw, self.M, self.X, self.T, self.dt
         n = M.shape[1]
-        # the reference mhat is the incoming m, so its tangents are mx
-        # (X[3:6], before it is scaled) and e3 x m = (-m1, m0, 0)
+        # the tangents are mx and e3 x m = (-m1, m0, 0)
         mx = _gradient(M, self.two_dx, X[3:6])
         np.multiply(self.w, mx, out=T[0:3])
         np.multiply(self.w_e3, M[1::-1], out=T[3:5])
         _laplacian(M, self.dx2, self.Hw[0:3])
         _rhs_rows(Mw, self.Hw, self.mp, X[0:3], self.work)
-        X[0:6] *= dt
-        np.multiply(M[1::-1], self.dt_e3, out=X[6:8])
-        X[:, ::n - 1] *= 0.5
-        info = self._dpttrs(*self.factor, X.T, overwrite_b=True)[-1]
-        if info:
-            raise np.linalg.LinAlgError(f"dpttrs failed with info = {info}")
-
-        # P holds the trapezoid inner products of every solved row with
-        # every weighted tangent row
-        P = (X @ T.T).tolist()
-        # <v, mx> and <v, e3 x m> for v = u, b, c
-        ux, bx, cx = (P[0][0] + P[1][1] + P[2][2],
-                      P[3][0] + P[4][1] + P[5][2], P[6][0] + P[7][1])
-        ue, be, ce = P[0][3] + P[1][4], P[3][3] + P[4][4], P[6][3] + P[7][4]
+        # P and Q hold the trapezoid inner products of the rows F, mx and
+        # (m0, m1) with every weighted tangent row
+        P, Q = (X @ T.T).tolist(), (M[0:2] @ T.T).tolist()
+        # <v, mx> and <v, e3 x m> for v = F, mx and c = (m1, -m0, 0)
+        fx, bx, cx = (P[0][0] + P[1][1] + P[2][2],
+                      P[3][0] + P[4][1] + P[5][2], Q[1][0] - Q[0][1])
+        fe, be, ce = P[0][3] + P[1][4], P[3][3] + P[4][4], Q[1][3] - Q[0][4]
         det = bx * ce - cx * be
-        if abs(det) < PHASE_DET_GUARD * dt * dt:
+        if abs(det) < PHASE_DET_GUARD:
             raise PhaseDegeneracy(
                 f"phase Gram determinant {det:.3e} below guard")
-        # Cramer's rule for [[bx, cx], [be, ce]] (s, Omega) = -(ux, ue)
-        s_new = (cx * ue - ux * ce) / det
-        omega_new = (ux * be - bx * ue) / det
+        # Cramer's rule for [[bx, cx], [be, ce]] (s, Omega) = -(fx, fe)
+        s_new = (cx * fe - fx * ce) / det
+        omega_new = (fx * be - bx * fe) / det
+        # R = F + s mx + Omega c, then dt R with its end columns halved
+        R = X[0:3]
         X[3:6] *= s_new
-        X[0:3] += X[3:6]
-        X[6:8] *= omega_new
-        X[0:2] += X[6:8]
-        M += X[0:3]
+        R += X[3:6]
+        np.multiply(M[1::-1], omega_new, out=X[3:5])
+        R[0] += X[3]
+        R[1] -= X[4]
+        R *= dt
+        R[:, ::n - 1] *= 0.5
+        info = self._dpttrs(*self.factor, R.T, overwrite_b=True)[-1]
+        if info:
+            raise np.linalg.LinAlgError(f"dpttrs failed with info = {info}")
+        M += R
         sq, norms = self.work[0:3], self.work[3]
         np.multiply(M, M, out=sq)
         np.add(sq[0], sq[1], out=norms)
@@ -371,21 +371,21 @@ def freeze_step(state: LineState, mp: MaterialParams, dt: float) -> LineState:
     """One frozen-frame step.
 
     The diffusive part D*m_xx, D = 1/(1+alpha^2), goes implicit; the rest of
-    the dynamics plus the frame terms s*m_x - Omega*e3 x m explicit, with
-    (s, Omega) solved from the phase conditions <m - mhat, d/dx mhat> = 0 and
-    <m - mhat, e3 x mhat> = 0 against the incoming profile ``mhat``.  The
-    result is renormalized nodewise, and the solved (s, Omega) become the
-    new state's frame estimates.  Raises ``PhaseDegeneracy`` when the phase
-    Gram determinant falls below 1e-12 (e.g. a uniform state), and
+    the dynamics plus the frame terms s*m_x - Omega*e3 x m explicit.  With
+    F = ``pde_rhs`` of the incoming profile m, (s, Omega) are solved from
+    the phase conditions <R, m_x> = 0 and <R, e3 x m> = 0 on the explicit
+    rate R = F + s m_x - Omega e3 x m, in the trapezoid inner product.  The
+    new profile is m + (I - dt D d^2/dx^2)^-1 dt R, renormalized nodewise,
+    and the solved (s, Omega) become the new state's frame estimates.
+    Raises ``PhaseDegeneracy`` when the Gram determinant of the tangents
+    m_x and e3 x m falls below 1e-12 (e.g. a uniform state), and
     ``ValueError`` when a node's norm before renormalization is zero or
     not finite.
 
-    Everything is evaluated on component rows.  The update is linear in
-    the frame, m_new = mhat + u + s b + Omega c, where u solves the
-    implicit system for dt * ``pde_rhs``, b for dt d/dx mhat and c for
-    -dt e3 x mhat, whose z row is zero.  The implicit matrix is factored
+    Everything is evaluated on component rows; the 2 x 2 system for
+    (s, Omega) needs no tridiagonal solve.  The implicit matrix is factored
     once per grid and kappa (``_implicit_factor``), and each step solves
-    its eight right-hand sides, end rows halved, in place with ``dpttrs``.
+    the three rows of dt R, end columns halved, in place with ``dpttrs``.
     The returned ``m`` is the Fortran-ordered (n, 3) view of the new rows.
     This is one step of the stepper that ``run_selection`` runs.
     """
@@ -417,14 +417,14 @@ def run_selection(mp: MaterialParams, init: LineState, T: float,
     in steps ``dt``, and report the selected frame, recorded every 10th
     step and at the last.
 
-    The reference profile is the previous step (a genuinely moving frame);
-    the asymptotic (s, Omega) are the series means over the final 10% of the
-    run, available via ``FreezeSeries.asymptotic``.  The run stops early,
-    as 'far_state_lost', at the first step that takes an end node's
-    |m_perp| above FAR_STATE_BOUND; that step is the terminal state, and
-    it is not recorded.  Raises ``ValueError`` unless the step passes
-    ``check_schedule`` with T >= dt, so that the run takes at least one
-    step.
+    Each step takes its phase conditions on its incoming profile (a
+    genuinely moving frame); the asymptotic (s, Omega) are the series means
+    over the final 10% of the run, available via ``FreezeSeries.asymptotic``.
+    The run stops early, as 'far_state_lost', at the first step that takes
+    an end node's |m_perp| above FAR_STATE_BOUND; that step is the terminal
+    state, and it is not recorded.  Raises ``ValueError`` unless the step
+    passes ``check_schedule`` with T >= dt, so that the run takes at least
+    one step.
     """
     check_schedule(dt, init.dx, mp.alpha, T)
     n_steps = int(round(T / dt))

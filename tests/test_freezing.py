@@ -40,38 +40,35 @@ def reference_rhs(m, dx, mp):
 
 
 def reference_step(state, mp, dt):
-    """freeze_step in its (n, 3) form: np.cross, solve_banded and
-    w[:, None] * u * v."""
+    """freeze_step in its (n, 3) form: np.cross, w[:, None] * u * v and
+    solve_banded on the one right-hand side dt R."""
     m, dx, n = state.m, state.dx, len(state.grid)
-    Dc = 1.0 / (1.0 + mp.alpha ** 2)
-    kappa = dt * Dc / (dx * dx)
+    kappa = dt * (1.0 / (1.0 + mp.alpha ** 2)) / (dx * dx)
     ab = np.zeros((3, n))
     ab[1, :] = 1.0 + 2.0 * kappa
     ab[0, 1:] = -kappa
     ab[2, :-1] = -kappa
     ab[0, 1] = -2.0 * kappa
     ab[2, -2] = -2.0 * kappa
-    rhs, lap = reference_rhs(m, dx, mp)
-    f_exp = rhs - Dc * lap
+    rhs, _ = reference_rhs(m, dx, mp)
     mx = np.empty_like(m)
     mx[1:-1] = (m[2:] - m[:-2]) / (2.0 * dx)
     mx[0] = mx[-1] = 0.0
     e3m = np.cross(np.array([0.0, 0.0, 1.0]), m)
-    sol = solve_banded((1, 1), ab,
-                       np.hstack([m + dt * f_exp, dt * mx, -dt * e3m]))
-    a, b, c = sol[:, 0:3], sol[:, 3:6], sol[:, 6:9]
     w = np.full(n, dx)
     w[0] = w[-1] = 0.5 * dx
 
     def ip(u, v):
         return float(np.sum(w[:, None] * u * v))
 
-    A = np.array([[ip(b, mx), ip(c, mx)], [ip(b, e3m), ip(c, e3m)]])
+    # <R, mx> = <R, e3m> = 0 for R = rhs + s mx - Omega e3m
+    A = np.array([[ip(mx, mx), -ip(e3m, mx)], [ip(mx, e3m), -ip(e3m, e3m)]])
     det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    assert abs(det) >= PHASE_DET_GUARD * dt * dt
-    rvec = -np.array([ip(a - m, mx), ip(a - m, e3m)])
-    s_new, omega_new = np.linalg.solve(A, rvec)
-    m_new = a + s_new * b + omega_new * c
+    assert abs(det) >= PHASE_DET_GUARD
+    s_new, omega_new = np.linalg.solve(A, -np.array([ip(rhs, mx),
+                                                     ip(rhs, e3m)]))
+    R = rhs + s_new * mx - omega_new * e3m
+    m_new = m + solve_banded((1, 1), ab, dt * R)
     norms = np.linalg.norm(m_new, axis=1)
     return LineState(grid=state.grid, m=m_new / norms[:, None],
                      t=state.t + dt, s_est=float(s_new),
@@ -142,7 +139,7 @@ class TestPdeRhs:
 class TestOracleAgreement:
     """The component-row evaluation agrees with the (n, 3) evaluation with
     np.cross, solve_banded and the (n, 3) inner products to rounding: over
-    50 steps m moved by at most 6e-16, s by 4.1e-14 and Omega by 1.1e-15."""
+    50 steps m moved by at most 3.4e-16, s by 2.8e-16 and Omega by 5.6e-16."""
 
     #: bounds on |dm| (and the norm deviation) and on |ds|, |dOmega|
     M_TOL, FRAME_TOL = 1e-13, 1e-12
@@ -164,13 +161,7 @@ class TestOracleAgreement:
         renormalized initial wall; the steps after the first see the
         Fortran-ordered m that a step returns."""
         mp = MP.replace(c_cp=c_cp)
-        st = initial_wall(mp, Lx=100.0, n_nodes=2048)
-        rng = np.random.default_rng(3)
-        pert = np.zeros((2048, 3))
-        pert[900:1150] = 1e-3 * rng.standard_normal((250, 3))
-        m = st.m + pert
-        m /= np.linalg.norm(m, axis=1)[:, None]
-        new = ref = LineState(grid=st.grid, m=m)
+        new = ref = perturbed_wall(mp)
         for _ in range(50):
             new = freeze_step(new, mp, 1e-3)
             ref = reference_step(ref, mp, 1e-3)
@@ -270,7 +261,46 @@ class TestInitialWall:
         assert np.max(np.abs(st.m[:, 2] - np.cos(theta))) < 1e-12
 
 
+def perturbed_wall(mp):
+    """The benchmark's grid, from a C-ordered, perturbed and renormalized
+    initial wall."""
+    st = initial_wall(mp, Lx=100.0, n_nodes=2048)
+    rng = np.random.default_rng(3)
+    pert = np.zeros((2048, 3))
+    pert[900:1150] = 1e-3 * rng.standard_normal((250, 3))
+    m = st.m + pert
+    m /= np.linalg.norm(m, axis=1)[:, None]
+    return LineState(grid=st.grid, m=m)
+
+
 class TestFreezeStep:
+    @pytest.mark.parametrize("c_cp", [0.0, 0.5])
+    def test_phase_conditions_hold_on_the_explicit_rate(self, c_cp):
+        """The selected frame makes the explicit rate R = F + s mx -
+        Omega e3 x m of the incoming state trapezoid-orthogonal to both
+        tangents: |<R, t>| / (|F| |t|) stayed below 3.0e-16 over 50 steps
+        (4.3e-4 for the frame that held the implicit increment
+        orthogonal)."""
+        mp = MP.replace(c_cp=c_cp)
+        state = perturbed_wall(mp)
+        w = np.full(2048, state.dx)[:, None]
+        w[[0, -1]] *= 0.5
+
+        def ip(u, v):
+            return float(np.sum(w * u * v))
+
+        for _ in range(50):
+            new = freeze_step(state, mp, 1e-3)
+            m = state.m
+            mx = np.zeros_like(m)
+            mx[1:-1] = (m[2:] - m[:-2]) / (2.0 * state.dx)
+            e3m = np.cross(np.array([0.0, 0.0, 1.0]), m)
+            F = pde_rhs(state, mp)
+            R = F + new.s_est * mx - new.omega_est * e3m
+            for t in (mx, e3m):
+                assert abs(ip(R, t)) <= 1e-14 * math.sqrt(ip(F, F) * ip(t, t))
+            state = new
+
     def test_dt_validation(self):
         st = initial_wall(MP, Lx=20.0, n_nodes=401)
         too_big = dt_max(st.dx, MP.alpha) * 1.01
@@ -322,6 +352,16 @@ class TestRunSelection:
         assert s_inf == pytest.approx(wf.s, abs=5e-3)
         assert om_inf == pytest.approx(wf.omega, abs=5e-3)
         assert series.terminal.norm_deviation < 1e-6
+
+    def test_settled_frame_barely_depends_on_dt(self):
+        """At n = 512 the settled s moves by 1.6e-6 between dt = 2e-2 and
+        dt = 5e-3 (4.0e-5 when the phase conditions held the implicit
+        increment orthogonal); both tend to about 0.1206795."""
+        init = initial_wall(MP, Lx=100.0, n_nodes=512)
+        s_coarse, s_fine = (run_selection(MP, init=init, T=32.0,
+                                          dt=dt).asymptotic()[0]
+                            for dt in (2e-2, 5e-3))
+        assert abs(s_coarse - s_fine) < 5e-6
 
     def test_series_bookkeeping(self):
         st = initial_wall(MP, Lx=20.0, n_nodes=256)

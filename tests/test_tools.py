@@ -112,3 +112,16 @@ class TestWorkPrecision:
         value = work_precision.freeze_frame(c_cp, T)
         assert max(abs(v - t) for v, t in zip(value, target)) < 1e-4
         assert work_precision.freeze_target(0.5, ref) == ref["8a"]
+
+    def test_settled_frame_row_is_the_time_step_error(self):
+        """The settled row's error is the time-step error alone: 8.3e-7
+        measured (2.1e-5 when the phase conditions held the implicit
+        increment orthogonal), while its frame is off the closed form by
+        the n = 512 grid error, 6.8e-4."""
+        coarse = work_precision.settled_frame(work_precision.SETTLED_DT)
+        fine = work_precision.settled_frame(work_precision.SETTLED_REF_DT)
+        name = work_precision.SETTLED
+        err = work_precision.error(name, coarse, {name: fine})
+        assert err == max(abs(c - f) for c, f in zip(coarse, fine))
+        assert err < 2e-6
+        assert 5e-4 < abs(coarse[0] - 0.12) < 1e-3

@@ -20,7 +20,14 @@ unless ``--L`` or ``--n-mesh`` say otherwise):
     These runs do not depend on the mesh, and ``--write-ref`` skips them.
     The c_cp = 0.5 row measures the transient from the c_cp = 0 start
     (3.80e-4, eleven times the c_cp = 0, T = 4 error), not the scheme's
-    discretization error, so it cannot judge a change to the scheme.
+    discretization error, so it cannot judge a change to the scheme.  The
+    T = 1 and T = 4 rows mix the transient with the grid error;
+  * the settled frame: the (s, Omega) of the c_cp = 0 run on the 512-node
+    line of half-length 100 over T = 32, by then settled, with dt = 1e-2,
+    whose error is max(|ds|, |dOmega|) against the same run with
+    dt = 2.5e-3.  On one grid and settled, this row isolates the time-step
+    error, which is what a change to the phase conditions or to the
+    splitting moves.  ``--write-ref`` skips it too.
 
 Prints one line per quantity: its name, value, error and wall time in
 seconds.  The reference values are in ``work_precision_ref.json`` next to
@@ -55,6 +62,8 @@ GAPS = (("s", 3.7), ("s", 3.9), ("s", 4.1), ("s", 4.3), ("c_cp", -0.05),
 #: freezing runs at h = 0.5: name -> (c_cp, T); c_cp = 0.5 ends branch 8a
 FREEZE_RUNS = {"freeze 0 T=1": (0.0, 1.0), "freeze 0 T=4": (0.0, 4.0),
                "freeze 0.5 T=4": (0.5, 4.0)}
+#: the settled-frame row: its name, and its step and its reference's step
+SETTLED, SETTLED_DT, SETTLED_REF_DT = "freeze settled", 1e-2, 2.5e-3
 
 
 def sup_norm_7b(cfg):
@@ -108,6 +117,16 @@ def freeze_frame(c_cp, T):
     init = initial_wall(mp0, Lx=100.0, n_nodes=2048)
     series = run_selection(mp0.replace(c_cp=c_cp), init=init, T=T, dt=1e-3)
     return list(series.asymptotic())
+
+
+def settled_frame(dt):
+    """[s, Omega] that ``run_selection`` selects at h = 0.5, c_cp = 0 over
+    T = 32 in steps ``dt``, from the wall on the 512-node line of
+    half-length 100."""
+    from dwlab import MaterialParams, initial_wall, run_selection
+    mp = MaterialParams(h=0.5, **MAT)
+    init = initial_wall(mp, Lx=100.0, n_nodes=512)
+    return list(run_selection(mp, init=init, T=32.0, dt=dt).asymptotic())
 
 
 def freeze_target(c_cp, ref):
@@ -186,6 +205,9 @@ def main():
     for name, (c_cp, T) in ({} if ref is None else FREEZE_RUNS).items():
         report(name, lambda: freeze_frame(c_cp, T),
                {name: freeze_target(c_cp, ref)})
+    if ref is not None:
+        report(SETTLED, lambda: settled_frame(SETTLED_DT),
+               {SETTLED: settled_frame(SETTLED_REF_DT)})
     if args.write_ref:
         argv = " ".join(["python tools/work_precision.py", *sys.argv[1:]])
         REF.write_text(json.dumps(
