@@ -34,11 +34,8 @@ writes values:
   * each 3 x 3 state block D/h - W Jf is written in place into one value
     array, laid out so that every block is one contiguous array, and the
     pattern's fixed order gathers that array into CSC data once.
-It is factored by sparse LU ordered by minimum degree on the pattern of
-J^T + J, which keeps the fill near nnz(J).  That ordering depends on the
-structure only, so it is computed once per structure, at its first
-factorization, and kept with it.  Each later factorization is numeric
-only, of the column slice of J already in that order.
+Every factorization of it is a sparse LU ordered by minimum degree on the
+pattern of J^T + J, which keeps the fill near nnz(J).
 
 Along a branch the Newton matrix barely changes, so most iterations factor
 nothing (the chord, or simplified Newton, method; Kelley, *Iterative
@@ -604,12 +601,7 @@ def _factorize(J):
     the matrix is almost block diagonal, one block per mesh interval, and a
     symmetric ordering keeps its fill near its own nonzero count.  COLAMD,
     which orders by the columns alone, spreads fill from the dense border
-    rows across the whole factor (about 20 times more nonzeros).
-
-    The ordering depends on the pattern only, so it runs once per pattern:
-    ``_NewtonPattern.lu_solver`` calls this for the pattern's first matrix,
-    keeps the column order, and each later factorization is numeric
-    only."""
+    rows across the whole factor (about 20 times more nonzeros)."""
     return splu(J, permc_spec="MMD_AT_PLUS_A")
 
 
@@ -626,19 +618,7 @@ def _csc(data, indices, indptr, shape):
 class _NewtonPattern:
     """CSC structure of one Newton matrix (``order``, ``indices``,
     ``indptr``, ``shape`` and the value sections' ``splits``, see
-    ``HeteroclinicBVP._newton_pattern``) and, once its first matrix has
-    been factored, the column order of that LU.
-
-    SuperLU's column order is the minimum-degree ordering post-ordered along
-    the column elimination tree.  A matrix whose columns are already in that
-    order needs no further ordering or post-ordering, so factoring it with
-    ``permc_spec="NATURAL"`` runs the same numeric factorization over the
-    same columns in the same order: L, U, the row pivots and every solution
-    are bit-identical to those of ``_factorize``.  One case can differ: when
-    a pivot column's largest entry ties exactly in magnitude with another of
-    its entries, SuperLU prefers the diagonal one, and the diagonal of the
-    pre-ordered matrix (row k in column k) is not that of the original
-    (row columns[k] in column k).
+    ``HeteroclinicBVP._newton_pattern``).
 
     A structure lives as long as the system that built it keeps it:
     ``continue_branch`` drops the solved base system's, so only the
@@ -653,9 +633,6 @@ class _NewtonPattern:
     def __init__(self, order, indices, indptr, shape, splits):
         self.order, self.indices, self.indptr = order, indices, indptr
         self.shape, self.splits = shape, splits
-        # LU column order: column k of the factored matrix is column
-        # columns[k] of J
-        self.columns = None
         # solve function of the last LU made, for chord steps, and the
         # number of LUs made
         self.lu = None
@@ -663,26 +640,13 @@ class _NewtonPattern:
 
     def lu_solver(self, J):
         """A function solving J x = b, for a matrix J of this pattern, kept
-        as ``lu`` until the next call drops it, before it factors.  The
-        first call orders and factors J by ``_factorize``; later calls
-        factor J[:, columns] in that column order.  Raises ``RuntimeError``
-        when J is singular."""
+        as ``lu`` until the next call drops it, before it factors J by
+        ``_factorize``.  Raises ``RuntimeError`` when J is singular."""
+        # the last LU is dropped before the next one is made
         self.lu = None
-        if self.columns is None:
-            lu = _factorize(J)
-            self.columns = np.argsort(lu.perm_c)
-            solve = lu.solve
-        else:
-            columns = self.columns
-            lu = splu(J[:, columns], permc_spec="NATURAL")
-
-            def solve(b):
-                x = np.empty(len(columns))
-                x[columns] = lu.solve(b)
-                return x
-        self.lu = solve
+        self.lu = _factorize(J).solve
         self.factorizations += 1
-        return solve
+        return self.lu
 
 
 def _newton_directions(J, r, pattern):
@@ -798,24 +762,24 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
     The start must solve ``bvp`` at its base parameter value.  The branch is
     traced on a copy of ``bvp`` that frees ``cont_name`` as its last
     unknown, so ``bvp`` itself, its phase reference included, is left as it
-    was, apart from its Newton structures: they are dropped once the copy
-    is built, and ``bvp`` rebuilds and re-orders them, with the same bits,
-    if it is solved again.  Steps adapt within [1e-5, 0.05]: doubled after
-    each accepted point whose corrector did not fail first, and a failed
-    corrector's step, the shortened one that lands on the target included,
-    halved.  A corrector that was not pinned to the target but carries the
-    parameter past it is rejected, and its step redone from the previous
-    point with the parameter pinned to the target, so a branch that
-    reaches its target ends exactly on it.  Every accepted point is
-    recorded with the regime's free scalars and, in its diagnostics, its
-    corrector's iterations (``newton_iters``, chord and Newton alike), the
-    LUs it made (``factorizations``), the failed correctors since the
-    previous point (``rejected_steps``) and its ``far_state_distance``; the
-    last one carries its full profile; termination is reported in the Branch (never raised) as reached_target
+    was, apart from its Newton structures: they are dropped once the copy is
+    built, and ``bvp`` rebuilds them if it is solved again.  Steps adapt
+    within [1e-5, 0.05]: doubled after each accepted point whose corrector
+    did not fail first, and a failed corrector's step, the shortened one
+    that lands on the target included, halved.  A corrector that was not
+    pinned to the target but carries the parameter past it is rejected, and
+    its step redone from the previous point with the parameter pinned to the
+    target, so a branch that reaches its target ends exactly on it.  Every
+    accepted point is recorded with the regime's free scalars and, in its
+    diagnostics, its corrector's iterations (``newton_iters``, chord and
+    Newton alike), the LUs it made (``factorizations``), the failed
+    correctors since the previous point (``rejected_steps``) and its
+    ``far_state_distance``; the last one carries its full profile.
+    Termination is reported in the Branch (never raised) as reached_target
     or newton_failure, the latter once a halved step falls below 1e-5.
-    Folds do not end a branch; each point's diagnostics flag whether one
-    has been passed.  Raises ``ValueError`` when the regime already frees
-    or slaves ``cont_name``, and when ``step0`` fails ``check_step0``.
+    Folds do not end a branch; each point's diagnostics flag whether one has
+    been passed.  Raises ``ValueError`` when the regime already frees or
+    slaves ``cont_name``, and when ``step0`` fails ``check_step0``.
     """
     check_step0(step0)
     if bvp.frees_or_slaves(cont_name):

@@ -102,15 +102,27 @@ class TestStructure:
             col = (res(xp) - res(xm)) / (2 * eps)
             assert np.max(np.abs(J[:, k] - col)) < 1e-5, (h, bordered, k)
 
-    def test_factorization_fill_stays_near_the_matrix(self):
+    @pytest.mark.parametrize("bordered", [False, True],
+                             ids=["plain", "bordered"])
+    @pytest.mark.parametrize("h", [0.5, 10.2, 50.0],
+                             ids=["codim2", "center", "codim0"])
+    def test_factorization_fill_stays_near_the_matrix(self, h, bordered):
         """Apart from its dense border the Newton matrix is almost block
         diagonal, and its LU keeps nnz(L + U) within 3 nnz(J) (a column-only
-        ordering gives about 20 nnz(J) here)."""
-        bvp, mp, wf = setup(0.5, BvpConfig())
+        ordering gives about 20 nnz(J) on the codim-2 plain one), in every
+        regime, plain and bordered as in a continuation corrector (c_cp
+        free, one dense extra row), on the default mesh."""
+        bvp, mp, wf = setup(h, BvpConfig())
+        if bordered:
+            bvp = continuation.HeteroclinicBVP(
+                bvp.mode, mp, wf, bvp.cfg,
+                free_scalars=bvp.free_scalars + ("c_cp",))
         u = homogeneous_profile(bvp.mesh, mp.mu)
         sc = {n: bvp.base[n] for n in bvp.free_scalars}
         bvp.set_reference(u, sc)
-        J = bvp.jacobian(bvp.pack(u, sc))
+        x = bvp.pack(u, sc)
+        rng = np.random.default_rng(7)
+        J = bvp.jacobian(x, rng.normal(size=len(x)) if bordered else None)
         lu = _factorize(J)
         assert lu.L.nnz + lu.U.nnz <= 3 * J.nnz
         b = np.random.default_rng(0).normal(size=J.shape[0])
@@ -120,12 +132,6 @@ class TestStructure:
 def bits(a):
     """The bit patterns of a float array, so equality includes signbits."""
     return np.ascontiguousarray(a, dtype=float).view(np.uint64)
-
-
-def same_sparse(a, b):
-    return (np.array_equal(a.indptr, b.indptr)
-            and np.array_equal(a.indices, b.indices)
-            and np.array_equal(bits(a.data), bits(b.data)))
 
 
 def counting_splu(monkeypatch):
@@ -141,103 +147,44 @@ def counting_splu(monkeypatch):
     return calls
 
 
-class TestOrderingOncePerPattern:
-    @staticmethod
-    def _matrices(h, bordered):
-        """Two Newton matrices of one pattern, at two states, in the regime
-        at h; bordered as in a continuation corrector (c_cp free, one dense
-        extra row)."""
-        bvp, mp, wf = setup(h)
-        if bordered:
-            bvp = continuation.HeteroclinicBVP(
-                bvp.mode, mp, wf, bvp.cfg,
-                free_scalars=bvp.free_scalars + ("c_cp",))
-        rng = np.random.default_rng(7)
-        u = homogeneous_profile(bvp.mesh, mp.mu)
-        sc = {n: bvp.base[n] for n in bvp.free_scalars}
-        bvp.set_reference(u, sc)
-        out = []
-        for amp in (0.01, 0.02):
-            v = u.copy()
-            v[:, 1] += amp * np.cos(bvp.mesh)
-            x = bvp.pack(v, dict(sc, c_cp=amp) if bordered else sc)
-            out.append(bvp.jacobian(
-                x, rng.normal(size=len(x)) if bordered else None))
-        return bvp._newton_pattern(bordered), out
-
-    @pytest.mark.parametrize("bordered", [False, True],
-                             ids=["plain", "bordered"])
-    @pytest.mark.parametrize("h", [0.5, 10.2, 50.0],
-                             ids=["codim2", "center", "codim0"])
-    def test_second_factorization_is_bit_identical(self, monkeypatch, h,
-                                                   bordered):
-        """The second factorization of a pattern reuses the first one's
-        column order, and its L, U, row pivots, combined column order and
-        solution equal those of a fresh minimum-degree LU bit for bit."""
-        pattern, (J1, J2) = self._matrices(h, bordered)
-        calls = counting_splu(monkeypatch)
-        pattern.lu_solver(J1)
-        solve = pattern.lu_solver(J2)
-        assert [spec for spec, _ in calls] == ["MMD_AT_PLUS_A", "NATURAL"]
-        lu = calls[1][1]
-        fresh = splu(J2, permc_spec="MMD_AT_PLUS_A")
-        assert same_sparse(lu.L, fresh.L) and same_sparse(lu.U, fresh.U)
-        assert np.array_equal(lu.perm_r, fresh.perm_r)
-        columns = pattern.columns
-        assert np.array_equal(columns[np.argsort(lu.perm_c)],
-                              np.argsort(fresh.perm_c))
-        b = np.random.default_rng(3).normal(size=J2.shape[0])
-        assert np.array_equal(bits(solve(b)), bits(fresh.solve(b)))
-
-    @pytest.mark.parametrize("bordered", [False, True],
-                             ids=["plain", "bordered"])
-    @pytest.mark.parametrize("h", [0.5, 10.2, 50.0],
-                             ids=["codim2", "center", "codim0"])
-    def test_lu_input_is_the_column_slice(self, monkeypatch, h, bordered):
-        """From the second factorization of a pattern on, the matrix handed
-        to the LU is J[:, columns] exactly: its values, row indices and
-        column pointers.  It is marked canonical, as a fresh scan finds."""
-        pattern, (J1, J2) = self._matrices(h, bordered)
-        pattern.lu_solver(J1)
-        inputs = []
-
-        def capture(A, permc_spec):
-            inputs.append(A)
-            return splu(A, permc_spec=permc_spec)
-        monkeypatch.setattr(continuation, "splu", capture)
-        pattern.lu_solver(J2)
-        (A,) = inputs
-        assert same_sparse(A, J2[:, pattern.columns])
-        assert A.has_canonical_format
-        assert csc_matrix((A.data, A.indices, A.indptr),
-                          shape=A.shape).has_canonical_format
-
-    def test_branch_orders_its_pattern_once(self, monkeypatch):
-        """A branch's correctors share one pattern: the minimum-degree
-        ordering runs once, and every other iteration factors numerically
-        only.  Chord steps are off, so that every iteration factors."""
+class TestNewtonMatrixLifetime:
+    def test_every_factorization_orders_by_minimum_degree(self,
+                                                          monkeypatch):
+        """Every LU of a branch's correctors orders by minimum degree on
+        the Newton matrix itself: each ``splu`` call takes the J that the
+        last ``jacobian`` call returned, marked canonical, as a fresh scan
+        finds, and there are as many calls as Jacobians.  Chord steps are
+        off, so that every iteration factors."""
         monkeypatch.setattr(continuation, "CHORD_RATE", 0.0)
         bvp, mp, wf = setup(0.5)
         u, sc = solve_regime(bvp)
         jacobians = []
         jacobian = continuation.HeteroclinicBVP.jacobian
 
-        def counted(self, *args):
-            jacobians.append(1)
-            return jacobian(self, *args)
+        def tracked(self, *args):
+            J = jacobian(self, *args)
+            jacobians.append(weakref.ref(J))
+            return J
         monkeypatch.setattr(continuation.HeteroclinicBVP, "jacobian",
-                            counted)
-        calls = counting_splu(monkeypatch)
+                            tracked)
+        calls = []
+
+        def counted(A, permc_spec):
+            assert A is jacobians[-1]() and A.has_canonical_format
+            assert csc_matrix((A.data, A.indices, A.indptr),
+                              shape=A.shape).has_canonical_format
+            calls.append(permc_spec)
+            return splu(A, permc_spec=permc_spec)
+        monkeypatch.setattr(continuation, "splu", counted)
         br = continue_branch(bvp, u, sc, "c_cp", 0.1, step0=0.02)
         assert br.terminated == "reached_target"
         assert len(jacobians) > 1
-        assert [spec for spec, _ in calls] == (
-            ["MMD_AT_PLUS_A"] + ["NATURAL"] * (len(jacobians) - 1))
+        assert calls == ["MMD_AT_PLUS_A"] * len(jacobians)
 
     def test_one_jacobian_is_alive_while_an_lu_factors(self, monkeypatch):
         """A continuation holds one Newton matrix at a time: while ``splu``
-        runs, ordering or not, exactly one matrix that ``jacobian`` returned
-        is alive.  Chord steps are off, so that every iteration factors."""
+        runs, exactly one matrix that ``jacobian`` returned is alive.  Chord
+        steps are off, so that every iteration factors."""
         monkeypatch.setattr(continuation, "CHORD_RATE", 0.0)
         bvp, mp, wf = setup(0.5)
         u, sc = solve_regime(bvp)
@@ -259,9 +206,8 @@ class TestOrderingOncePerPattern:
         monkeypatch.setattr(continuation, "splu", counted)
         br = continue_branch(bvp, u, sc, "c_cp", 0.1, step0=0.02)
         assert br.terminated == "reached_target"
-        assert [spec for spec, _ in alive][:2] == ["MMD_AT_PLUS_A",
-                                                  "NATURAL"]
-        assert [n for _, n in alive] == [1] * len(alive)
+        assert len(alive) > 1
+        assert alive == [("MMD_AT_PLUS_A", 1)] * len(alive)
 
     def test_no_earlier_jacobian_is_alive_while_one_is_assembled(
             self, monkeypatch):
@@ -302,9 +248,9 @@ class TestOrderingOncePerPattern:
         assert np.array_equal(bits(after[0]), bits(before[0]))
         assert after[1] == before[1]
 
-    def test_center_sweep_orders_each_system_once(self, monkeypatch):
-        """A center sweep over two values orders the base system once and
-        each of its two continuation systems once."""
+    def test_center_sweep_factors_three_systems(self, monkeypatch):
+        """A center sweep over two values factors three systems: the base
+        system and its two continuation systems."""
         from dwlab.cli import _center_sweep
         from dwlab import thresholds
         factored = []
@@ -318,7 +264,7 @@ class TestOrderingOncePerPattern:
                             tracked)
 
         def counted(A, permc_spec):
-            factored.append((permc_spec, id(systems[-1])))
+            factored.append(id(systems[-1]))
             return splu(A, permc_spec=permc_spec)
         monkeypatch.setattr(continuation, "splu", counted)
         _, h_star = thresholds(ALPHA, BETA, MU)
@@ -326,10 +272,7 @@ class TestOrderingOncePerPattern:
                                    [h_star + 0.15, h_star - 0.15], CFG,
                                    continuation.STEP0)
         assert [term for *_, term in results] == ["reached_target"] * 2
-        ordered = [system for spec, system in factored
-                   if spec == "MMD_AT_PLUS_A"]
-        assert len(ordered) == len(set(ordered)) == 3
-        assert {system for _, system in factored} == set(ordered)
+        assert len(set(factored)) == 3
 
 
 class TestChordCorrectors:
@@ -359,7 +302,7 @@ class TestChordCorrectors:
         wrapped, since SuperLU objects take no weak reference."""
         class Tracked:
             def __init__(self, lu):
-                self.lu, self.perm_c = lu, lu.perm_c
+                self.lu = lu
 
             def solve(self, b):
                 return self.lu.solve(b)
@@ -494,8 +437,8 @@ class TestNewton:
         """Without the LU step every iteration falls back to the least-
         squares step; one that cannot be damped is not solved again, and
         each one reads its iteration's only Jacobian.  That holds on a fresh
-        structure, whose ordering LU fails, and on one that a solve has
-        already ordered, whose NATURAL LU fails."""
+        structure and on one that a solve has already factored, whose next
+        LU fails."""
         def counted(name, fn):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
@@ -505,12 +448,12 @@ class TestNewton:
         def singular(*args, **kwargs):
             raise RuntimeError("Factor is exactly singular")
 
-        for ordered in (False, True):
+        for factored in (False, True):
             bvp, u, sc = self._noise_guess()
-            if ordered:
+            if factored:
                 solve_regime(bvp)
                 bvp.set_reference(u, sc)
-                assert bvp._newton_pattern(False).columns is not None
+                assert bvp._newton_pattern(False).lu is not None
             calls = {"lsmr": 0, "jacobian": 0}
             with monkeypatch.context() as m:
                 m.setattr(continuation, "_factorize", singular)
@@ -520,7 +463,7 @@ class TestNewton:
                 m.setattr(continuation.HeteroclinicBVP, "jacobian",
                           counted("jacobian",
                                   continuation.HeteroclinicBVP.jacobian))
-                if ordered:
+                if factored:
                     # the chord steps of the solve's LU carry it through
                     newton_solve(bvp, u, sc)
                 else:
