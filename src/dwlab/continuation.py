@@ -26,30 +26,30 @@ of the same system, and the arclength equation one more row.
 
 The Newton matrix is the almost block-diagonal collocation block (one block
 per mesh interval) bordered by the scalar columns and the boundary, phase
-and continuation rows.  Its CSC structure is built once per bordering, with
-every border entry kept even where its value is zero, so each iteration only
-writes values:
+and continuation rows.  Each system builds its CSC structure once, at its
+first Jacobian, with every border entry kept even where its value is zero,
+so each iteration only writes values:
   * the states at the Gauss points are strided sums over the nodal states
     (``_gauss_values``), with no array of interval-local states gathered;
   * each 3 x 3 state block D/h - W Jf is written in place into one value
     array, laid out so that every block is one contiguous array, and the
-    pattern's fixed order gathers that array into CSC data once.
+    structure's fixed order gathers that array into CSC data once.
 Every factorization of it is a sparse LU ordered by minimum degree on the
 pattern of J^T + J, which keeps the fill near nnz(J).
 
 Along a branch the Newton matrix barely changes, so most iterations factor
 nothing (the chord, or simplified Newton, method; Kelley, *Iterative
 Methods for Linear and Nonlinear Equations*, SIAM 1995, section 5.4).  Each
-structure keeps the last LU it made, and an iteration first takes the full
+system keeps the last LU it made, and an iteration first takes the full
 step with it; the step is kept when it cuts the max-norm residual below
 CHORD_RATE times the current one.  Otherwise the iteration assembles and
 factors J afresh, and that LU serves the chord steps that follow.
 
-A continuation holds one Newton structure, one LU and one Newton matrix
-at a time:
-  * ``continue_branch`` drops the structures of the solved system it starts
-    from, with their LUs, once it has built its own, bordered system;
-  * a structure drops its LU before it factors the next one;
+Each system holds one Newton structure, plain or bordered by the extra
+row, and at most one LU; a continuation factors one system at a time:
+  * ``continue_branch`` drops the LU of the solved system it starts from,
+    and factors only its own, bordered system;
+  * a system drops its LU before it factors the next one;
   * each Newton iteration assembles J once; it lives through its
     factorization and serves the least-squares fallback, and the next
     iteration's J replaces it before that one is factored.
@@ -106,7 +106,7 @@ STEP_MAX = 0.05
 #: 8's branches against a mesh four times finer (tools/work_precision.py)
 NEWTON_TOL = 1e-12
 MAX_NEWTON = 12
-#: a chord step, with the last LU of the structure, is accepted when it cuts
+#: a chord step, with the last LU of the system, is accepted when it cuts
 #: the max-norm residual below CHORD_RATE times the current one
 CHORD_RATE = 0.25
 
@@ -275,6 +275,9 @@ class HeteroclinicBVP:
         self.nU = 3 * self.n_nodes
         self.mesh = np.linspace(-cfg.L, cfg.L, self.n_nodes)
         self.W, self.D = _lagrange_matrices(m)
+        # D[g, j]/h on the diagonal a = b, as (a, b, g, j)
+        self._eye_D = (np.einsum("gj,ab->gjab", self.D, np.eye(3))
+                       / self.h_mesh).transpose(2, 3, 0, 1).copy()
         # trapezoid weights on the uniform fine mesh, for the phase condition
         self.phase_w = trapezoid_weights(self.n_nodes, self.h_mesh / m)
         # reference profile for the phase condition (set via set_reference)
@@ -282,7 +285,11 @@ class HeteroclinicBVP:
         self.uhat_prime = None
         self.n_bc = len(self.bc_rows)
         self.n_colloc = 3 * N * m
-        self._build_pattern()
+        # the Newton structure's kind, None until ``_structure`` builds it;
+        # the solve function of the last LU (``factor``) and the LU count
+        self._bordered = None
+        self.lu = None
+        self.factorizations = 0
 
     # -- parameter handling -------------------------------------------------
 
@@ -370,74 +377,56 @@ class HeteroclinicBVP:
 
     # -- Jacobian -----------------------------------------------------------
 
-    def _build_pattern(self):
-        """Static sparsity pattern (rows/cols) of the collocation block, as
-        broadcast views, and of the state entries of the boundary rows.
+    def _structure(self, bordered: bool):
+        """Build the CSC structure of the Newton matrix, with a dense last
+        row when ``bordered``, unless the system holds one of that kind.  A
+        structure of the other kind is replaced, and its LU dropped.
 
+        ``jacobian`` writes the values into one array of six sections,
+        split at ``_splits``: the collocation block, the scalar columns of
+        the collocation rows as (k, a, g, i), the boundary state entries,
+        the boundary scalar entries, the phase row and the extra row (empty
+        unless bordered).  ``_order`` takes that array to CSC data order.
         The block's entries are laid out as (a, b, g, j, i): row
         3*(i*m + g) + a (component a at Gauss point g of interval i) and
         column 3*(i*m + j) + b (component b at node j of interval i), so
         that each (a, b) state block is one contiguous (m, m+1, N) array."""
-        N, m = self.N, self.m
-        a, b, g, j, i = np.ix_(range(3), range(3), range(m), range(m + 1),
-                               range(N))
+        if self._bordered == bordered:
+            return
+        self.lu = None
+        self._bordered = bordered
+        N, m, nc, nb, nU = self.N, self.m, self.n_colloc, self.n_bc, self.nU
         shape = (3, 3, m, m + 1, N)
-        self._rows_coll = np.broadcast_to(3 * (i * m + g) + a, shape)
-        self._cols_coll = np.broadcast_to(3 * (i * m + j) + b, shape)
-        # D[g, j]/h on the diagonal a = b, as (a, b, g, j)
-        self._eye_D = (np.einsum("gj,ab->gjab", self.D, np.eye(3))
-                       / self.h_mesh).transpose(2, 3, 0, 1).copy()
-        state_cols = [self._state_cols(row) for row in self.bc_rows]
-        self._rows_bc = np.repeat(self.n_colloc + np.arange(self.n_bc),
-                                  [len(cols) for cols in state_cols])
-        self._cols_bc = np.concatenate(state_cols)
-        self._patterns = {}
-
-    def _state_cols(self, row):
-        """Columns of the state entries of one boundary row: the pinned
-        component, or p and q at the right end for the gap."""
-        node, comps = (RIGHT, (P, Q)) if row == GAP else (row[0], row[1:])
-        return [3 * (node % self.n_nodes) + comp for comp in comps]
-
-    def _newton_pattern(self, with_row: bool) -> "_NewtonPattern":
-        """CSC structure of the Newton matrix, with a dense last row when
-        ``with_row``; built once per structure, and carrying the column
-        order of its LU once the first matrix has been factored.
-
-        ``jacobian`` writes the values into one array of six sections,
-        split at the pattern's ``splits``: the collocation block (laid out
-        as in ``_build_pattern``), the scalar columns of the collocation
-        rows as (k, a, g, i), the boundary state entries, the boundary
-        scalar entries, the phase row and the extra row (empty without
-        one).  The pattern's ``order`` takes that array to CSC data order.
-        Every entry of the boundary rows is kept, also where its value is
-        zero, so the structure never changes between Newton iterations."""
-        if with_row in self._patterns:
-            return self._patterns[with_row]
-        nc, nb, nU = self.n_colloc, self.n_bc, self.nU
+        a, b, g, j, i = np.ix_(*map(range, shape))
+        rows_coll = np.broadcast_to(3 * (i * m + g) + a, shape)
+        cols_coll = np.broadcast_to(3 * (i * m + j) + b, shape)
+        # the (node, component) state entries of each boundary row: the
+        # pinned one, or p and q at the right end for the gap
+        pins = [((RIGHT, P), (RIGHT, Q)) if row == GAP else (row,)
+                for row in self.bc_rows]
         n_scal = len(self.free_scalars)
         n_x = nU + n_scal
-        n_row = n_x if with_row else 0
+        n_row = n_x if bordered else 0
         scal_cols = nU + np.arange(n_scal)
-        rows = [self._rows_coll.ravel(),
-                np.tile(self._rows_coll[:, 0, :, 0].ravel(), n_scal),
-                self._rows_bc, np.repeat(nc + np.arange(nb), n_scal),
+        rows = [rows_coll.ravel(),
+                np.tile(rows_coll[:, 0, :, 0].ravel(), n_scal),
+                np.repeat(nc + np.arange(nb), [len(p) for p in pins]),
+                np.repeat(nc + np.arange(nb), n_scal),
                 np.full(nU, nc + nb), np.full(n_row, nc + nb + 1)]
-        cols = [self._cols_coll.ravel(), np.repeat(scal_cols, nc),
-                self._cols_bc, np.tile(scal_cols, nb), np.arange(nU),
-                np.arange(n_row)]
-        splits = np.cumsum([len(r) for r in rows[:-1]])
+        cols = [cols_coll.ravel(), np.repeat(scal_cols, nc),
+                [3 * (node % self.n_nodes) + comp
+                 for p in pins for node, comp in p],
+                np.tile(scal_cols, nb), np.arange(nU), np.arange(n_row)]
+        self._splits = np.cumsum([len(r) for r in rows[:-1]])
         rows, cols = np.concatenate(rows), np.concatenate(cols)
-        n_rows = nc + nb + 1 + int(with_row)
+        n_rows = nc + nb + 1 + int(bordered)
         # by column, then by row: each (row, column) pair occurs once, so
         # the combined key is unique (a stable sort of it runs fastest)
-        order = np.argsort(cols * n_rows + rows, kind="stable")
-        indptr = np.zeros(n_x + 1, dtype=np.int32)
-        np.cumsum(np.bincount(cols, minlength=n_x), out=indptr[1:])
-        pattern = _NewtonPattern(order, rows[order].astype(np.int32), indptr,
-                                 (n_rows, n_x), splits)
-        self._patterns[with_row] = pattern
-        return pattern
+        self._order = np.argsort(cols * n_rows + rows, kind="stable")
+        self._indices = rows[self._order].astype(np.int32)
+        self._indptr = np.zeros(n_x + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=n_x), out=self._indptr[1:])
+        self._shape = (n_rows, n_x)
 
     def _scalar_chain(self, name, par):
         """Names and weights of the raw-parameter derivatives behind one
@@ -455,7 +444,7 @@ class HeteroclinicBVP:
 
     def _bc_jacobian(self, u, par):
         """Values of the boundary rows: the state entries (in the order of
-        the pattern's boundary columns) and the dense (n_bc, n_scal) block of
+        the structure's boundary columns) and the dense (n_bc, n_scal) block of
         free-scalar derivatives."""
         # derivative w.r.t. scalar values by central differences on the
         # boundary targets (the state contribution is handled analytically)
@@ -483,21 +472,21 @@ class HeteroclinicBVP:
     def jacobian(self, x, extra_grad=None):
         """Sparse (CSC) Jacobian of ``residual`` and, when ``extra_grad`` is
         given, that gradient as a dense last row (the continuation driver's
-        arclength or target row).  Each call computes values only; the
-        structure is fixed per extra row."""
+        arclength or target row).  Each call computes values only, into
+        the structure of ``_structure``."""
         u, scalars = self.unpack(x)
         par = self.params_from(scalars)
-        pat = self._newton_pattern(extra_grad is not None)
-        values = np.empty(len(pat.order))
+        self._structure(extra_grad is not None)
+        values = np.empty(len(self._order))
         coll, scal, bc_state, bc_scal, phase, extra = np.split(values,
-                                                               pat.splits)
+                                                               self._splits)
 
         u_g = _gauss_values(self.W, u, self.m)
         args = (u_g[:, 0], u_g[:, 1], u_g[:, 2], par["alpha"], par["beta"],
                 par["mu"], par["h"], par["c_cp"], par["s"], par["omega"])
         # coll[a, b, g, j, i] = D[g, j]/h * delta_ab - W[g, j] * Jf[a, b, g, i]
         Jf = np.array(rhs_jacobian_raw(*args))
-        coll = coll.reshape(self._rows_coll.shape)
+        coll = coll.reshape(3, 3, self.m, self.m + 1, self.N)
         np.multiply(self.W[:, :, None], Jf[:, :, :, None, :], out=coll)
         np.subtract(self._eye_D[..., None], coll, out=coll)
 
@@ -517,8 +506,23 @@ class HeteroclinicBVP:
                     out=phase.reshape(-1, 3))
         if extra_grad is not None:
             extra[:] = extra_grad
-        return _csc(values.take(pat.order), pat.indices, pat.indptr,
-                    pat.shape)
+        from scipy.sparse import csc_matrix
+        J = csc_matrix((values.take(self._order), self._indices,
+                        self._indptr), shape=self._shape)
+        # the rows of each column are sorted and distinct by construction,
+        # so J is marked canonical, and ``splu`` does not scan it
+        J.has_canonical_format = True
+        return J
+
+    def factor(self, J):
+        """Factor J, a matrix of this system's structure, by ``_factorize``
+        and return the solve function of its LU, kept as ``lu``.  The last
+        LU is dropped first, so at most one is alive per system.  Raises
+        ``RuntimeError`` when J is singular."""
+        self.lu = None
+        self.lu = _factorize(J).solve
+        self.factorizations += 1
+        return self.lu
 
     # -- profile plumbing ---------------------------------------------------
 
@@ -605,60 +609,16 @@ def _factorize(J):
     return splu(J, permc_spec="MMD_AT_PLUS_A")
 
 
-def _csc(data, indices, indptr, shape):
-    """CSC matrix of a Newton pattern's structure.  The rows of each of its
-    columns are sorted and distinct by construction, so it is marked
-    canonical, and ``splu`` does not scan it for duplicates."""
-    from scipy.sparse import csc_matrix
-    A = csc_matrix((data, indices, indptr), shape=shape)
-    A.has_canonical_format = True
-    return A
-
-
-class _NewtonPattern:
-    """CSC structure of one Newton matrix (``order``, ``indices``,
-    ``indptr``, ``shape`` and the value sections' ``splits``, see
-    ``HeteroclinicBVP._newton_pattern``).
-
-    A structure lives as long as the system that built it keeps it:
-    ``continue_branch`` drops the solved base system's, so only the
-    continuation's own is alive while it factors.
-
-    The structure keeps the solve function of its last LU as ``lu``, for
-    the chord steps of ``newton_solve``, and counts its LUs in
-    ``factorizations``.  The LU is dropped before the next one is made, so
-    at most one is alive per structure, and no LU is shared between two
-    systems."""
-
-    def __init__(self, order, indices, indptr, shape, splits):
-        self.order, self.indices, self.indptr = order, indices, indptr
-        self.shape, self.splits = shape, splits
-        # solve function of the last LU made, for chord steps, and the
-        # number of LUs made
-        self.lu = None
-        self.factorizations = 0
-
-    def lu_solver(self, J):
-        """A function solving J x = b, for a matrix J of this pattern, kept
-        as ``lu`` until the next call drops it, before it factors J by
-        ``_factorize``.  Raises ``RuntimeError`` when J is singular."""
-        # the last LU is dropped before the next one is made
-        self.lu = None
-        self.lu = _factorize(J).solve
-        self.factorizations += 1
-        return self.lu
-
-
-def _newton_directions(J, r, pattern):
+def _newton_directions(J, r, bvp):
     """The Newton directions for J dx = -r, in the order they are tried,
-    where ``pattern`` is the ``_NewtonPattern`` of J.
+    where J is a Jacobian of ``bvp``.
 
     First the sparse LU step, when J factors and the step is finite; then a
     regularized least-squares step on the same J, solved only when the LU
     step is missing or cannot be damped into a residual decrease.  Raises
     ``SingularJacobian`` when the least-squares step is not finite."""
     try:
-        dx = pattern.lu_solver(J)(-r)
+        dx = bvp.factor(J)(-r)
     except RuntimeError:
         dx = None
     if dx is not None and np.all(np.isfinite(dx)):
@@ -675,12 +635,12 @@ def newton_solve(bvp: HeteroclinicBVP, states: np.ndarray, scalars: dict,
     """Chord and damped Newton iteration on the discretized system, to a
     max-norm residual below NEWTON_TOL within MAX_NEWTON iterations.
 
-    When the system's Newton structure holds an LU, an iteration first
-    takes the full chord step with it, dx = -LU^-1 r, and accepts it when it
-    cuts the residual below CHORD_RATE times the current one.  Otherwise
-    the trial is dropped and the iteration is a Newton one from the same
-    point: J assembled and factored afresh (the structure keeps that LU for
-    the next chord steps), its step damped, with the least-squares
+    When the system holds an LU (``HeteroclinicBVP.lu``), an iteration
+    first takes the full chord step with it, dx = -LU^-1 r, and accepts it
+    when it cuts the residual below CHORD_RATE times the current one.
+    Otherwise the trial is dropped and the iteration is a Newton one from
+    the same point: J assembled and factored afresh (the system keeps that
+    LU for the next chord steps), its step damped, with the least-squares
     fallback.  Both kinds count as iterations.  A trial whose scalars leave
     the material's domain (``HeteroclinicBVP.admits``) has no residual and
     is rejected, as one with a NaN residual is.
@@ -699,7 +659,6 @@ def newton_solve(bvp: HeteroclinicBVP, states: np.ndarray, scalars: dict,
             r = np.append(r, extra_row[0](z))
         return z, r, float(np.max(np.abs(r)))
 
-    pattern = bvp._newton_pattern(extra_row is not None)
     x, r, res_norm = with_residual(bvp.pack(states, scalars))
     for it in range(MAX_NEWTON + 1):
         if not math.isfinite(res_norm):
@@ -708,9 +667,9 @@ def newton_solve(bvp: HeteroclinicBVP, states: np.ndarray, scalars: dict,
             return (*bvp.unpack(x), it)
         if it == MAX_NEWTON:
             break
-        if pattern.lu is not None:
+        if bvp.lu is not None:
             # a NaN norm compares false and rejects the chord step
-            chord = with_residual(x + pattern.lu(-r))
+            chord = with_residual(x + bvp.lu(-r))
             if chord[2] < CHORD_RATE * res_norm:
                 x, r, res_norm = chord
                 continue
@@ -719,7 +678,7 @@ def newton_solve(bvp: HeteroclinicBVP, states: np.ndarray, scalars: dict,
         # residual norm (a NaN norm compares false)
         trials = (with_residual(x + 0.5 ** k * dx)
                   for dx in _newton_directions(bvp.jacobian(x, grad), r,
-                                               pattern)
+                                               bvp)
                   for k in range(10))
         accepted = next((t for t in trials if t[2] < res_norm), None)
         # the trials hold J: closed, they drop it before the next iteration
@@ -761,15 +720,16 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
 
     The start must solve ``bvp`` at its base parameter value.  The branch is
     traced on a copy of ``bvp`` that frees ``cont_name`` as its last
-    unknown, so ``bvp`` itself, its phase reference included, is left as it
-    was, apart from its Newton structures: they are dropped once the copy is
-    built, and ``bvp`` rebuilds them if it is solved again.  Steps adapt
-    within [1e-5, 0.05]: doubled after each accepted point whose corrector
-    did not fail first, and a failed corrector's step, the shortened one
-    that lands on the target included, halved.  A corrector that was not
-    pinned to the target but carries the parameter past it is rejected, and
-    its step redone from the previous point with the parameter pinned to the
-    target, so a branch that reaches its target ends exactly on it.  Every
+    unknown, so ``bvp`` itself, its phase reference and Newton structure
+    included, is left as it was, apart from its LU: that is dropped before
+    the copy factors, and ``bvp`` factors afresh if it is solved again.
+    Steps adapt within [1e-5, 0.05]: doubled after each accepted point
+    whose corrector did not fail first, and a failed corrector's step, the
+    shortened one that lands on the target included, halved.  A corrector
+    that was not pinned to the target but carries the parameter past it is
+    rejected, and its step redone from the previous point with the
+    parameter pinned to the target, so a branch that reaches its target
+    ends exactly on it.  Every
     accepted point is recorded with the regime's free scalars and, in its
     diagnostics, its corrector's iterations (``newton_iters``, chord and
     Newton alike), the LUs it made (``factorizations``), the failed
@@ -788,10 +748,8 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
     base = bvp.base
     cbvp = HeteroclinicBVP(bvp.mode, bvp._mp(base), bvp._wf(base), bvp.cfg,
                            free_scalars=bvp.free_scalars + (cont_name,))
-    # the base system's structures, and their LUs, are not read while cbvp
-    # is solved
-    bvp._patterns.clear()
-    pattern = cbvp._newton_pattern(True)
+    # the base system's LU is not read while cbvp is solved
+    bvp.lu = None
     lam0 = base[cont_name]
     direction = 1.0 if target >= lam0 else -1.0
     scalars = dict(start_scalars)
@@ -850,7 +808,7 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
                    lambda z: arc_grad)
 
         u_pred, sc_pred = cbvp.unpack(x_pred)
-        made = pattern.factorizations
+        made = cbvp.factorizations
         try:
             u_new, sc_new, iters = newton_solve(cbvp, u_pred, sc_pred,
                                                 extra_row=row)
@@ -883,7 +841,7 @@ def continue_branch(bvp: HeteroclinicBVP, start_states, start_scalars,
             tangent = new_tangent
         cbvp.set_reference(u_new, sc_new)
         record(u_new, sc_new, {"step": ds, "newton_iters": iters,
-                               "factorizations": pattern.factorizations - made,
+                               "factorizations": cbvp.factorizations - made,
                                "rejected_steps": rejected,
                                "fold": fold_seen})
         # a step that just had to be halved is not grown at once, which
@@ -911,6 +869,12 @@ def termination_boundary(mp: MaterialParams, c_cp_values,
     in s toward 0 (h and Omega free) and record the last converged point.
     The c_cp = 0 wall of ``build_bvp(mp, cfg)`` is solved once and each c_cp
     is walked to from it.
+
+    The last converged point is not always a boundary of existence.  At
+    (alpha, beta, mu, h) = (0.5, 0.1, -1, 0.5) and c_cp = 0.3 it is
+    s = 0.0397619, where two chart roots swap labels (``chart_equilibria``)
+    and a pinned boundary target jumps; the branch goes on to a standing
+    wall (s = 0).
 
     Returns a list of (c_cp, s_terminal, omega_terminal), with NaN for s
     and omega where the walk to c_cp failed.  Raises ``OrientationError``

@@ -68,7 +68,8 @@ class QuadraticForm2:
 
     @property
     def negative_definite(self) -> bool:
-        return self.a_ss < 0 and 4.0 * self.a_ss * self.a_hh - self.a_sh ** 2 > 0
+        return (self.a_ss < 0
+                and 4.0 * self.a_ss * self.a_hh - self.a_sh ** 2 > 0)
 
 
 def center_frequency(chart: ChartId, mp: MaterialParams, s: float) -> float:

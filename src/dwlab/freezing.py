@@ -91,12 +91,6 @@ class LineState:
     def dx(self) -> float:
         return float(self.grid[1] - self.grid[0])
 
-    @functools.cached_property
-    def rows(self) -> np.ndarray:
-        """Component rows (3, n) of m; a view when m is Fortran-ordered, as
-        every initial wall and stepped state is."""
-        return np.ascontiguousarray(self.m.T)
-
 
 @dataclass(frozen=True)
 class FreezeSeries:
@@ -240,7 +234,7 @@ def pde_rhs(state: LineState, mp: MaterialParams) -> np.ndarray:
     """
     n = len(state.grid)
     Mw, Hw = np.empty((5, n)), np.empty((5, n))
-    Mw[0:3] = state.rows
+    Mw[0:3] = state.m.T
     Mw[3:5] = Mw[0:2]
     _laplacian(Mw[0:3], state.dx * state.dx, Hw[0:3])
     F = _rhs_rows(Mw, Hw, mp, np.empty((3, n)), np.empty((11, n)))
@@ -293,7 +287,7 @@ class _Stepper:
         # the rows (m1, m0)
         self.w, self.w_e3 = w, np.stack([-w, w])
         self.Mw = np.empty((5, n))
-        self.Mw[0:3] = state.rows
+        self.Mw[0:3] = state.m.T
         self.Mw[3:5] = self.Mw[0:2]
         self.M = self.Mw[0:3]
         self.t, self.s, self.omega = state.t, state.s_est, state.omega_est

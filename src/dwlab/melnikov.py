@@ -160,7 +160,8 @@ def _bump(xi: np.ndarray, r: float, a_s0: float) -> np.ndarray:
     t = np.exp(-2.0 * r * xi[pos])
     out[pos] = np.exp((a_s0 - 2.0 * r) * xi[pos]) * (t - 1.0) / (1.0 + t) ** 3
     e = np.exp(2.0 * r * xi[~pos])
-    out[~pos] = np.exp((a_s0 + 2.0 * r) * xi[~pos]) * (1.0 - e) / (1.0 + e) ** 3
+    out[~pos] = (np.exp((a_s0 + 2.0 * r) * xi[~pos]) * (1.0 - e)
+                 / (1.0 + e) ** 3)
     return out
 
 

@@ -234,19 +234,51 @@ class TestNewtonMatrixLifetime:
         assert len(alive) > len(br.points) - 1
         assert alive == [0] * len(alive)
 
-    def test_branch_drops_the_base_structures(self):
-        """After a branch the solved base system holds no Newton
-        structure; solved again, it rebuilds one with the same bits."""
+    def test_branch_drops_the_base_lu(self):
+        """After a branch the solved base system holds no LU; solved again,
+        it factors afresh and gives the same bits."""
         bvp, mp, wf = setup(0.5)
         u, sc = solve_regime(bvp)
-        assert bvp._patterns
+        assert bvp.lu is not None
         before = solve_regime(bvp, u, sc)
         br = continue_branch(bvp, u, sc, "c_cp", 0.1, step0=0.02)
         assert br.terminated == "reached_target"
-        assert bvp._patterns == {}
+        assert bvp.lu is None
         after = solve_regime(bvp, u, sc)
         assert np.array_equal(bits(after[0]), bits(before[0]))
         assert after[1] == before[1]
+
+    def test_other_kind_of_jacobian_rebuilds_the_structure(self):
+        """One system asked for a plain, then a bordered, then a plain
+        Jacobian builds the structure of each kind in turn: every J equals
+        a fresh system's bit for bit, and each switch drops the LU, which
+        a call of the same kind keeps."""
+        bvp, mp, wf = setup(0.5)
+        u = homogeneous_profile(bvp.mesh, mp.mu)
+        sc = {n: bvp.base[n] for n in bvp.free_scalars}
+        bvp.set_reference(u, sc)
+        x = bvp.pack(u, sc)
+        grad = np.random.default_rng(3).normal(size=len(x))
+
+        def same(A, B):
+            return (A.shape == B.shape
+                    and np.array_equal(bits(A.data), bits(B.data))
+                    and np.array_equal(A.indices, B.indices)
+                    and np.array_equal(A.indptr, B.indptr))
+        # stands for the solve function of an LU: only its identity is read
+        marker = object()
+        for extra in (None, grad, None):
+            fresh = build_bvp(mp, CFG)
+            fresh.set_reference(u, sc)
+            bvp.lu = marker
+            # the first call builds the structure, and each later one
+            # switches its kind
+            J = bvp.jacobian(x, extra)
+            assert bvp.lu is None
+            assert same(J, fresh.jacobian(x, extra))
+            bvp.lu = marker
+            assert same(bvp.jacobian(x, extra), J)
+            assert bvp.lu is marker
 
     def test_center_sweep_factors_three_systems(self, monkeypatch):
         """A center sweep over two values factors three systems: the base
@@ -453,7 +485,7 @@ class TestNewton:
             if factored:
                 solve_regime(bvp)
                 bvp.set_reference(u, sc)
-                assert bvp._newton_pattern(False).lu is not None
+                assert bvp.lu is not None
             calls = {"lsmr": 0, "jacobian": 0}
             with monkeypatch.context() as m:
                 m.setattr(continuation, "_factorize", singular)

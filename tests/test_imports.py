@@ -1,6 +1,7 @@
 """Every imported name is read: an import that nothing uses claims a
 dependency the module does not have.  And every name that a library module
 exports in ``__all__`` is bound there, so ``from module import *`` works.
+And every line of the library modules and the tools fits in 79 columns.
 
 Scans the library modules (not ``__init__.py``, whose imports are the
 package's re-exports), the tests and the tools.  ``from __future__``
@@ -63,6 +64,16 @@ def test_every_exported_name_is_bound():
             unbound[stem] = names
     assert len(modules) > 10
     assert unbound == {}
+
+
+def test_every_line_fits_79_columns():
+    files = (sorted((ROOT / "src" / "dwlab").glob("*.py"))
+             + sorted((ROOT / "tools").glob("*.py")))
+    assert len(files) > 15
+    long = [f"{p.relative_to(ROOT)}:{n}" for p in files
+            for n, line in enumerate(p.read_text().splitlines(), 1)
+            if len(line) > 79]
+    assert long == []
 
 
 #: SciPy's packages that dwlab's solvers use, directly or through others
