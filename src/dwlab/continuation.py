@@ -18,11 +18,11 @@ the regime, and the table ``REGIMES`` below is their one definition:
     free.  Z^0_- has one unstable direction and Z^pi_- three stable
     ones, so the left end takes two conditions and the right none.
 
-Solving uses chord and damped Newton iteration on an analytically assembled
-sparse Jacobian; branches in any of (c_cp, s, Omega, h) are traced by
-pseudo-arclength continuation with a secant predictor, whose last step ends
-exactly on the target.  The continuation parameter is one more free scalar
-of the same system, and the arclength equation one more row.
+Solving uses chord and full-step Newton iteration on an analytically
+assembled sparse Jacobian; branches in any of (c_cp, s, Omega, h) are
+traced by pseudo-arclength continuation with a secant predictor, whose last
+step ends exactly on the target.  The continuation parameter is one more
+free scalar of the same system, and the arclength equation one more row.
 
 The Newton matrix is the almost block-diagonal collocation block (one block
 per mesh interval) bordered by the scalar columns and the boundary, phase
@@ -42,24 +42,26 @@ nothing (the chord, or simplified Newton, method; Kelley, *Iterative
 Methods for Linear and Nonlinear Equations*, SIAM 1995, section 5.4).  Each
 system keeps the last LU it made, and an iteration first takes the full
 step with it; the step is kept when it cuts the max-norm residual below
-CHORD_RATE times the current one.  Otherwise the iteration assembles and
-factors J afresh, and that LU serves the chord steps that follow.
+CHORD_RATE times the current one.  Otherwise the iteration factors J
+afresh and takes its full Newton step once, and that LU serves the chord
+steps that follow; a Newton step that does not lower the residual fails
+the corrector, and the continuation halves its step (Allgower & Georg,
+*Introduction to Numerical Continuation Methods*, SIAM 2003, section 6.1).
 
 Each system holds one Newton structure, plain or bordered by the extra
 row, and at most one LU; a continuation factors one system at a time:
   * ``continue_branch`` drops the LU of the solved system it starts from,
     and factors only its own, bordered system;
   * a system drops its LU before it factors the next one;
-  * each Newton iteration assembles J once; it lives through its
-    factorization and serves the least-squares fallback, and the next
-    iteration's J replaces it before that one is factored.
+  * each Newton iteration assembles J once, and holds it only through its
+    factorization.
 
 SciPy's sparse modules (``scipy.sparse`` and ``scipy.sparse.linalg``) are
 imported at the first Jacobian and the first factorization, not with this
 module, so only the commands that solve a boundary-value problem
-(``continue`` and ``center``) load them.  ``splu`` and ``lsmr`` stay
-module-level names that forward to SciPy's routines, so they can be replaced
-on the module, as tests do.
+(``continue`` and ``center``) load them.  ``splu`` stays a module-level name
+that forwards to SciPy's routine, so it can be replaced on the module, as
+tests do.
 """
 
 from __future__ import annotations
@@ -591,7 +593,8 @@ def splu(A, **options):
 
 
 def lsmr(A, b, **options):
-    """``scipy.sparse.linalg.lsmr``, imported at its first call."""
+    """``scipy.sparse.linalg.lsmr``, imported at its first call; unused,
+    kept while perfbench's tracer wraps this name."""
     from scipy.sparse.linalg import lsmr
     return lsmr(A, b, **options)
 
@@ -609,47 +612,27 @@ def _factorize(J):
     return splu(J, permc_spec="MMD_AT_PLUS_A")
 
 
-def _newton_directions(J, r, bvp):
-    """The Newton directions for J dx = -r, in the order they are tried,
-    where J is a Jacobian of ``bvp``.
-
-    First the sparse LU step, when J factors and the step is finite; then a
-    regularized least-squares step on the same J, solved only when the LU
-    step is missing or cannot be damped into a residual decrease.  Raises
-    ``SingularJacobian`` when the least-squares step is not finite."""
-    try:
-        dx = bvp.factor(J)(-r)
-    except RuntimeError:
-        dx = None
-    if dx is not None and np.all(np.isfinite(dx)):
-        yield dx
-    dx = lsmr(J, -r, damp=1e-12, atol=1e-14, btol=1e-14,
-              maxiter=20 * J.shape[0])[0]
-    if not np.all(np.isfinite(dx)):
-        raise SingularJacobian("linear solve produced non-finite update")
-    yield dx
-
-
 def newton_solve(bvp: HeteroclinicBVP, states: np.ndarray, scalars: dict,
                  extra_row=None):
-    """Chord and damped Newton iteration on the discretized system, to a
-    max-norm residual below NEWTON_TOL within MAX_NEWTON iterations.
+    """Chord and Newton iteration on the discretized system, to a max-norm
+    residual below NEWTON_TOL within MAX_NEWTON iterations.
 
     When the system holds an LU (``HeteroclinicBVP.lu``), an iteration
     first takes the full chord step with it, dx = -LU^-1 r, and accepts it
     when it cuts the residual below CHORD_RATE times the current one.
     Otherwise the trial is dropped and the iteration is a Newton one from
     the same point: J assembled and factored afresh (the system keeps that
-    LU for the next chord steps), its step damped, with the least-squares
-    fallback.  Both kinds count as iterations.  A trial whose scalars leave
-    the material's domain (``HeteroclinicBVP.admits``) has no residual and
-    is rejected, as one with a NaN residual is.
+    LU for the next chord steps), and its full step taken once.  Both kinds
+    count as iterations.  A trial whose scalars leave the material's domain
+    (``HeteroclinicBVP.admits``) has no residual and is rejected, as one
+    with a NaN residual (a non-finite step's) is.
 
     ``extra_row`` optionally appends one dense equation (value, gradient)
     callback pair used by the pseudo-arclength driver.  Returns the solved
     (states, scalars) and the number of iterations taken.  The residual is
     evaluated once per point: an accepted step carries its own into the next
-    iteration.  Raises ``NoConvergence`` / ``SingularJacobian``.
+    iteration.  Raises ``NoConvergence``, also when a Newton step does not
+    lower the residual, and ``SingularJacobian`` when the LU of J fails.
     """
     def with_residual(z):
         if not bvp.admits(z):
@@ -674,20 +657,15 @@ def newton_solve(bvp: HeteroclinicBVP, states: np.ndarray, scalars: dict,
                 x, r, res_norm = chord
                 continue
         grad = None if extra_row is None else extra_row[1](x)
-        # the first direction whose step, halved up to nine times, lowers the
-        # residual norm (a NaN norm compares false)
-        trials = (with_residual(x + 0.5 ** k * dx)
-                  for dx in _newton_directions(bvp.jacobian(x, grad), r,
-                                               bvp)
-                  for k in range(10))
-        accepted = next((t for t in trials if t[2] < res_norm), None)
-        # the trials hold J: closed, they drop it before the next iteration
-        # assembles its own
-        trials.close()
-        if accepted is None:
-            raise NoConvergence(
-                f"damping failed at residual {res_norm:.3e}")
-        x, r, res_norm = accepted
+        try:
+            solve = bvp.factor(bvp.jacobian(x, grad))
+        except RuntimeError as exc:
+            raise SingularJacobian(f"sparse LU failed: {exc}") from None
+        newton = with_residual(x + solve(-r))
+        # a NaN norm compares false
+        if not newton[2] < res_norm:
+            raise NoConvergence(f"Newton step failed at {res_norm:.3e}")
+        x, r, res_norm = newton
     raise NoConvergence(
         f"no convergence after {MAX_NEWTON} iterations "
         f"(residual {res_norm:.3e})")

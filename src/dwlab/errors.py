@@ -79,7 +79,7 @@ class NoConvergence(DwlabError):
 
 
 class SingularJacobian(DwlabError):
-    """The Newton linearization is (numerically) singular."""
+    """The sparse LU of a Newton matrix failed."""
 
 
 class PhaseDegeneracy(DwlabError):

@@ -15,9 +15,9 @@ stepping is semi-implicit Euler: the exchange diffusion with coefficient
 by nodewise renormalization.  The implicit matrix I - kappa * Laplacian
 with Neumann ends is symmetric in the trapezoid inner product: halving its
 first and last rows makes it symmetric positive definite, so it is factored
-once per grid and kappa (LAPACK's LDL^T, ``dpttrf``) and every step solves
-its one right-hand side with that factor.  The arithmetic works on
-component rows: the (3, n) transpose of the (n, 3) magnetization.
+once per run (LAPACK's LDL^T, ``dpttrf``) and every step solves its one
+right-hand side with that factor.  The arithmetic works on component rows:
+the (3, n) transpose of the (n, 3) magnetization.
 
 A run (``run_selection``) builds one stepper, which holds the factor, the
 trapezoid weights and every work row, and advances its own copy of the
@@ -32,7 +32,6 @@ the CLI commands only ``freeze`` loads it.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -241,10 +240,9 @@ def pde_rhs(state: LineState, mp: MaterialParams) -> np.ndarray:
     return F.T
 
 
-@functools.lru_cache(maxsize=8)
 def _implicit_factor(n: int, kappa: float):
     """LDL^T factor (d, e) of I - kappa * Laplacian (Neumann) with its
-    first and last rows halved, as read-only arrays for ``dpttrs``.
+    first and last rows halved, for ``dpttrs``.
 
     The Neumann matrix is symmetric in the trapezoid inner product: halving
     the end rows, as the trapezoid weights over dx do, makes it symmetric
@@ -258,7 +256,6 @@ def _implicit_factor(n: int, kappa: float):
                         overwrite_e=True)
     if info:
         raise np.linalg.LinAlgError(f"dpttrf failed with info = {info}")
-    d.flags.writeable = e.flags.writeable = False
     return d, e
 
 
@@ -378,8 +375,8 @@ def freeze_step(state: LineState, mp: MaterialParams, dt: float) -> LineState:
 
     Everything is evaluated on component rows; the 2 x 2 system for
     (s, Omega) needs no tridiagonal solve.  The implicit matrix is factored
-    once per grid and kappa (``_implicit_factor``), and each step solves
-    the three rows of dt R, end columns halved, in place with ``dpttrs``.
+    once per stepper (``_implicit_factor``), and each step solves the three
+    rows of dt R, end columns halved, in place with ``dpttrs``.
     The returned ``m`` is the Fortran-ordered (n, 3) view of the new rows.
     This is one step of the stepper that ``run_selection`` runs.
     """

@@ -66,7 +66,8 @@ def test_criterion_01_thresholds_and_family_values():
                 f"h* = {h_hi!r} vs 10.2 (tol 1e-12)")
     wf50 = homogeneous_speed_frequency(mk(50.0))
     ok2 = check("criterion 1b",
-                abs(wf50.s - 19.92) < 1e-12 and abs(wf50.omega - 40.04) < 1e-12,
+                abs(wf50.s - 19.92) < 1e-12
+                and abs(wf50.omega - 40.04) < 1e-12,
                 f"(s0, Omega0)(h=50) = ({wf50.s!r}, {wf50.omega!r}) "
                 "vs (19.92, 40.04) (tol 1e-12)")
     wfc = homogeneous_speed_frequency(mk(10.2))
@@ -130,7 +131,8 @@ def test_criterion_04b_kernel_direction_and_zero_speed():
     sm = splitting_matrix(mk(0.5))
     k = sm.kernel_per_unit_ccp
     ok1 = check("criterion 4b",
-                abs(k[0] + 0.00283744) < 1e-6 and abs(k[1] - 0.000240252) < 1e-6,
+                abs(k[0] + 0.00283744) < 1e-6
+                and abs(k[1] - 0.000240252) < 1e-6,
                 f"kernel per unit c_cp = ({k[0]:.8f}, {k[1]:.8f}) "
                 "vs (-0.00283744, 0.000240252) (tol 1e-6)")
     sm0 = splitting_matrix(mk(0.2))  # the zero-selected-speed field

@@ -621,30 +621,6 @@ class TestCliContinue:
         code, _ = run_cli(tmp_path, "continue", cfg)
         assert code == 3
 
-    def test_trial_past_the_material_domain_is_rejected(self, tmp_path,
-                                                        monkeypatch):
-        """On this branch, started at step0 = 0.04, a chord step carries
-        c_cp past 1.  Such a trial counts as rejected, as one with a NaN
-        residual does, so the run ends with a verdict rather than a
-        traceback."""
-        import dwlab.continuation
-        rejected = []
-        admits = dwlab.continuation.HeteroclinicBVP.admits
-
-        def tracked(self, x):
-            ok = admits(self, x)
-            rejected.append(not ok)
-            return ok
-        monkeypatch.setattr(dwlab.continuation.HeteroclinicBVP, "admits",
-                            tracked)
-        cfg = dict(BASE, h=10.1, cont="c_cp", target=0.5, L=70.0,
-                   n_mesh=560, step0=0.04)
-        code, out = run_cli(tmp_path, "continue", cfg)
-        assert code in (0, 3)
-        assert any(rejected)
-        branch = json.loads((out / "branch.json").read_text())
-        assert branch["terminated"] in ("reached_target", "newton_failure")
-
     def test_records_the_far_state_distance(self, tmp_path):
         """Every branch point and the profile say how far the ends lie
         from the far states theta = 0 and pi."""

@@ -19,6 +19,7 @@ from dwlab import (BvpConfig, MaterialParams, NoConvergence,
                    newton_solve, solve_regime, termination_boundary)
 from dwlab import continuation
 from dwlab.continuation import _factorize, _gauss_values, _lagrange_matrices
+from dwlab.errors import SingularJacobian
 
 ALPHA, BETA, MU = 0.5, 0.1, -1.0
 CFG = BvpConfig(L=30.0, n_mesh=120, collocation_order=4)
@@ -464,45 +465,40 @@ class TestNewton:
         with pytest.raises(NoConvergence):
             newton_solve(bvp, u, sc)
 
-    def test_least_squares_solved_at_most_once_per_jacobian(
-            self, monkeypatch):
-        """Without the LU step every iteration falls back to the least-
-        squares step; one that cannot be damped is not solved again, and
-        each one reads its iteration's only Jacobian.  That holds on a fresh
-        structure and on one that a solve has already factored, whose next
-        LU fails."""
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
+    def test_failed_lu_is_a_singular_jacobian(self, monkeypatch):
+        """A Newton iteration whose sparse LU fails raises at once: the
+        corrector has no least-squares fallback.  A system that a solve
+        has already factored still converges on the chord steps of that
+        LU, and assembles no Jacobian."""
         def singular(*args, **kwargs):
             raise RuntimeError("Factor is exactly singular")
 
-        for factored in (False, True):
-            bvp, u, sc = self._noise_guess()
-            if factored:
-                solve_regime(bvp)
-                bvp.set_reference(u, sc)
-                assert bvp.lu is not None
-            calls = {"lsmr": 0, "jacobian": 0}
-            with monkeypatch.context() as m:
-                m.setattr(continuation, "_factorize", singular)
-                m.setattr(continuation, "splu", singular)
-                m.setattr(continuation, "lsmr",
-                          counted("lsmr", continuation.lsmr))
-                m.setattr(continuation.HeteroclinicBVP, "jacobian",
-                          counted("jacobian",
-                                  continuation.HeteroclinicBVP.jacobian))
-                if factored:
-                    # the chord steps of the solve's LU carry it through
-                    newton_solve(bvp, u, sc)
-                else:
-                    with pytest.raises(NoConvergence):
-                        newton_solve(bvp, u, sc)
-            assert calls["jacobian"] > 0
-            assert calls["lsmr"] == calls["jacobian"]
+        bvp, mp, wf = setup(0.5)
+        u = homogeneous_profile(bvp.mesh, mp.mu)
+        sc = {"s": wf.s + 1e-3, "omega": wf.omega}
+        bvp.set_reference(u, sc)
+        with monkeypatch.context() as m:
+            m.setattr(continuation, "splu", singular)
+            with pytest.raises(SingularJacobian):
+                newton_solve(bvp, u, sc)
+        assert bvp.lu is None and bvp.factorizations == 0
+
+        solve_regime(bvp)
+        bvp.set_reference(u, sc)
+        made = bvp.factorizations
+        jacobians = []
+        jacobian = continuation.HeteroclinicBVP.jacobian
+
+        def counted(self, *args, **kwargs):
+            jacobians.append(1)
+            return jacobian(self, *args, **kwargs)
+        with monkeypatch.context() as m:
+            m.setattr(continuation, "splu", singular)
+            m.setattr(continuation.HeteroclinicBVP, "jacobian", counted)
+            _, sc2, iters = newton_solve(bvp, u, sc)
+        assert iters >= 1 and jacobians == []
+        assert bvp.factorizations == made
+        assert sc2["s"] == pytest.approx(wf.s, abs=1e-8)
 
 
 class TestContinuation:
@@ -684,7 +680,7 @@ class TestContinuation:
                                            collocation_order=3))
         u, sc = solve_regime(bvp)
         br = continue_branch(bvp, u, sc, "c_cp", 0.999, step0=0.05)
-        assert br.terminated in ("newton_failure", "step_underflow", "fold")
+        assert br.terminated == "newton_failure"
         assert 0.0 < br.end.param < 0.999
 
     def test_center_branch_records_energy_gap(self):
@@ -703,28 +699,20 @@ class TestContinuation:
 
 
 class TestCodim0Pins:
-    def test_continuation_in_h_pins_the_left_end(self, monkeypatch):
+    def test_continuation_in_h_pins_the_left_end(self):
         """The codim-0 wall pins p and q at the left end and nothing at the
         right: Z^0_- has one unstable direction and Z^pi_- three stable
         ones.  From h = 50 to 45 (L = 20, 80 intervals) the Newton matrix is
-        regular, no corrector falls back to least squares, the left node
-        sits on Z^0_- and the right node reaches Z^pi_- by itself."""
+        regular, the left node sits on Z^0_- and the right node reaches
+        Z^pi_- by itself."""
         from dwlab import PI, ZERO, chart_equilibria
         bvp, mp, wf = setup(50.0, BvpConfig(L=20.0, n_mesh=80))
         u, sc = solve_regime(bvp)
         sigma = np.linalg.svd(bvp.jacobian(bvp.pack(u, sc)).toarray(),
                               compute_uv=False)
         assert sigma[-1] > 1e-4 * sigma[0]
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return lsmr(*args, **kwargs)
-        lsmr = continuation.lsmr
-        monkeypatch.setattr(continuation, "lsmr", counted)
         br = continue_branch(bvp, u, sc, "h", 45.0)
         assert br.terminated == "reached_target" and br.end.param == 45.0
-        assert calls == []
         prof = br.end.profile
         z = prof.states[:, 1] + 1j * prof.states[:, 2]
         left = chart_equilibria(ZERO, prof.mp, prof.wf)[1].z
@@ -779,6 +767,34 @@ class TestMaterialDomain:
         cbvp.set_reference(u, {**sc, "c_cp": 0.0})
         with pytest.raises(NoConvergence):
             newton_solve(cbvp, u, sc)
+
+    def test_trial_past_the_domain_is_rejected(self, monkeypatch):
+        """A Newton trial that carries c_cp past 1 from inside the domain,
+        here by an extra row that pins c_cp = 1.2, counts as rejected, as
+        one with a NaN residual does: the corrector fails with
+        ``NoConvergence``, which a continuation takes as a failed step,
+        and no ``ValueError`` of the material escapes."""
+        bvp, mp, wf = setup(0.5)
+        cbvp = continuation.HeteroclinicBVP(
+            bvp.mode, mp, wf, CFG, free_scalars=("s", "omega", "c_cp"))
+        u = homogeneous_profile(cbvp.mesh, MU)
+        sc = {"s": wf.s, "omega": wf.omega, "c_cp": 0.9}
+        cbvp.set_reference(u, sc)
+        e_last = np.zeros(cbvp.nU + 3)
+        e_last[-1] = 1.0
+        admitted = []
+        admits = continuation.HeteroclinicBVP.admits
+
+        def tracked(self, x):
+            admitted.append((float(x[-1]), admits(self, x)))
+            return admitted[-1][1]
+        monkeypatch.setattr(continuation.HeteroclinicBVP, "admits", tracked)
+        with pytest.raises(NoConvergence):
+            newton_solve(cbvp, u, sc,
+                         extra_row=(lambda z: z[-1] - 1.2,
+                                    lambda z: e_last))
+        assert admitted[0] == (0.9, True)
+        assert admitted[-1] == (pytest.approx(1.2, abs=1e-12), False)
 
 
 class TestRobustness:

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dwlab import (ChartState, MaterialParams, PoleEvaluation, SingularEvaluation,
-                   SingularState, WaveFrame, desingularized_rhs,
-                   local_wavenumber, singular_rhs)
+from dwlab import (ChartState, MaterialParams, PoleEvaluation,
+                   SingularEvaluation, SingularState, WaveFrame,
+                   desingularized_rhs, local_wavenumber, singular_rhs)
 from dwlab.model import (rhs_jacobian_raw, rhs_param_derivatives_raw, rhs_raw,
                          sphere_rows, trapezoid_weights)
 

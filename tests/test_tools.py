@@ -1,10 +1,13 @@
 """The checking tools: ``tools/cli_digests.py``'s value comparison of two
-trees' outputs, on small hand-made output directories, and
-``tools/work_precision.py``'s reference."""
+trees' outputs, on small hand-made output directories,
+``tools/work_precision.py``'s reference, and one branch of
+``tools/branch_atlas.py``'s reference."""
 
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 from dwlab import BvpConfig
 
@@ -19,6 +22,7 @@ def load_tool(name):
     return module
 
 
+branch_atlas = load_tool("branch_atlas")
 cli_digests = load_tool("cli_digests")
 work_precision = load_tool("work_precision")
 
@@ -125,3 +129,31 @@ class TestWorkPrecision:
         assert err == max(abs(c - f) for c, f in zip(coarse, fine))
         assert err < 2e-6
         assert 5e-4 < abs(coarse[0] - 0.12) < 1e-3
+
+
+class TestBranchAtlas:
+    def test_reference_has_one_line_per_branch(self):
+        lines = branch_atlas.REF.read_text().splitlines()
+        walls = list(branch_atlas.grid())
+        assert len(walls) == 81 and len(set(walls)) == 81
+        assert lines[0] == branch_atlas.HEADER
+        assert len(lines) == 1 + 2 * len(walls)
+
+    def test_fast_branches_give_their_reference_lines(self):
+        """The two branches of the paper's material (0.5, 0.1, -1) at half
+        way to h^* = 10.2 end as the reference says: the same ending,
+        points and counts, and the same numbers to a relative 1e-9."""
+        h = branch_atlas.field(0.5, 0.1, -1.0, 0.5)
+        assert h == 5.2
+        ref = {tuple(line.split()[:5]): line.split() for line in
+               branch_atlas.REF.read_text().splitlines()[1:]}
+        lines = branch_atlas.wall_lines(0.5, 0.1, -1.0, h)
+        assert len(lines) == len(branch_atlas.TARGETS)
+        for line, _ in lines:
+            tokens = line.split()
+            expected = ref[tuple(tokens[:5])]
+            assert tokens[5] == expected[5] == "reached_target"
+            assert len(tokens) == len(expected)
+            for got, want in zip(tokens[6:], expected[6:]):
+                assert complex(got) == pytest.approx(complex(want),
+                                                     rel=1e-9, abs=1e-15)
